@@ -1,7 +1,8 @@
-// Online monitoring (the paper's Section 9 future-work direction, implemented
-// as StreamingAdaptiveLsh): articles arrive over time; after every batch the
-// monitor asks for the current top-k stories. Arrivals only pay the cheapest
-// hashing function; each TopK() reuses all verification work done before.
+// Online monitoring (the paper's Section 9 future-work direction, served by
+// the resident engine): articles arrive over time; every batch is ingested
+// and the engine's refinement pass re-certifies the current top-k stories.
+// Arrivals only pay the cheapest hashing function; each pass reuses all
+// verification work done before.
 //
 // The monitor also demonstrates the observability layer (obs/observer.h): a
 // custom Observer narrates every refinement round as it happens, and a
@@ -11,9 +12,10 @@
 //   build/examples/streaming_monitor [--k=3] [--batches=6] [--narrate]
 
 #include <iostream>
+#include <vector>
 
-#include "core/streaming_adaptive_lsh.h"
 #include "datagen/spotsigs_like.h"
+#include "engine/resident_engine.h"
 #include "obs/metrics_registry.h"
 #include "obs/observer.h"
 #include "util/flags.h"
@@ -24,8 +26,8 @@ namespace {
 using namespace adalsh;  // NOLINT: example brevity
 
 // Narrates each refinement round to stderr: which cluster was picked and
-// what treating it cost. Callbacks fire on the thread driving TopK(), so no
-// locking is needed.
+// what treating it cost. Callbacks fire on the thread driving the mutation,
+// so no locking is needed.
 class RoundNarrator : public Observer {
  public:
   void OnRoundStart(const RoundStartInfo& info) override {
@@ -54,8 +56,8 @@ int main(int argc, char** argv) {
   bool narrate = flags.GetBool("narrate", false);
   flags.CheckNoUnusedFlags();
 
-  // The "future" corpus: we generate it up front (the Dataset is the record
-  // store) but reveal records to the monitor in random arrival order.
+  // The "future" corpus: we generate it up front but reveal records to the
+  // monitor in random arrival order.
   SpotSigsLikeConfig data_config;
   data_config.records_in_stories = 900;
   data_config.num_singletons = 500;
@@ -68,32 +70,45 @@ int main(int argc, char** argv) {
 
   MetricsRegistry metrics;
   RoundNarrator narrator;
-  AdaptiveLshConfig config;
-  config.seed = 4;
-  config.instrumentation.metrics = &metrics;
-  if (narrate) config.instrumentation.observer = &narrator;
-  StreamingAdaptiveLsh monitor(dataset, generated.rule, config);
+  ResidentEngine::Options options;
+  options.top_k = k;
+  options.config.seed = 4;
+  options.config.instrumentation.metrics = &metrics;
+  if (narrate) options.config.instrumentation.observer = &narrator;
+  ResidentEngine monitor(generated.rule, options);
 
+  // The engine assigns external ids in arrival order; source_of maps them
+  // back to the corpus for labels.
+  std::vector<RecordId> source_of;
   size_t per_batch = arrival_order.size() / batches;
-  size_t next = 0;
   for (int batch = 1; batch <= batches; ++batch) {
     size_t end = batch == batches ? arrival_order.size()
-                                  : next + per_batch;
-    while (next < end) monitor.Add(arrival_order[next++]);
-
-    FilterOutput top = monitor.TopK(k);
-    std::cout << "after " << monitor.num_added() << " arrivals, top-" << k
-              << " stories:";
-    for (const auto& cluster : top.clusters.clusters) {
-      std::cout << "  " << cluster.size() << " copies("
-                << dataset.record(cluster[0]).label() << ")";
+                                  : source_of.size() + per_batch;
+    std::vector<Record> arrivals;
+    while (source_of.size() < end) {
+      source_of.push_back(arrival_order[source_of.size()]);
+      arrivals.push_back(dataset.record(source_of.back()));
     }
-    std::cout << "\n  [topk cost: " << top.stats.hashes_computed
-              << " new hashes, " << top.stats.pairwise_similarities
-              << " new similarities, " << top.stats.rounds << " rounds]\n";
+    StatusOr<EngineMutationResult> ingested =
+        monitor.Ingest(std::move(arrivals));
+    if (!ingested.ok()) {
+      std::cerr << ingested.status().ToString() << "\n";
+      return 1;
+    }
+
+    const FilterStats& pass = ingested.value().stats;
+    std::cout << "after " << source_of.size() << " arrivals, top-" << k
+              << " stories:";
+    for (const auto& cluster : monitor.Snapshot()->clusters) {
+      std::cout << "  " << cluster.size() << " copies("
+                << dataset.record(source_of[cluster[0]]).label() << ")";
+    }
+    std::cout << "\n  [refinement cost: " << pass.hashes_computed
+              << " new hashes, " << pass.pairwise_similarities
+              << " new similarities, " << pass.rounds << " rounds]\n";
   }
 
-  // Whole-stream metrics, aggregated across every TopK() call.
+  // Whole-stream metrics, aggregated across every refinement pass.
   MetricsSnapshot snapshot = metrics.Snapshot();
   std::cout << "stream metrics:\n";
   for (const auto& [name, value] : snapshot.counters) {

@@ -87,7 +87,7 @@ class ParentPointerForest {
 
   /// Calls `fn(RecordId, NodeId leaf)` for every leaf of the tree rooted at
   /// `root` — for callers that track record -> current-leaf maps across
-  /// invocations (e.g. the streaming mode).
+  /// invocations (e.g. the resident engine).
   template <typename Fn>
   void ForEachLeafNode(NodeId root, Fn&& fn) const {
     const Node& r = node(root);

@@ -5,14 +5,13 @@
 #include <optional>
 #include <utility>
 
-#include "clustering/bin_index.h"
+#include "clustering/clustering.h"
 #include "core/pairwise.h"
+#include "core/refine_loop.h"
 #include "core/termination.h"
 #include "core/transitive_hash_function.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -56,16 +55,13 @@ AdaptiveLsh::AdaptiveLsh(const Dataset& dataset, const MatchRule& rule,
   cost_model_.set_pairwise_noise_factor(config.pairwise_noise_factor);
 }
 
-FilterOutput AdaptiveLsh::Run(int k) {
-  return Run(k, [](size_t, const std::vector<RecordId>&) {});
-}
+FilterOutput AdaptiveLsh::Run(int k) { return Run(k, {}); }
 
 FilterOutput AdaptiveLsh::Run(
     int k, const std::function<void(size_t rank, const std::vector<RecordId>&)>&
                on_cluster) {
   ADALSH_CHECK_GE(k, 1);
   const size_t num_records = dataset_->num_records();
-  const int last_function = static_cast<int>(sequence_.size()) - 1;
 
   // Sinks are shared with the hasher/pairwise sweeps; TransitiveHasher
   // reports hash passes at its level, so the engine itself stays
@@ -74,9 +70,9 @@ FilterOutput AdaptiveLsh::Run(
 
   Timer timer;
   // Anytime execution (docs/robustness.md): the effective controller is
-  // armed here, so the deadline excludes construction/calibration. Null when
-  // neither a budget nor an external controller is configured — that path is
-  // bit-identical to the pre-controller behavior.
+  // armed once, here, so H_1 counts against the deadline and the budgets
+  // while construction/calibration do not. Null when neither a budget nor
+  // an external controller is configured.
   std::optional<RunController> local_controller;
   RunController* controller =
       ResolveController(config_.controller, config_.budget, &local_controller);
@@ -85,175 +81,20 @@ FilterOutput AdaptiveLsh::Run(
   HashEngine engine(*dataset_, sequence_.structure(), config_.seed);
   TransitiveHasher hasher(&engine, &forest, num_records, pool.get(), instr,
                           controller);
+  hasher.set_reuse_hashes(!config_.ablate_incremental_reuse);
   PairwiseComputer pairwise(*dataset_, rule_, pool.get(), instr, controller);
-  // Hashes computed by discarded throwaway engines (incremental-reuse
-  // ablation only).
-  uint64_t ablated_hashes = 0;
 
   // last_fn[r]: sequence index of the last function applied to r, or
   // kLastFunctionPairwise once P has treated it (Definition 3 accounting).
   std::vector<int> last_fn(num_records, 0);
-
   FilterStats stats;
 
-  auto is_final = [&](NodeId root) {
-    int producer = forest.Producer(root);
-    return producer == kProducerPairwise || producer == last_function;
-  };
-
-  Rng jump_rng(DeriveSeed(config_.seed, 0xd2aa));
-  uint64_t jump_sampling_evals = 0;
-
-  // Exact per-round counter sources (the same sources as the run totals, so
-  // the round_records invariants of filter_output.h hold by construction).
-  auto hash_count = [&] {
-    return engine.total_hashes_computed() + ablated_hashes;
-  };
-  auto sim_count = [&] {
-    return pairwise.total_similarities() + jump_sampling_evals;
-  };
-
-  // Round-boundary cooperative check (Algorithm 1 loop top). Feeds the
-  // driver-level totals — which include jump-sampling evaluations and
-  // ablated hashes the sweeps cannot see — before asking; the controller
-  // keeps the max of all reports.
-  auto stop_now = [&] {
-    if (controller == nullptr) return false;
-    controller->ReportHashes(hash_count());
-    controller->ReportPairwise(sim_count());
-    return controller->ShouldStop();
-  };
-
-  // Closes out a round: fills the counter deltas, appends the record to the
-  // stats and notifies the attached sinks.
-  auto finish_round = [&](RoundRecord round, uint64_t hashes_before,
-                          uint64_t sims_before, double wall_seconds,
-                          TraceRecorder::Span* span) {
-    round.hashes_computed = hash_count() - hashes_before;
-    round.pairwise_similarities = sim_count() - sims_before;
-    round.wall_seconds = wall_seconds;
-    ++stats.rounds;
-    if (span != nullptr) {
-      span->AddArg("round", static_cast<double>(round.round));
-      span->AddArg("cluster_size", static_cast<double>(round.cluster_size));
-      span->AddArg("hashes", static_cast<double>(round.hashes_computed));
-      span->AddArg("pairwise",
-                   static_cast<double>(round.pairwise_similarities));
-    }
-    if (instr.metrics != nullptr) {
-      instr.metrics->AddCounter("rounds", 1);
-      instr.metrics->RecordValue("round_cluster_size",
-                                 static_cast<double>(round.cluster_size));
-      instr.metrics->RecordValue("round_wall_seconds", round.wall_seconds);
-    }
-    stats.round_records.push_back(round);
-    if (instr.observer != nullptr) {
-      instr.observer->OnRoundEnd(stats.round_records.back());
-    }
-  };
-
-  // Lines 4-10 of Algorithm 1: refine one cluster with the next function in
-  // the sequence, or with P when the cost model prefers it.
-  auto process_cluster = [&](NodeId root) {
-    std::vector<RecordId> records = forest.Leaves(root);
-    int producer = forest.Producer(root);
-    int next = producer + 1;
-
-    RoundRecord round;
-    round.round = stats.rounds + 1;
-    round.cluster_size = records.size();
-    const uint64_t hashes_before = hash_count();
-    const uint64_t sims_before = sim_count();
-    Timer round_timer;
-    TraceRecorder::Span round_span(instr.trace, "round", "round");
-    if (instr.observer != nullptr) {
-      RoundStartInfo start;
-      start.round = round.round;
-      start.cluster_size = records.size();
-      start.producer = producer;
-      instr.observer->OnRoundStart(start);
-    }
-
-    std::vector<NodeId> new_roots;
-    bool jump;
-    if (config_.jump_model == JumpModel::kSampledPurity) {
-      uint64_t evals = 0;
-      jump = cost_model_.ShouldJumpToPairwiseSampled(
-          *dataset_, rule_, records, sequence_.budget(producer),
-          sequence_.budget(next), &jump_rng, /*sample_pairs=*/20, &evals);
-      jump_sampling_evals += evals;
-    } else {
-      jump = cost_model_.ShouldJumpToPairwise(sequence_.budget(producer),
-                                              sequence_.budget(next),
-                                              records.size());
-    }
-    // Interruption handling ("discard the round", docs/robustness.md): both
-    // sweep engines build fresh trees and never touch the treated cluster's
-    // own tree, so when a sweep is stopped mid-flight the partial trees are
-    // simply orphaned, last_fn keeps its previous buckets, and the original
-    // root is handed back to the caller unchanged. The round's counter
-    // deltas are real work and are recorded (interrupted = true) so the
-    // FilterStats sum invariants keep holding.
-    bool interrupted = false;
-    if (jump) {
-      round.action = RoundAction::kPairwise;
-      round.modeled_cost = cost_model_.PairwiseCost(records.size());
-      Timer stage_timer;
-      new_roots = pairwise.Apply(records, &forest);  // Line 6
-      round.pairwise_seconds = stage_timer.ElapsedSeconds();
-      interrupted = pairwise.last_apply_interrupted();
-      if (!interrupted) {
-        for (RecordId r : records) last_fn[r] = kLastFunctionPairwise;
-      }
-    } else if (config_.ablate_incremental_reuse) {
-      round.action = RoundAction::kHash;
-      round.function_index = next;
-      round.modeled_cost =
-          cost_model_.HashUpgradeCost(sequence_.budget(producer),
-                                      sequence_.budget(next)) *
-          static_cast<double>(records.size());
-      Timer stage_timer;
-      // Ablation: a throwaway engine recomputes every hash from scratch.
-      HashEngine fresh_engine(*dataset_, sequence_.structure(), config_.seed);
-      TransitiveHasher fresh_hasher(&fresh_engine, &forest, num_records,
-                                    pool.get(), instr, controller);
-      new_roots = fresh_hasher.Apply(records, sequence_.plan(next), next);
-      ablated_hashes += fresh_engine.total_hashes_computed();
-      round.hash_seconds = stage_timer.ElapsedSeconds();
-      interrupted = fresh_hasher.last_apply_interrupted();
-      if (!interrupted) {
-        for (RecordId r : records) last_fn[r] = next;
-      }
-    } else {
-      round.action = RoundAction::kHash;
-      round.function_index = next;
-      round.modeled_cost =
-          cost_model_.HashUpgradeCost(sequence_.budget(producer),
-                                      sequence_.budget(next)) *
-          static_cast<double>(records.size());
-      Timer stage_timer;
-      new_roots = hasher.Apply(records, sequence_.plan(next), next);  // Line 8
-      round.hash_seconds = stage_timer.ElapsedSeconds();
-      interrupted = hasher.last_apply_interrupted();
-      if (!interrupted) {
-        for (RecordId r : records) last_fn[r] = next;
-      }
-    }
-    round.interrupted = interrupted;
-    finish_round(std::move(round), hashes_before, sims_before,
-                 round_timer.ElapsedSeconds(), &round_span);
-    if (interrupted) {
-      // The cluster stays at its previous verification level; the caller
-      // re-files it and the stuck controller ends the loop at its next check.
-      new_roots.assign(1, root);
-    }
-    return new_roots;
-  };
-
-  // Line 1: H_1 on the whole dataset. Skipped entirely when the controller
-  // already fired (pre-round-1 stop: empty best-effort output, zero rounds).
+  // Line 1: H_1 on the whole dataset, round 1. Skipped entirely when the
+  // controller already fired (pre-round-1 stop: empty best-effort output,
+  // zero rounds). An interrupted pass leaves no record with a valid H_1
+  // cluster, so the run degrades to an empty clustering.
   std::vector<NodeId> initial;
-  if (!stop_now()) {
+  if (!StopRequested(controller)) {
     RoundRecord round;
     round.round = 1;
     round.action = RoundAction::kHash;
@@ -273,135 +114,35 @@ FilterOutput AdaptiveLsh::Run(
     Timer stage_timer;
     initial = hasher.Apply(dataset_->AllRecordIds(), sequence_.plan(0), 0);
     round.hash_seconds = stage_timer.ElapsedSeconds();
-    // An interrupted initial pass means no record has a valid H_1 cluster
-    // yet: the run degrades to an empty clustering (initial stays empty).
     round.interrupted = hasher.last_apply_interrupted();
-    finish_round(std::move(round), /*hashes_before=*/0, /*sims_before=*/0,
-                 round_timer.ElapsedSeconds(), &round_span);
+    round.hashes_computed = engine.total_hashes_computed();
+    round.wall_seconds = round_timer.ElapsedSeconds();
+    stats.hashes_computed = round.hashes_computed;
+    RecordRound(instr, std::move(round), &round_span, &stats);
   }
 
+  // Lines 2-10: the shared round loop, with the record id as the order key.
+  RefineLoopDeps deps;
+  deps.config = &config_;
+  deps.sequence = &sequence_;
+  deps.cost_model = &cost_model_;
+  deps.engine = &engine;
+  deps.hasher = &hasher;
+  deps.pairwise = &pairwise;
+  deps.forest = &forest;
+  deps.last_fn = &last_fn;
+  deps.on_final = on_cluster;
   std::vector<NodeId> finals;
-  if (config_.selection == SelectionStrategy::kLargestFirst) {
-    // Fast path: the bin-based structure of Appendix B.4 pops the largest
-    // cluster in O(size of the top bin); pops are non-increasing in size, so
-    // finals accumulate already ranked (Appendix B.5).
-    BinIndex bins(num_records);
-    for (NodeId root : initial) bins.Insert(root, forest.LeafCount(root));
-    while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
-      if (stop_now()) break;  // round boundary (anytime exit)
-      NodeId root = bins.PopLargest();  // Line 3 (Largest-First)
-      if (is_final(root)) {
-        finals.push_back(root);
-        on_cluster(finals.size() - 1, forest.Leaves(root));
-        continue;
-      }
-      for (NodeId new_root : process_cluster(root)) {
-        bins.Insert(new_root, forest.LeafCount(new_root));
-      }
-    }
-    if (controller != nullptr && controller->stopped()) {
-      // Graceful degradation: complete the top-k with the best pending
-      // clusters at whatever verification level they reached. Pops stay
-      // non-increasing, so `finals` remains ranked; the incremental
-      // callback is not fired for these (they are not verified final).
-      while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
-        finals.push_back(bins.PopLargest());
-      }
-    }
-  } else {
-    // Ablation path (see SelectionStrategy): arbitrary selection order with
-    // the family-of-algorithms termination rule — stop once the k largest
-    // clusters overall are final.
-    Rng selector(DeriveSeed(config_.seed, 0xab1a7e));
-    std::vector<NodeId> pending;
-    auto route = [&](NodeId root) {
-      if (is_final(root)) {
-        finals.push_back(root);
-      } else {
-        pending.push_back(root);
-      }
-    };
-    for (NodeId root : initial) route(root);
-    while (!pending.empty()) {
-      if (stop_now()) break;  // round boundary (anytime exit)
-      // Termination: the k-th largest final dominates every pending cluster.
-      uint32_t max_pending = 0;
-      for (NodeId root : pending) {
-        max_pending = std::max(max_pending, forest.LeafCount(root));
-      }
-      if (finals.size() >= static_cast<size_t>(k)) {
-        std::vector<uint32_t> final_sizes;
-        final_sizes.reserve(finals.size());
-        for (NodeId root : finals) final_sizes.push_back(forest.LeafCount(root));
-        std::nth_element(final_sizes.begin(), final_sizes.begin() + (k - 1),
-                         final_sizes.end(), std::greater<uint32_t>());
-        if (final_sizes[k - 1] >= max_pending) break;
-      }
-      size_t pick = 0;
-      switch (config_.selection) {
-        case SelectionStrategy::kLargestFirst:
-          ADALSH_CHECK(false);
-          break;
-        case SelectionStrategy::kSmallestFirst: {
-          for (size_t i = 1; i < pending.size(); ++i) {
-            if (forest.LeafCount(pending[i]) <
-                forest.LeafCount(pending[pick])) {
-              pick = i;
-            }
-          }
-          break;
-        }
-        case SelectionStrategy::kFifo:
-          pick = 0;
-          break;
-        case SelectionStrategy::kRandom:
-          pick = selector.NextBelow(pending.size());
-          break;
-      }
-      NodeId root = pending[pick];
-      pending[pick] = pending.back();
-      pending.pop_back();
-      for (NodeId new_root : process_cluster(root)) route(new_root);
-    }
-    if (controller != nullptr && controller->stopped()) {
-      // Graceful degradation: the largest pending clusters fill out the
-      // top-k at their current verification level; the size sort below
-      // ranks them together with the verified finals.
-      std::stable_sort(pending.begin(), pending.end(),
-                       [&](NodeId a, NodeId b) {
-                         return forest.LeafCount(a) > forest.LeafCount(b);
-                       });
-      for (NodeId root : pending) {
-        if (finals.size() >= static_cast<size_t>(k)) break;
-        finals.push_back(root);
-      }
-    }
-    // Rank finals and emit incremental callbacks in rank order (skipping
-    // unverified fill clusters from an early termination).
-    std::sort(finals.begin(), finals.end(), [&](NodeId a, NodeId b) {
-      return forest.LeafCount(a) > forest.LeafCount(b);
-    });
-    if (finals.size() > static_cast<size_t>(k)) finals.resize(k);
-    for (size_t rank = 0; rank < finals.size(); ++rank) {
-      if (is_final(finals[rank])) on_cluster(rank, forest.Leaves(finals[rank]));
-    }
-  }
+  RunRefineLoop(deps, k, initial, controller, &finals, &stats);
 
+  // Canonical output, as the engines publish it: clusters ranked by size
+  // descending, ties by smallest member, members ascending.
   FilterOutput output;
   output.clusters = MaterializeClusters(forest, finals);
-  FillClusterVerification(forest, finals, &stats);
-  // Pops are non-increasing in size on the fast path, so finals are already
-  // ranked; the sort is a stable no-op kept as a safety net (and keeps
-  // cluster_verification aligned, since stable no-ops preserve order).
-  output.clusters.SortBySizeDescending();
-
-  stats.termination_reason = controller != nullptr
-                                 ? controller->reason()
-                                 : TerminationReason::kCompleted;
+  for (std::vector<RecordId>& cluster : output.clusters.clusters) {
+    std::sort(cluster.begin(), cluster.end());
+  }
   stats.filtering_seconds = timer.ElapsedSeconds();
-  stats.pairwise_similarities =
-      pairwise.total_similarities() + jump_sampling_evals;
-  stats.hashes_computed = engine.total_hashes_computed() + ablated_hashes;
   stats.records_last_hashed_at.assign(sequence_.size(), 0);
   for (RecordId r = 0; r < num_records; ++r) {
     if (last_fn[r] == kLastFunctionPairwise) {
@@ -410,12 +151,6 @@ FilterOutput AdaptiveLsh::Run(
       ++stats.records_last_hashed_at[last_fn[r]];
     }
   }
-  // Definition 3: sum_i n_i * cost_i + n_P * cost_P, evaluated from the
-  // engine's exact hash count plus the exact P similarity count.
-  stats.modeled_cost =
-      cost_model_.cost_per_hash() * static_cast<double>(stats.hashes_computed) +
-      cost_model_.cost_per_pair() *
-          static_cast<double>(stats.pairwise_similarities);
   ReportTermination(instr, stats, output.clusters.clusters.size());
   output.stats = std::move(stats);
   return output;

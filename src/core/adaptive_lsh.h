@@ -19,9 +19,11 @@ namespace adalsh {
 /// Which pending cluster each round expands. kLargestFirst is the paper's
 /// rule, proved optimal in Theorems 1-2; the alternatives exist for the
 /// ablation benchmark that demonstrates the theorem empirically
-/// (bench/ablation_selection). All strategies terminate with the same
+/// (bench/ablation_selection) and are honored by AdaptiveLsh::Run only (the
+/// resident engines refuse them). All strategies terminate with the same
 /// answer — only the cost differs — because termination requires the k
-/// largest clusters to be outcomes of H_L or P regardless of order.
+/// largest clusters to be outcomes of H_L or P regardless of order
+/// (core/refine_loop.h).
 enum class SelectionStrategy {
   kLargestFirst,
   kSmallestFirst,
@@ -114,14 +116,18 @@ class AdaptiveLsh {
   AdaptiveLsh(const AdaptiveLsh&) = delete;
   AdaptiveLsh& operator=(const AdaptiveLsh&) = delete;
 
-  /// Runs the filtering stage for the k largest clusters. Each call is an
-  /// independent run (fresh forest, tables and hash caches).
+  /// Runs the filtering stage for the k largest clusters: H_1 over the whole
+  /// dataset, then the shared round loop (core/refine_loop.h) with record
+  /// ids as the tie-break key. Each call is an independent run (fresh
+  /// forest, tables and hash caches). The output is canonical, as the
+  /// resident engines publish it: clusters by size descending, ties by
+  /// smallest member, members ascending.
   FilterOutput Run(int k);
 
   /// Incremental mode (Section 4.2): `on_cluster(rank, records)` fires as
   /// soon as each final cluster is known — rank 0 is the largest cluster,
   /// which Theorem 2 guarantees is found at minimum cost — and the full
-  /// result is still returned at the end.
+  /// result is still returned at the end. `on_cluster` may be empty.
   FilterOutput Run(int k,
                    const std::function<void(size_t rank,
                                             const std::vector<RecordId>&)>&

@@ -12,12 +12,12 @@
 namespace adalsh {
 
 /// Marker in per-record "last function applied" bookkeeping (AdaptiveLsh,
-/// StreamingAdaptiveLsh) for records whose last treatment was the exact
+/// the resident engines) for records whose last treatment was the exact
 /// pairwise function P — Definition 3's n_P bucket.
 inline constexpr int kLastFunctionPairwise = -2;
 
 /// Execution accounting shared by all filtering methods (adaLSH, LSH-X,
-/// LSH-X-nP, Pairs, streaming). Times are wall-clock; counters feed the
+/// LSH-X-nP, Pairs, resident-engine passes). Times are wall-clock; counters feed the
 /// Definition 3 cost expression sum_i n_i * cost_i + n_P * cost_P.
 ///
 /// Field invariants — identical across every method, asserted in
@@ -27,18 +27,18 @@ inline constexpr int kLastFunctionPairwise = -2;
 ///     hashing function or of P to one record set: AdaptiveLsh counts the
 ///     initial H_1 pass plus every Algorithm 1 loop iteration; LSH-X counts
 ///     its stage-1 hash pass plus one round per P verification; LSH-X-nP and
-///     Pairs count exactly 1; a streaming TopK counts only the refinement
-///     rounds it ran itself (0 when every cluster was already verified).
+///     Pairs count exactly 1; a resident-engine refinement pass counts only
+///     the rounds it ran itself (0 when every cluster was already verified).
 ///   * sum over round_records of hashes_computed == hashes_computed, and of
 ///     pairwise_similarities == pairwise_similarities: all work is performed
 ///     inside some round, and the per-round counters are exact deltas of the
 ///     same sources as the totals.
 ///   * records_last_hashed_at.size() == number of hashing functions the
-///     method can apply: the sequence length L for adaLSH/streaming, 1 for
+///     method can apply: the sequence length L for adaLSH/engines, 1 for
 ///     LSH-X/LSH-X-nP, 0 for Pairs (which has none).
 ///   * sum(records_last_hashed_at) + records_finished_by_pairwise == number
-///     of records treated (the dataset size for batch methods, num_added()
-///     for streaming): every treated record is counted exactly once, under
+///     of records treated (the dataset size for batch methods, the live
+///     records for an engine pass): every treated record is counted exactly once, under
 ///     the last function applied to it.
 struct FilterStats {
   /// Wall-clock seconds of the filtering stage (the paper's Execution Time).

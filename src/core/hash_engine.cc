@@ -37,6 +37,10 @@ void HashEngine::EnsureHashes(RecordId r, const SchemePlan& plan) {
   }
 }
 
+void HashEngine::ClearHashes(RecordId r) {
+  for (HashCache& cache : caches_) cache.Clear(r);
+}
+
 void HashEngine::PreparePlan(const SchemePlan& plan) {
   ADALSH_CHECK_EQ(plan.hashes_per_unit.size(), caches_.size());
   for (size_t u = 0; u < caches_.size(); ++u) {

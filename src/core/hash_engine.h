@@ -31,6 +31,11 @@ class HashEngine {
   /// Ensures record r's caches cover every prefix `plan` needs.
   void EnsureHashes(RecordId r, const SchemePlan& plan);
 
+  /// Forgets every cached hash of record r, so the next EnsureHashes
+  /// recomputes them from scratch and counts them again (the incremental-
+  /// reuse ablation). Same concurrency contract as EnsureHashes.
+  void ClearHashes(RecordId r);
+
   /// Batch form: ensures every record in `records` covers `plan`,
   /// partitioning the records across `pool`'s workers (serial when `pool` is
   /// null). Safe because each record owns independent cache slots; family

@@ -58,9 +58,9 @@ class PairwiseComputer {
   PairwiseComputer& operator=(const PairwiseComputer&) = delete;
 
   /// Attaches/detaches the cooperative-cancellation controller (borrowed,
-  /// may be null). Long-lived computers (streaming) point this at the
-  /// controller of the current TopK call; per-run computers pass it at
-  /// construction.
+  /// may be null). Long-lived computers (resident engine) point this at the
+  /// controller of the current refinement pass; per-run computers pass it
+  /// at construction.
   void set_controller(RunController* controller) { controller_ = controller; }
 
   /// Re-syncs the FeatureCache after records were appended to the dataset
@@ -93,6 +93,9 @@ class PairwiseComputer {
   /// serially — which is safe precisely because both paths produce
   /// byte-identical output.
   static size_t OverrideParallelCutoffForTest(size_t cutoff);
+
+  const Dataset& dataset() const { return *dataset_; }
+  const MatchRule& rule() const { return *rule_; }
 
   /// Rule evaluations actually performed (pairs skipped via transitive
   /// closure are not counted) — the n_P of the Definition 3 cost accounting.

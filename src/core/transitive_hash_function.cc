@@ -86,6 +86,7 @@ std::vector<NodeId> TransitiveHasher::Apply(
     key_block_.resize(count * num_tables);
     ParallelFor(pool_, count, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
+        if (!reuse_hashes_) engine_->ClearHashes(block[i]);
         engine_->EnsureHashes(block[i], plan);
         for (size_t t = 0; t < num_tables; ++t) {
           key_block_[i * num_tables + t] =

@@ -46,9 +46,15 @@ class TransitiveHasher {
   TransitiveHasher& operator=(const TransitiveHasher&) = delete;
 
   /// Attaches/detaches the cooperative-cancellation controller (borrowed,
-  /// may be null). Long-lived hashers (streaming) point this at the
-  /// controller of the current TopK call.
+  /// may be null). Long-lived hashers (resident engine) point this at the
+  /// controller of the current refinement pass.
   void set_controller(RunController* controller) { controller_ = controller; }
+
+  /// Ablation knob (AdaptiveLshConfig::ablate_incremental_reuse): when
+  /// false, every Apply clears its records' cached hashes before hashing, so
+  /// each function application recomputes — and the engine counts — every
+  /// hash from scratch instead of extending the per-record caches.
+  void set_reuse_hashes(bool reuse) { reuse_hashes_ = reuse; }
 
   /// Extends the per-record scratch maps after records were appended to the
   /// dataset (resident-engine ingest). New entries start unstamped, so they
@@ -81,6 +87,7 @@ class TransitiveHasher {
   Instrumentation instr_;
   RunController* controller_;
   bool interrupted_ = false;
+  bool reuse_hashes_ = true;
   std::vector<NodeId> leaf_of_;      // valid when leaf_epoch_[r] == epoch_
   std::vector<uint32_t> leaf_epoch_;
   std::vector<uint64_t> key_block_;  // reused per-block key buffer

@@ -54,12 +54,23 @@ Status ResidentEngine::CheckRecordSchema(const Record& prototype,
   return Status::Ok();
 }
 
+Status ResidentEngine::ValidateConfig(const AdaptiveLshConfig& config) {
+  if (config.selection != SelectionStrategy::kLargestFirst ||
+      config.jump_model != JumpModel::kConservative ||
+      config.ablate_incremental_reuse) {
+    return Status::InvalidArgument(
+        "the resident engines run canonical Largest-First only: selection, "
+        "jump_model and ablate_incremental_reuse must keep their defaults");
+  }
+  return config.Validate();
+}
+
 ResidentEngine::ResidentEngine(MatchRule rule, Options options)
     : rule_(std::move(rule)),
       options_(std::move(options)),
       pool_(options_.config.threads),
       dataset_("resident") {
-  Status valid = options_.config.Validate();
+  Status valid = ValidateConfig(options_.config);
   ADALSH_CHECK(valid.ok()) << valid.ToString();
   ADALSH_CHECK_GE(options_.top_k, 1) << "ResidentEngine top_k must be >= 1";
   // --threads determines the load regime the SIMD kernels run under; if the
@@ -517,7 +528,6 @@ void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints) {
 TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
                                                std::vector<NodeId>* finals,
                                                FilterStats* out_stats) {
-  const Instrumentation& instr = options_.config.instrumentation;
   std::vector<NodeId> roots;
   {
     std::unordered_set<NodeId> seen;
@@ -529,6 +539,7 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
   }
 
   RefineLoopDeps deps;
+  deps.config = &options_.config;
   deps.sequence = &*sequence_;
   deps.cost_model = &*cost_model_;
   deps.engine = &*engine_;
@@ -538,11 +549,15 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
   deps.last_fn = &last_fn_;
   deps.order_key = &ext_of_;
   deps.leaf_of = &leaf_of_;
-  deps.instrumentation = instr;
 
+  // Per-request SLO (docs/engine.md): the effective controller is armed
+  // with the cumulative counters as this pass's zero points.
+  std::optional<RunController> local_controller;
+  RunController* controller = ResolveController(
+      opts.controller, opts.budget, &local_controller,
+      engine_->total_hashes_computed(), pairwise_->total_similarities());
   FilterStats stats;
-  RunRefineLoop(deps, options_.top_k, roots, opts.controller, opts.budget,
-                finals, &stats);
+  RunRefineLoop(deps, options_.top_k, roots, controller, finals, &stats);
   // Definition 3 snapshot over every live record: each is counted exactly
   // once, under the last function applied to it (filter_output.h invariants).
   // This stays with the engine — it needs the live-record iteration the loop
@@ -556,7 +571,7 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
       ++stats.records_last_hashed_at[last_fn_[r]];
     }
   }
-  ReportTermination(instr, stats, finals->size());
+  ReportTermination(options_.config.instrumentation, stats, finals->size());
   *out_stats = std::move(stats);
   return out_stats->termination_reason;
 }

@@ -116,11 +116,14 @@ struct EngineCounters {
   uint64_t total_similarities = 0;
 };
 
-/// Long-lived resident entity-resolution engine: the streaming mode
-/// (Section 9's online direction) wrapped into a service-shaped object that
-/// supports batched Ingest / Remove / Update while continuously maintaining
-/// the certified top-k, and serves concurrent TopK/Cluster queries against
-/// an immutable snapshot while mutations proceed.
+/// Long-lived resident entity-resolution engine — the online mode (Section
+/// 9's future-work direction: records arrive dynamically) as a
+/// service-shaped object that supports batched Ingest / Remove / Update
+/// while continuously maintaining the certified top-k, and serves
+/// concurrent TopK/Cluster queries against an immutable snapshot while
+/// mutations proceed. Arrivals pay only H_1's hashes; each mutation's
+/// refinement pass reuses every hash and verification earlier passes
+/// computed.
 ///
 /// Semantics (docs/engine.md):
 ///   * Confluence: after any history of mutations whose refinement completed,
@@ -146,9 +149,11 @@ struct EngineCounters {
 class ResidentEngine {
  public:
   struct Options {
-    /// Sequence/selection/threads/seed/instrumentation; `budget` and
-    /// `controller` act as the ambient default SLO applied when a mutation
-    /// passes no EngineBatchOptions of its own.
+    /// Sequence/threads/seed/instrumentation; `budget` and `controller` act
+    /// as the ambient default SLO applied when a mutation passes no
+    /// EngineBatchOptions of its own. The ablation-only fields (selection,
+    /// jump_model, ablate_incremental_reuse) must keep their defaults; see
+    /// ValidateConfig.
     AdaptiveLshConfig config;
 
     /// How many top clusters every refinement pass certifies and every
@@ -231,6 +236,12 @@ class ResidentEngine {
   static Status CheckRecordSchema(const Record& prototype,
                                   const Record& record, size_t index);
 
+  /// The config check both engine constructors apply (they abort on a
+  /// failure): AdaptiveLshConfig::Validate, plus InvalidArgument for a
+  /// non-default ablation knob — only AdaptiveLsh::Run honors those, and the
+  /// engines' confluence contract rests on canonical Largest-First.
+  static Status ValidateConfig(const AdaptiveLshConfig& config);
+
   /// Copies of every live record with its external id, sorted by id — the
   /// checkpoint payload of the durability plane (docs/durability.md). Takes
   /// the mutation lock for the duration of the copy.
@@ -271,10 +282,12 @@ class ResidentEngine {
   /// Appends per-record bookkeeping slots and grows the core caches.
   void GrowStateLocked();
 
-  /// Level-1 arrival of internal record r (mirrors StreamingAdaptiveLsh::Add
-  /// over persistent member-list buckets), with one strengthening that the
-  /// confluence guarantee needs: before merging into a refined (closed)
-  /// piece, the piece's whole level-1 component is reopened.
+  /// Level-1 arrival of internal record r: hashes it with H_1 only and
+  /// merges it into the clusters it collides with in the persistent
+  /// member-list buckets, resetting a grown cluster to level 1 (its new
+  /// membership evidence is level-1 only). One strengthening keeps the
+  /// confluence guarantee: before merging into a refined (closed) piece, the
+  /// piece's whole level-1 component is reopened.
   void ArriveLocked(RecordId r);
 
   /// Merges every tree of `seed`'s level-1 component back into a single
@@ -294,8 +307,9 @@ class ResidentEngine {
 
   /// The Algorithm 1 refinement loop with canonical Largest-First selection
   /// (size desc, smallest external id asc), delegated to the shared
-  /// core/refine_loop.h implementation. Returns the termination reason; on
-  /// kCompleted fills `finals` with the certified roots in canonical order.
+  /// core/refine_loop.h implementation under the mutation's SLO. Returns the
+  /// termination reason; on kCompleted fills `finals` with the certified
+  /// roots in canonical order.
   TerminationReason RefineLocked(const EngineBatchOptions& opts,
                                  std::vector<NodeId>* finals,
                                  FilterStats* stats);

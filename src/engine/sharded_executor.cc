@@ -281,6 +281,7 @@ EngineSnapshot MergeShardStatesLocked(
   TransitiveHasher hasher(&engine, &forest, n, pool, instr);
   PairwiseComputer pairwise(global, rule, pool, instr);
   RefineLoopDeps deps;
+  deps.config = &tmpl.config;
   deps.sequence = &sequence;
   deps.cost_model = &cost_model;
   deps.engine = &engine;
@@ -290,11 +291,10 @@ EngineSnapshot MergeShardStatesLocked(
   deps.last_fn = &last_fn;
   deps.order_key = &order_key;
   deps.leaf_of = &leaf_of;
-  deps.instrumentation = instr;
   std::vector<NodeId> finals;
   FilterStats stats;
-  RunRefineLoop(deps, tmpl.top_k, roots, /*external=*/nullptr, RunBudget{},
-                &finals, &stats);
+  RunRefineLoop(deps, tmpl.top_k, roots, /*controller=*/nullptr, &finals,
+                &stats);
   ADALSH_CHECK(stats.termination_reason == TerminationReason::kCompleted);
   stats.records_last_hashed_at.assign(sequence.size(), 0);
   for (size_t g = 0; g < n; ++g) {
@@ -335,7 +335,7 @@ EngineSnapshot MergeShardStatesLocked(
 ShardedEngine::ShardedEngine(MatchRule rule, Options options)
     : rule_(std::move(rule)), options_(std::move(options)) {
   ADALSH_CHECK_GE(options_.shards, 1) << "ShardedEngine needs >= 1 shards";
-  Status valid = options_.engine.config.Validate();
+  Status valid = ResidentEngine::ValidateConfig(options_.engine.config);
   ADALSH_CHECK(valid.ok()) << valid.ToString();
   if (options_.engine.cost_model.has_value()) {
     shared_cost_model_ = options_.engine.cost_model;

@@ -64,6 +64,16 @@ void HashCache::Ensure(const Record& record, RecordId r, size_t count) {
   computed_[r] = count;
 }
 
+void HashCache::Clear(RecordId r) {
+  ADALSH_CHECK_LT(r, computed_.size());
+  if (binary_) {
+    bits_[r].clear();
+  } else {
+    values_[r].clear();
+  }
+  computed_[r] = 0;
+}
+
 void HashCache::AdoptPrefix(const HashCache& src, RecordId src_record,
                             RecordId dst_record) {
   ADALSH_CHECK_LT(src_record, src.computed_.size());

@@ -58,6 +58,10 @@ class HashCache {
   /// ingesting thread only, outside any concurrent Ensure region.
   void GrowTo(size_t num_records);
 
+  /// Forgets record r's computed prefix: the next Ensure recomputes (and
+  /// counts) every value from scratch. Same concurrency contract as Ensure.
+  void Clear(RecordId r);
+
   /// Number of values computed so far for record r.
   size_t computed_count(RecordId r) const { return computed_[r]; }
 

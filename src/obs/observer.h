@@ -47,7 +47,7 @@ struct TerminationInfo {
   double elapsed_seconds = 0.0;
 };
 
-/// Pluggable pipeline observer. AdaptiveLsh, StreamingAdaptiveLsh,
+/// Pluggable pipeline observer. AdaptiveLsh, the resident engines,
 /// LshBlocking, PairsBaseline, PairwiseComputer, the TransitiveHasher and
 /// the cost-model calibration all report through this interface when one is
 /// attached (see Instrumentation); with none attached the hooks cost a

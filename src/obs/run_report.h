@@ -13,7 +13,7 @@ struct FilterStats;  // core/filter_output.h (header-only accounting struct)
 
 /// Run context stamped into the report header.
 struct RunReportOptions {
-  std::string method;   // "adalsh", "lsh", "pairs", "streaming", ...
+  std::string method;   // "adalsh", "lsh", "pairs", ...
   std::string dataset;  // dataset name/path (may be empty)
   int k = 0;
   size_t num_records = 0;

@@ -74,7 +74,7 @@ class RunController {
   /// Starts (or restarts) a run: the deadline clock begins now and
   /// `hash_base` / `pairwise_base` become the zero points the budget caps
   /// are measured against (callers report absolute cumulative totals, which
-  /// for long-lived engines — streaming — span multiple runs). Clears a
+  /// for long-lived engines span multiple runs). Clears a
   /// previously recorded stop reason but NOT a pending Cancel(): a
   /// cancellation always stops the next (or current) run.
   void Arm(uint64_t hash_base = 0, uint64_t pairwise_base = 0);

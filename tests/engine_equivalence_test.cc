@@ -5,6 +5,7 @@
 // engine_harness.h) to that of a fresh engine ingesting the surviving records
 // in one batch. This is the engine's confluence contract (docs/engine.md).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -62,42 +63,70 @@ TEST(EngineEquivalenceTest, RandomizedHistoriesAreConfluentAcrossThreads) {
   }
 }
 
+/// A one-batch engine's ranked top-k: its external ids are the source
+/// record ids, members ascending.
+std::vector<std::vector<RecordId>> RankedClusters(const ResidentEngine& engine,
+                                                  int k) {
+  const auto top = engine.TopK(k);
+  std::vector<std::vector<RecordId>> ranked;
+  for (const std::vector<ExternalId>& cluster : top.value()) {
+    ranked.emplace_back(cluster.begin(), cluster.end());
+  }
+  return ranked;
+}
+
 TEST(EngineEquivalenceTest, PureIngestHistoryMatchesBatchFilter) {
-  // Without removals/updates the surviving set is the whole dataset, so the
-  // resident engine must also agree with the offline batch filter (and with
-  // ground truth) on the top-k union, not just with its own reference.
-  for (uint64_t seed : {2, 9, 23}) {
-    GeneratedDataset generated =
-        test::MakePlantedDataset({14, 9, 6, 3, 1, 1}, seed);
-    ResidentEngine engine(generated.rule,
-                          test::EngineOptions(/*threads=*/1, /*top_k=*/3));
-    test::ScriptOptions script;
-    script.with_removes = false;
-    script.with_updates = false;
-    test::LiveMap live =
-        test::RunRandomScript(&engine, generated.dataset, seed, script);
+  // A one-batch ingest of the whole dataset is the engine's view of the
+  // offline batch filter, and both drive the one shared round loop under
+  // the same order key (external id == record id). So they must agree on
+  // the ranked top-k, member by member, and on every round after Run's H_1
+  // round (the engine's arrivals take that round's place). The second shape
+  // puts three equal-size clusters across rank k, so the shared tie-break
+  // decides which of them makes the cut.
+  constexpr int kK = 3;
+  const std::vector<std::vector<size_t>> shapes = {
+      {14, 9, 6, 3, 1, 1}, {14, 9, 6, 6, 6, 3, 1, 1}};
+  for (const std::vector<size_t>& shape : shapes) {
+    for (uint64_t seed : {2, 9, 23}) {
+      GeneratedDataset generated = test::MakePlantedDataset(shape, seed);
+      const GroundTruth truth = generated.dataset.BuildGroundTruth();
+      std::vector<Record> all;
+      for (RecordId r = 0; r < generated.dataset.num_records(); ++r) {
+        all.push_back(generated.dataset.record(r));
+      }
+      for (int threads : kThreadCounts) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                     std::to_string(threads) + " shape size " +
+                     std::to_string(shape.size()));
+        AdaptiveLshConfig config = test::EngineOptions(threads, kK).config;
+        AdaptiveLsh batch(generated.dataset, generated.rule, config);
+        batch.set_cost_model(test::EngineFixedCostModel());
+        FilterOutput output = batch.Run(kK);
+        EXPECT_EQ(output.clusters.UnionOfTopClusters(kK),
+                  truth.TopKRecords(kK));
 
-    AdaptiveLshConfig config;
-    config.sequence.max_budget = 640;
-    config.seed = 3;
-    AdaptiveLsh batch(generated.dataset, generated.rule, config);
-    batch.set_cost_model(test::EngineFixedCostModel());
-    FilterOutput output = batch.Run(3);
-
-    std::vector<RecordId> engine_union;
-    auto top = engine.TopK(3);
-    ASSERT_TRUE(top.ok());
-    for (const auto& cluster : top.value()) {
-      for (ExternalId member : cluster) {
-        engine_union.push_back(static_cast<RecordId>(live.at(member)));
+        ResidentEngine one_batch(generated.rule,
+                                 test::EngineOptions(threads, kK));
+        auto ingested = one_batch.Ingest(all);
+        ASSERT_TRUE(ingested.ok());
+        EXPECT_EQ(RankedClusters(one_batch, kK), output.clusters.clusters);
+        const std::vector<RoundRecord>& engine_rounds =
+            ingested.value().stats.round_records;
+        const std::vector<RoundRecord>& batch_rounds =
+            output.stats.round_records;
+        ASSERT_EQ(engine_rounds.size() + 1, batch_rounds.size());
+        for (size_t i = 0; i < engine_rounds.size(); ++i) {
+          const RoundRecord& e = engine_rounds[i];
+          const RoundRecord& b = batch_rounds[i + 1];
+          EXPECT_EQ(e.cluster_size, b.cluster_size) << "round " << i + 2;
+          EXPECT_EQ(e.action, b.action) << "round " << i + 2;
+          EXPECT_EQ(e.function_index, b.function_index) << "round " << i + 2;
+          EXPECT_EQ(e.hashes_computed, b.hashes_computed) << "round " << i + 2;
+          EXPECT_EQ(e.pairwise_similarities, b.pairwise_similarities)
+              << "round " << i + 2;
+        }
       }
     }
-    std::sort(engine_union.begin(), engine_union.end());
-    EXPECT_EQ(engine_union, output.clusters.UnionOfTopClusters(3))
-        << "seed " << seed;
-    EXPECT_EQ(engine_union,
-              generated.dataset.BuildGroundTruth().TopKRecords(3))
-        << "seed " << seed;
   }
 }
 
@@ -148,8 +177,12 @@ TEST(EngineEquivalenceTest, CancelledMidBatchConvergesAfterFlush) {
           live[second.value().assigned_ids[i]] = split + i;
         }
       }
-      // The interrupted batch left the previous certified answer in place.
+      // The interrupted batch left the previous certified answer in place,
+      // and the cancellation is sticky: a mutation under the same
+      // controller is refused before it changes anything.
       EXPECT_EQ(engine.Snapshot()->generation, generation_before);
+      EXPECT_EQ(engine.Flush(slo).status().code(),
+                StatusCode::kFailedPrecondition);
 
       auto flushed = engine.Flush();
       ASSERT_TRUE(flushed.ok());

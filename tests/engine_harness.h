@@ -22,8 +22,8 @@ namespace test {
 /// meaningless (same convention as parallel_equivalence_test.cc).
 inline CostModel EngineFixedCostModel() { return CostModel(1e-8, 1e-6); }
 
-/// Small-sequence engine options mirroring the streaming tests' SmallConfig,
-/// with the cost model pinned.
+/// Small-sequence engine options mirroring the AdaptiveLsh tests'
+/// SmallConfig, with the cost model pinned.
 inline ResidentEngine::Options EngineOptions(int threads, int top_k,
                                              uint64_t seed = 3) {
   ResidentEngine::Options options;

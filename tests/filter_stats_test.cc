@@ -12,7 +12,8 @@
 #include "core/adaptive_lsh.h"
 #include "core/lsh_blocking.h"
 #include "core/pairs_baseline.h"
-#include "core/streaming_adaptive_lsh.h"
+#include "engine/resident_engine.h"
+#include "engine_harness.h"
 #include "test_util.h"
 
 namespace adalsh {
@@ -115,33 +116,35 @@ TEST_P(FilterStatsTest, PairsBaselineHoldsInvariants) {
   EXPECT_EQ(output.stats.hashes_computed, 0u);
 }
 
-TEST_P(FilterStatsTest, StreamingTopKHoldsInvariants) {
+TEST_P(FilterStatsTest, ResidentEngineHoldsInvariants) {
+  // One refinement pass per input: a full ingest, a flush with no new
+  // arrivals (which reuses the verified clusters, so its round set may be
+  // empty), and a partial ingest on a fresh engine. Every pass treats the
+  // engine's live records.
   GeneratedDataset generated = MakeDataset();
-  StreamingAdaptiveLsh streaming(generated.dataset, generated.rule,
-                                 SmallConfig(GetParam()));
-  for (RecordId r = 0; r < generated.dataset.num_records(); ++r) {
-    streaming.Add(r);
-  }
-  FilterOutput output = streaming.TopK(3);
-  ExpectInvariants(output.stats, streaming.num_added(),
-                   streaming.sequence().size());
+  const size_t n = generated.dataset.num_records();
+  const size_t half = n / 2;
+  auto ingest = [&](ResidentEngine* engine, size_t count) {
+    std::vector<Record> records;
+    for (RecordId r = 0; r < count; ++r) {
+      records.push_back(generated.dataset.record(r));
+    }
+    StatusOr<EngineMutationResult> result = engine->Ingest(std::move(records));
+    EXPECT_TRUE(result.ok());
+    return result.value().stats;
+  };
+  const ResidentEngine::Options options = test::EngineOptions(GetParam(), 3);
+  const size_t functions =
+      FunctionSequence::Build(generated.rule, generated.dataset.record(0),
+                              options.config.sequence)
+          .value()
+          .size();
+  ResidentEngine full(generated.rule, options);
+  ExpectInvariants(ingest(&full, n), n, functions);
+  ExpectInvariants(full.Flush().value().stats, n, functions);
 
-  // A second TopK with no intervening Adds reuses verified clusters; the
-  // invariants must hold for its (possibly empty) round set too.
-  FilterOutput again = streaming.TopK(3);
-  ExpectInvariants(again.stats, streaming.num_added(),
-                   streaming.sequence().size());
-}
-
-TEST_P(FilterStatsTest, StreamingPartialIngestHoldsInvariants) {
-  GeneratedDataset generated = MakeDataset();
-  StreamingAdaptiveLsh streaming(generated.dataset, generated.rule,
-                                 SmallConfig(GetParam()));
-  size_t half = generated.dataset.num_records() / 2;
-  for (RecordId r = 0; r < half; ++r) streaming.Add(r);
-  FilterOutput output = streaming.TopK(2);
-  // Only the added records are treated.
-  ExpectInvariants(output.stats, half, streaming.sequence().size());
+  ResidentEngine partial(generated.rule, options);
+  ExpectInvariants(ingest(&partial, half), half, functions);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, FilterStatsTest, testing::Values(1, 2, 8));

@@ -4,12 +4,14 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive_lsh.h"
 #include "core/lsh_blocking.h"
 #include "core/pairs_baseline.h"
-#include "core/streaming_adaptive_lsh.h"
+#include "engine/resident_engine.h"
+#include "engine_harness.h"
 #include "test_util.h"
 
 namespace adalsh {
@@ -170,20 +172,29 @@ TEST(ObserverTest, PairsBaselineSequenceMatchesStats) {
             output.stats.pairwise_similarities);
 }
 
-TEST(ObserverTest, StreamingTopKSequenceMatchesStats) {
+TEST(ObserverTest, ResidentEngineSequenceMatchesStats) {
+  // Each mutation's refinement pass brackets its own rounds: the observer
+  // sees exactly the pass's round_records, in order, batch after batch.
   GeneratedDataset generated = test::MakePlantedDataset({18, 9, 4, 1}, 27);
   RecordingObserver observer;
-  AdaptiveLshConfig config;
-  config.sequence.max_budget = 640;
-  config.calibration_samples = 30;
-  config.seed = 3;
-  config.instrumentation.observer = &observer;
-  StreamingAdaptiveLsh streaming(generated.dataset, generated.rule, config);
-  for (RecordId r : generated.dataset.AllRecordIds()) streaming.Add(r);
-  FilterOutput output = streaming.TopK(2);
-
-  ExpectWellBracketed(observer);
-  ExpectMatchesStats(observer, output.stats);
+  ResidentEngine::Options options = test::EngineOptions(/*threads=*/1, 2);
+  options.config.instrumentation.observer = &observer;
+  ResidentEngine engine(generated.rule, options);
+  const size_t half = generated.dataset.num_records() / 2;
+  for (auto [begin, end] : {std::pair<size_t, size_t>{0, half},
+                            {half, generated.dataset.num_records()}}) {
+    observer.events.clear();
+    observer.starts.clear();
+    observer.ends.clear();
+    std::vector<Record> records;
+    for (size_t r = begin; r < end; ++r) {
+      records.push_back(generated.dataset.record(r));
+    }
+    StatusOr<EngineMutationResult> result = engine.Ingest(std::move(records));
+    ASSERT_TRUE(result.ok());
+    ExpectWellBracketed(observer);
+    ExpectMatchesStats(observer, result.value().stats);
+  }
 }
 
 }  // namespace

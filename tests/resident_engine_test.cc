@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine_report.h"
+#include "engine/sharded_executor.h"
 #include "engine_harness.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
@@ -50,6 +51,15 @@ TEST(ResidentEngineTest, SingleBatchIngestMatchesGroundTruth) {
   }
   std::sort(flat.begin(), flat.end());
   EXPECT_EQ(flat, generated.dataset.BuildGroundTruth().TopKRecords(3));
+
+  // A pass with no new arrivals reuses every verification: it computes no
+  // hashes, runs no round and republishes the same top-k.
+  auto flushed = engine.Flush();
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(flushed.value().stats.hashes_computed, 0u);
+  EXPECT_EQ(flushed.value().stats.pairwise_similarities, 0u);
+  EXPECT_EQ(flushed.value().stats.rounds, 0u);
+  EXPECT_EQ(engine.TopK(3).value(), top.value());
 }
 
 TEST(ResidentEngineTest, EmptyEngineServesGenerationZero) {
@@ -80,6 +90,22 @@ TEST(ResidentEngineTest, ValidatesMutationsBeforeApplyingThem) {
   fields.push_back(Field::DenseVector({0.5f}));
   auto bad = engine.Ingest({Record(std::move(fields))});
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+
+  // Caller-assigned ids: a repeated id or an id that is already live
+  // rejects the whole batch.
+  EXPECT_EQ(engine
+                .IngestWithIds(CopyRecords(generated.dataset, 0, 2),
+                               std::vector<ExternalId>{50, 50})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine
+                .IngestWithIds(CopyRecords(generated.dataset, 0, 2),
+                               std::vector<ExternalId>{1, 50})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.counters().ingested, generated.dataset.num_records());
 
   // Remove: unknown id, then a duplicate — both all-or-nothing.
   EXPECT_EQ(engine.Remove(std::vector<ExternalId>{99}).status().code(),
@@ -207,9 +233,11 @@ TEST(ResidentEngineTest, SnapshotIsolationSurvivesRemovalOfItsMembers) {
 }
 
 // Satellite: SLO enforcement via budget. A hash budget of 1 stops the
-// refinement pass after its first round at every thread count; the batch's
-// records stay ingested but the engine keeps serving the previous
-// generation until a Flush certifies them.
+// refinement pass after its first hash round at every thread count; the
+// batch's records stay ingested but the engine keeps serving the previous
+// generation until a Flush certifies them. Each budgeted pass gets a fresh
+// window (armed at the engine's cumulative totals) and keeps the rounds it
+// completed, so repeated budgeted flushes converge too.
 TEST(ResidentEngineTest, HashBudgetSloLeavesPreviousGenerationServing) {
   GeneratedDataset generated = test::MakePlantedDataset({9, 6, 3}, 15);
   for (int threads : {1, 2, 8}) {
@@ -233,6 +261,17 @@ TEST(ResidentEngineTest, HashBudgetSloLeavesPreviousGenerationServing) {
     auto top_after = engine.TopK(2);
     ASSERT_TRUE(top_after.ok());
     EXPECT_EQ(top_after.value(), top_before.value());
+
+    int budgeted_passes = 1;
+    while (engine.Snapshot()->generation == generation_before &&
+           budgeted_passes < 200) {
+      auto budgeted = engine.Flush(slo);
+      ASSERT_TRUE(budgeted.ok());
+      ++budgeted_passes;
+    }
+    EXPECT_GT(engine.Snapshot()->generation, generation_before)
+        << "budgeted flushes did not converge";
+    EXPECT_GT(budgeted_passes, 2);
 
     auto flushed = engine.Flush();
     ASSERT_TRUE(flushed.ok());
@@ -280,10 +319,16 @@ TEST(ResidentEngineTest, CountersTrackTheWholeLife) {
   ResidentEngine engine(generated.rule, test::EngineOptions(1, 2));
   auto first = engine.Ingest(CopyRecords(generated.dataset, 0, 6));
   ASSERT_TRUE(first.ok());
+  // Record 5 is the first arrival of entity 1: a verified singleton.
+  EXPECT_EQ(engine.Cluster(5).value(), std::vector<ExternalId>{5});
   ASSERT_TRUE(
       engine.Ingest(CopyRecords(generated.dataset, 6,
                                 generated.dataset.num_records()))
           .ok());
+  // Its entity's later arrivals reopen the verified cluster, and the pass
+  // re-certifies it with its new members.
+  EXPECT_EQ(engine.Cluster(5).value(), (std::vector<ExternalId>{5, 6, 7}));
+  EXPECT_GE(engine.counters().arrivals_merged, 2u);
   ASSERT_TRUE(engine.Remove(std::vector<ExternalId>{0, 8}).ok());
   ASSERT_TRUE(engine.Update(1, generated.dataset.record(7)).ok());
   const EngineCounters counters = engine.counters();
@@ -311,6 +356,28 @@ TEST(ResidentEngineTest, EngineReportCarriesSchemaCountersAndSnapshot) {
         "\"termination_reason\":\"completed\""}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle << "\n"
                                                       << report;
+  }
+}
+
+TEST(ResidentEngineDeathTest, EnginesRefuseAblationConfigs) {
+  // Only AdaptiveLsh::Run honors the ablation knobs; both engines refuse a
+  // non-default value at construction instead of silently ignoring it.
+  GeneratedDataset generated = test::MakePlantedDataset({3, 2}, 25);
+  auto ablated = [](int which) {
+    ResidentEngine::Options options = test::EngineOptions(1, 2);
+    if (which == 0) options.config.selection = SelectionStrategy::kRandom;
+    if (which == 1) options.config.jump_model = JumpModel::kSampledPurity;
+    if (which == 2) options.config.ablate_incremental_reuse = true;
+    return options;
+  };
+  for (int which = 0; which < 3; ++which) {
+    EXPECT_DEATH(ResidentEngine(generated.rule, ablated(which)),
+                 "canonical Largest-First");
+    ShardedEngine::Options sharded;
+    sharded.shards = 2;
+    sharded.engine = ablated(which);
+    EXPECT_DEATH(ShardedEngine(generated.rule, sharded),
+                 "canonical Largest-First");
   }
 }
 

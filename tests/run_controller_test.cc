@@ -17,7 +17,6 @@
 #include "core/cost_model.h"
 #include "core/lsh_blocking.h"
 #include "core/pairs_baseline.h"
-#include "core/streaming_adaptive_lsh.h"
 #include "datagen/generated_dataset.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
@@ -601,90 +600,6 @@ TEST(NoBudgetEquivalenceTest, UnlimitedControllerMatchesUncontrolledRun) {
         RunAdaptive(generated, seed, /*threads=*/2, 3, nullptr, nullptr,
                     roomy);
     EXPECT_EQ(Comparable(budgeted), Comparable(plain));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming: cancellation validity, sticky tokens, budgeted convergence.
-// ---------------------------------------------------------------------------
-
-AdaptiveLshConfig StreamingConfig(uint64_t seed, int threads,
-                                  RunController* controller,
-                                  RunBudget budget = {}) {
-  AdaptiveLshConfig config;
-  config.sequence.max_budget = 320;
-  config.calibration_samples = 5;
-  config.seed = seed;
-  config.threads = threads;
-  config.budget = budget;
-  config.controller = controller;
-  return config;
-}
-
-TEST(StreamingAnytimeTest, CancelledTopKReturnsValidPartialAndStaysSticky) {
-  for (int threads : {1, 2}) {
-    GeneratedDataset generated = PlantedForSeed(81, 0x57e4);
-    const size_t num_records = generated.dataset.num_records();
-    RunController token;
-    StreamingAdaptiveLsh stream(generated.dataset, generated.rule,
-                                StreamingConfig(81, threads, &token));
-    for (RecordId r = 0; r < num_records; ++r) stream.Add(r);
-
-    // Arm every site: whichever fires first (the refinement mix depends on
-    // the wall-clock-calibrated cost model) cancels the call.
-    FaultInjector injector;
-    for (FaultSite site : kAllSites) injector.CancelAt(site, 1, &token);
-    FilterOutput partial;
-    {
-      ScopedFaultInjector scoped(&injector);
-      partial = stream.TopK(3);
-    }
-    EXPECT_EQ(partial.stats.termination_reason, TerminationReason::kCancelled);
-    ExpectValidPartial(partial, num_records, 3);
-
-    // A cancelled token is sticky: the next TopK on the same stream stops
-    // before round 1 and returns the current clusters as best effort.
-    FilterOutput again = stream.TopK(3);
-    EXPECT_EQ(again.stats.termination_reason, TerminationReason::kCancelled);
-    EXPECT_EQ(again.stats.rounds, 0u);
-    ExpectValidPartial(again, num_records, 3);
-
-    // The interrupted call must not have corrupted the stream: arrivals
-    // still work after a cancelled TopK.
-    EXPECT_EQ(stream.num_added(), num_records);
-  }
-}
-
-TEST(StreamingAnytimeTest, PerCallBudgetsEventuallyComplete) {
-  // Each TopK gets a fresh budget window (the controller is armed with the
-  // stream's cumulative totals as bases). Completed rounds survive an
-  // exhausted call, so repeated budgeted calls must converge to a fully
-  // verified answer.
-  GeneratedDataset generated = PlantedForSeed(82, 0x57e4);
-  const size_t num_records = generated.dataset.num_records();
-  RunBudget per_call;
-  per_call.max_hashes = 20000;
-  per_call.max_pairwise = 2000;
-  StreamingAdaptiveLsh stream(generated.dataset, generated.rule,
-                              StreamingConfig(82, /*threads=*/2, nullptr,
-                                              per_call));
-  for (RecordId r = 0; r < num_records; ++r) stream.Add(r);
-
-  FilterOutput output;
-  bool completed = false;
-  for (int call = 0; call < 50 && !completed; ++call) {
-    output = stream.TopK(3);
-    ExpectValidPartial(output, num_records, 3);
-    completed =
-        output.stats.termination_reason == TerminationReason::kCompleted;
-  }
-  ASSERT_TRUE(completed) << "budgeted TopK calls did not converge";
-  // A completed answer is fully verified: every returned cluster is either
-  // P-certified or at the last hashing level.
-  const int last_function = static_cast<int>(stream.sequence().size()) - 1;
-  for (int level : output.stats.cluster_verification) {
-    EXPECT_TRUE(level == kLastFunctionPairwise || level == last_function)
-        << "unverified cluster at level " << level << " in a completed run";
   }
 }
 

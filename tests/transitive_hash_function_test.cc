@@ -148,9 +148,31 @@ TEST(TransitiveHasherTest, IncrementalReuseAcrossPlans) {
   hasher.Apply(all, small, 0);
   uint64_t after_small = engine.total_hashes_computed();
   EXPECT_EQ(after_small, 40u * all.size());
-  hasher.Apply(all, large, 1);
+  std::vector<NodeId> reused = hasher.Apply(all, large, 1);
   uint64_t after_large = engine.total_hashes_computed();
   EXPECT_EQ(after_large, 80u * all.size());  // only the 40-hash delta added
+
+  // The incremental-reuse ablation: the large plan recomputes its whole
+  // prefix from scratch, and the engine counts it, for the same clusters.
+  HashEngine ablated_engine(setup.generated.dataset, setup.structure, 29);
+  ParentPointerForest ablated_forest;
+  TransitiveHasher ablated(&ablated_engine, &ablated_forest,
+                           setup.generated.dataset.num_records());
+  ablated.set_reuse_hashes(false);
+  ablated.Apply(all, small, 0);
+  std::vector<NodeId> recomputed = ablated.Apply(all, large, 1);
+  EXPECT_EQ(ablated_engine.total_hashes_computed(), 120u * all.size());
+  auto partition = [](const ParentPointerForest& f,
+                      const std::vector<NodeId>& roots) {
+    std::set<std::vector<RecordId>> clusters;
+    for (NodeId root : roots) {
+      std::vector<RecordId> leaves = f.Leaves(root);
+      std::sort(leaves.begin(), leaves.end());
+      clusters.insert(leaves);
+    }
+    return clusters;
+  };
+  EXPECT_EQ(partition(ablated_forest, recomputed), partition(forest, reused));
 }
 
 }  // namespace

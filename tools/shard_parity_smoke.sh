@@ -3,8 +3,10 @@
 # shard count must be invisible in output. Runs adalsh_cli --method=adalsh
 # through the sharded executor at S in {1,4} x threads in {1,8} with the
 # cost model pinned, and byte-diffs the emitted cluster CSVs against the
-# S=1/threads=1 reference. Also checks that --shards rejects non-adalsh
-# methods and negative counts.
+# S=1/threads=1 reference. The batch filter (--shards=0, AdaptiveLsh::Run)
+# drives the same round loop with record ids as the tie-break key, so its
+# CSV must match the reference too, at threads 1 and 8. Also checks that
+# --shards rejects non-adalsh methods and negative counts.
 #
 # Wired into ctest as `shard_parity` (mirrors tools/simd_parity_smoke.sh).
 #
@@ -55,7 +57,7 @@ reference="$scratch/shard_parity_clusters_s1_t1.csv"
 "$cli" "${common[@]}" --shards=1 --threads=1 --output="$reference" \
        2> /dev/null
 
-for shards in 1 4; do
+for shards in 0 1 4; do
   for threads in 1 8; do
     out="$scratch/shard_parity_clusters_s${shards}_t${threads}.csv"
     "$cli" "${common[@]}" --shards="$shards" --threads="$threads" \
@@ -78,4 +80,4 @@ if "$cli" "${common[@]}" --shards=-1 > /dev/null 2>&1; then
   exit 1
 fi
 
-echo "shard_parity OK: S=1 == S=4 at 1 and 8 threads"
+echo "shard_parity OK: batch == S=1 == S=4 at 1 and 8 threads"
