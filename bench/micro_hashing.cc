@@ -7,7 +7,11 @@
 //   * engine: the full Cora-like hash hot path (engine + caches) across
 //     worker-thread counts, the incremental work pattern of a sequence step,
 //     with a metrics-registry snapshot proving the counter deltas match the
-//     engine's own accounting.
+//     engine's own accounting;
+//   * repass: TransitiveHasher::Apply of each function of the Cora-like
+//     sequence over records whose hashes are already cached — the bucket
+//     keys, bucket pass and forest replay a resident engine's re-refinement
+//     pays — as (record, table) bucket entries per second, serial.
 //
 // Flags:
 //   --out=PATH   where to write the JSON document (default
@@ -23,7 +27,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "clustering/parent_pointer_forest.h"
+#include "core/function_sequence.h"
 #include "core/hash_engine.h"
+#include "core/transitive_hash_function.h"
 #include "datagen/cora_like.h"
 #include "lsh/composite_scheme.h"
 #include "lsh/hash_family.h"
@@ -239,6 +246,55 @@ int Main(int argc, char** argv) {
         .Uint(iterations)
         .Key("records_per_second")
         .Double(static_cast<double>(iterations * ids.size()) / seconds)
+        .EndObject();
+  }
+  json.EndArray();
+
+  // --- Repass: every function of the sequence over the whole dataset as one
+  // cluster, with every hash it needs cached first, so only the layer after
+  // hashing is timed. Forest nodes are never freed, so each batch of passes
+  // gets a fresh forest (built outside the timer). ---
+  SequenceConfig sequence_config;
+  sequence_config.max_budget = smoke ? 160 : 5120;
+  StatusOr<FunctionSequence> sequence = FunctionSequence::Build(
+      generated.rule, generated.dataset.record(0), sequence_config);
+  ADALSH_CHECK(sequence.ok()) << sequence.status().ToString();
+  HashEngine repass_engine(generated.dataset, sequence->structure(),
+                           /*seed=*/42);
+  repass_engine.EnsureHashesParallel(
+      std::span<const RecordId>(ids.data(), ids.size()),
+      sequence->plan(sequence->size() - 1), nullptr);
+  const uint64_t cached_hashes = repass_engine.total_hashes_computed();
+  constexpr int kPassesPerForest = 16;
+  json.Key("repass").BeginArray();
+  for (size_t i = 0; i < sequence->size(); ++i) {
+    const SchemePlan& plan = sequence->plan(i);
+    uint64_t passes = 0;
+    double seconds = 0.0;
+    do {
+      ParentPointerForest forest;
+      TransitiveHasher hasher(&repass_engine, &forest, ids.size());
+      Timer timer;
+      for (int p = 0; p < kPassesPerForest; ++p) {
+        hasher.Apply(ids, plan, static_cast<int>(i));
+      }
+      seconds += timer.ElapsedSeconds();
+      passes += kPassesPerForest;
+    } while (seconds < engine_seconds);
+    ADALSH_CHECK_EQ(repass_engine.total_hashes_computed(), cached_hashes)
+        << "a repass computed hashes";
+    const uint64_t entries = passes * ids.size() * plan.tables.size();
+    json.BeginObject()
+        .Key("function_index")
+        .Uint(i)
+        .Key("tables")
+        .Uint(plan.tables.size())
+        .Key("records")
+        .Uint(ids.size())
+        .Key("passes")
+        .Uint(passes)
+        .Key("table_entries_per_second")
+        .Double(static_cast<double>(entries) / seconds)
         .EndObject();
   }
   json.EndArray();

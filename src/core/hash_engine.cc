@@ -79,12 +79,19 @@ void HashEngine::AdoptRecordHashes(const HashEngine& src, RecordId src_r,
   }
 }
 
-uint64_t HashEngine::TableKey(RecordId r, const TablePlan& table) const {
-  uint64_t key = 0x5ca1ab1e0adab1e5ULL;
-  for (const TablePart& part : table.parts) {
-    key = caches_[part.unit].CombineRange(r, part.begin, part.end, key);
+void HashEngine::TableKeys(RecordId r, const SchemePlan& plan, uint64_t* out,
+                           size_t stride) const {
+  ADALSH_CHECK_EQ(plan.hashes_per_unit.size(), caches_.size());
+  for (size_t u = 0; u < caches_.size(); ++u) {
+    caches_[u].CheckComputed(r, plan.hashes_per_unit[u]);
   }
-  return key;
+  for (size_t t = 0; t < plan.tables.size(); ++t) {
+    uint64_t key = 0x5ca1ab1e0adab1e5ULL;
+    for (const TablePart& part : plan.tables[t].parts) {
+      key = caches_[part.unit].FoldRange(r, part.begin, part.end, key);
+    }
+    out[t * stride] = key;
+  }
 }
 
 uint64_t HashEngine::total_hashes_computed() const {

@@ -57,9 +57,14 @@ class HashEngine {
   /// from the ingesting thread, outside any concurrent hash pass.
   void GrowTo(size_t num_records);
 
-  /// Bucket key of record r for one table of `plan`. EnsureHashes must have
-  /// covered the plan for r.
-  uint64_t TableKey(RecordId r, const TablePlan& table) const;
+  /// Bucket keys of record r for every table of `plan`, folded in one call:
+  /// table t's key goes to out[t * stride] (stride 1 for one record's keys,
+  /// the pass's record count for TransitiveHasher's table-major buffer).
+  /// EnsureHashes must have covered the plan for r — checked once per unit
+  /// against `plan.hashes_per_unit`, which must cover every table part (as
+  /// BuildPlan's plans do). Safe to call concurrently for distinct records.
+  void TableKeys(RecordId r, const SchemePlan& plan, uint64_t* out,
+                 size_t stride = 1) const;
 
   /// Adopts record `src_r`'s computed hash prefixes from `src` — an engine
   /// built over the same rule structure and seed whose record `src_r` has

@@ -1,8 +1,6 @@
 #include "core/transitive_hash_function.h"
 
 #include <algorithm>
-#include <span>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/metrics_registry.h"
@@ -14,10 +12,14 @@
 namespace adalsh {
 namespace {
 
-/// Records whose keys are computed per fork/join region. Bounds the key
-/// buffer to kKeyBlock * num_tables values no matter how large the dataset
-/// is, while keeping each fork large enough to amortize the join.
+/// Records per fork/join region of the key phase, and the grain of its
+/// cooperative checks and of the forest phase's kMerge site: large enough
+/// to amortize the join, and the same input-deterministic boundaries at any
+/// thread count.
 constexpr size_t kKeyBlock = 8192;
+
+/// Empty bucket, and "no predecessor" in the key buffer after phase 2.
+constexpr RecordId kNoRecord = ~RecordId{0};
 
 }  // namespace
 
@@ -42,11 +44,40 @@ void TransitiveHasher::GrowTo(size_t num_records) {
   leaf_epoch_.resize(num_records, 0);
 }
 
+void TransitiveHasher::LinkBucketPredecessors(
+    const std::vector<RecordId>& records, size_t num_tables) {
+  const size_t m = records.size();
+  size_t capacity = 2;
+  while (capacity < 2 * m) capacity <<= 1;
+  buckets_.resize(capacity);
+  const size_t mask = capacity - 1;
+  for (size_t t = 0; t < num_tables; ++t) {
+    // Fresh buckets for every table of every invocation (Appendix B.2).
+    std::fill(buckets_.begin(), buckets_.end(), Bucket{0, kNoRecord});
+    uint64_t* keys = keys_.data() + t * m;
+    for (size_t i = 0; i < m; ++i) {
+      const uint64_t key = keys[i];
+      // Keys are SplitMix64 outputs, so their low bits index uniformly.
+      size_t s = key & mask;
+      while (buckets_[s].last != kNoRecord && buckets_[s].key != key) {
+        s = (s + 1) & mask;
+      }
+      Bucket& bucket = buckets_[s];
+      keys[i] = bucket.last;  // the record this bucket held before records[i]
+      bucket.key = key;
+      bucket.last = records[i];  // buckets remember only the last-added record
+    }
+  }
+}
+
 std::vector<NodeId> TransitiveHasher::Apply(
     const std::vector<RecordId>& records, const SchemePlan& plan,
     int producer) {
-  ++epoch_;
-  ADALSH_CHECK_NE(epoch_, 0u) << "epoch counter wrapped";
+  if (++epoch_ == 0) {
+    // Wrapped: clear every stamp so no stale leaf can match the new epoch.
+    std::fill(leaf_epoch_.begin(), leaf_epoch_.end(), 0);
+    epoch_ = 1;
+  }
   interrupted_ = false;
 
   const bool observed = instr_.enabled();
@@ -54,18 +85,15 @@ std::vector<NodeId> TransitiveHasher::Apply(
   Timer timer;  // read only when observed
   TraceRecorder::Span span(instr_.trace, "hash_pass", "hash");
 
-  // Fresh tables for this invocation; buckets remember only the last-added
-  // record (Appendix B.2).
-  std::vector<std::unordered_map<uint64_t, RecordId>> tables(
-      plan.tables.size());
-  for (auto& table : tables) table.reserve(records.size() * 2);
-
-  auto has_leaf = [this](RecordId r) { return leaf_epoch_[r] == epoch_; };
-
+  const size_t m = records.size();
   const size_t num_tables = plan.tables.size();
   engine_->PreparePlan(plan);
+  keys_.resize(m * num_tables);
 
-  for (size_t base = 0; base < records.size(); base += kKeyBlock) {
+  // Phase 1, keys: the hot path, fanned out over the pool. Each record's
+  // cache slots and key column are touched by exactly one worker; the
+  // fork/join orders these writes before the later phases read them.
+  for (size_t base = 0; base < m; base += kKeyBlock) {
     // Block-boundary cooperative check, on the driving thread at
     // input-deterministic boundaries (fault-injection site kHashApply).
     FaultInjectionPoint(FaultSite::kHashApply);
@@ -76,77 +104,71 @@ std::vector<NodeId> TransitiveHasher::Apply(
         break;
       }
     }
-    const size_t count = std::min(kKeyBlock, records.size() - base);
-    std::span<const RecordId> block(records.data() + base, count);
-
-    // Hot path, fanned out over the pool: per-record hash prefixes and all
-    // bucket keys of the block. Each record's cache slots are touched by
-    // exactly one worker; the fork/join below orders these writes before the
-    // merge reads them.
-    key_block_.resize(count * num_tables);
+    const size_t count = std::min(kKeyBlock, m - base);
     ParallelFor(pool_, count, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        if (!reuse_hashes_) engine_->ClearHashes(block[i]);
-        engine_->EnsureHashes(block[i], plan);
-        for (size_t t = 0; t < num_tables; ++t) {
-          key_block_[i * num_tables + t] =
-              engine_->TableKey(block[i], plan.tables[t]);
-        }
+      for (size_t i = base + begin; i < base + end; ++i) {
+        if (!reuse_hashes_) engine_->ClearHashes(records[i]);
+        engine_->EnsureHashes(records[i], plan);
+        engine_->TableKeys(records[i], plan, keys_.data() + i, m);
       }
     });
-
-    // Stateful merge over precomputed keys: strictly serial, in record order,
-    // so any thread count reproduces the single-threaded forest exactly.
-    FaultInjectionPoint(FaultSite::kMerge);
-    TraceRecorder::Span merge_span(instr_.trace, "merge", "hash");
-    merge_span.AddArg("records", static_cast<double>(count));
-    for (size_t i = 0; i < count; ++i) {
-      RecordId r = block[i];
-      for (size_t t = 0; t < num_tables; ++t) {
-        uint64_t key = key_block_[i * num_tables + t];
-        auto [it, inserted] = tables[t].try_emplace(key, r);
-        if (inserted) {
-          // Cases 1/2 (Fig. 19a): empty bucket. Create r's tree if it has
-          // none; either way r is now the bucket's last-added record.
-          if (!has_leaf(r)) {
-            NodeId leaf = kInvalidNode;
-            forest_->MakeTree(r, producer, &leaf);
-            leaf_of_[r] = leaf;
-            leaf_epoch_[r] = epoch_;
-          }
-          continue;
-        }
-        RecordId other = it->second;
-        ADALSH_CHECK(has_leaf(other));
-        NodeId other_root = forest_->FindRoot(leaf_of_[other]);
-        if (!has_leaf(r)) {
-          // Case 3 (Fig. 19b): join the bucket's tree as a fresh leaf.
-          leaf_of_[r] = forest_->AddLeaf(other_root, r);
-          leaf_epoch_[r] = epoch_;
-        } else {
-          // Case 4 (Fig. 19c): merge the two trees if they differ.
-          NodeId my_root = forest_->FindRoot(leaf_of_[r]);
-          if (my_root != other_root) forest_->Merge(my_root, other_root);
-        }
-        it->second = r;  // r is now the record last added to this bucket
-      }
-      if (plan.tables.empty() && !has_leaf(r)) {
-        // Degenerate plan with no tables: every record is its own cluster.
-        NodeId leaf = kInvalidNode;
-        forest_->MakeTree(r, producer, &leaf);
-        leaf_of_[r] = leaf;
-        leaf_epoch_[r] = epoch_;
-      }
-    }
   }
 
-  // Collect the distinct roots of the invocation's trees. Skipped on an
-  // interrupted pass: records in unprocessed blocks have no leaf, and the
-  // empty root set tells callers the round must be discarded.
   std::vector<NodeId> roots;
   if (!interrupted_) {
+    // Phase 2, buckets: table by table.
+    {
+      TraceRecorder::Span buckets_span(instr_.trace, "buckets", "hash");
+      buckets_span.AddArg("entries", static_cast<double>(m * num_tables));
+      LinkBucketPredecessors(records, num_tables);
+    }
+
+    // Phase 3, forest: Fig. 19's cases, strictly serial and in record
+    // order, so any thread count reproduces the single-threaded forest.
+    auto has_leaf = [this](RecordId r) { return leaf_epoch_[r] == epoch_; };
+    for (size_t base = 0; base < m; base += kKeyBlock) {
+      FaultInjectionPoint(FaultSite::kMerge);
+      const size_t count = std::min(kKeyBlock, m - base);
+      TraceRecorder::Span merge_span(instr_.trace, "merge", "hash");
+      merge_span.AddArg("records", static_cast<double>(count));
+      for (size_t i = base; i < base + count; ++i) {
+        const RecordId r = records[i];
+        NodeId my_root = has_leaf(r) ? forest_->FindRoot(leaf_of_[r])
+                                     : kInvalidNode;
+        for (size_t t = 0; t < num_tables; ++t) {
+          const uint64_t other = keys_[t * m + i];
+          if (other == kNoRecord) {
+            // Cases 1/2 (Fig. 19a): empty bucket. Create r's tree if it has
+            // none; either way r is now the bucket's last-added record.
+            if (my_root == kInvalidNode) {
+              my_root = forest_->MakeTree(r, producer, &leaf_of_[r]);
+              leaf_epoch_[r] = epoch_;
+            }
+            continue;
+          }
+          ADALSH_CHECK(has_leaf(static_cast<RecordId>(other)));
+          const NodeId other_root = forest_->FindRoot(leaf_of_[other]);
+          if (my_root == kInvalidNode) {
+            // Case 3 (Fig. 19b): join the bucket's tree as a fresh leaf.
+            leaf_of_[r] = forest_->AddLeaf(other_root, r);
+            leaf_epoch_[r] = epoch_;
+            my_root = other_root;
+          } else if (my_root != other_root) {
+            // Case 4 (Fig. 19c): merge the two trees.
+            my_root = forest_->Merge(my_root, other_root);
+          }
+        }
+        if (my_root == kInvalidNode) {
+          // Degenerate plan with no tables: every record is its own cluster.
+          forest_->MakeTree(r, producer, &leaf_of_[r]);
+          leaf_epoch_[r] = epoch_;
+        }
+      }
+    }
+
+    // Collect the distinct roots of the invocation's trees.
     std::unordered_set<NodeId> seen;
-    seen.reserve(records.size());
+    seen.reserve(m);
     for (RecordId r : records) {
       ADALSH_CHECK(has_leaf(r));
       NodeId root = forest_->FindRoot(leaf_of_[r]);
@@ -157,19 +179,23 @@ std::vector<NodeId> TransitiveHasher::Apply(
   if (observed) {
     const uint64_t hashes = engine_->total_hashes_computed() - hashes_before;
     span.AddArg("function_index", static_cast<double>(producer));
-    span.AddArg("records", static_cast<double>(records.size()));
+    span.AddArg("records", static_cast<double>(m));
     span.AddArg("hashes", static_cast<double>(hashes));
     span.AddArg("clusters_out", static_cast<double>(roots.size()));
     if (instr_.metrics != nullptr) {
       instr_.metrics->AddCounter("hashes_computed", hashes);
       instr_.metrics->AddCounter("hash_passes", 1);
+      // Bucket work: a completed pass inserts every record into every table.
+      if (!interrupted_) {
+        instr_.metrics->AddCounter("hash_table_entries", m * num_tables);
+      }
       instr_.metrics->RecordValue("hash_pass_records",
-                                  static_cast<double>(records.size()));
+                                  static_cast<double>(m));
     }
     if (instr_.observer != nullptr) {
       FunctionApplyInfo info;
       info.function_index = producer;
-      info.records = records.size();
+      info.records = m;
       info.hashes_computed = hashes;
       info.clusters_out = roots.size();
       info.seconds = timer.ElapsedSeconds();

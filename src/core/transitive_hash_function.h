@@ -20,23 +20,32 @@ namespace adalsh {
 ///   * record/tree bookkeeping follows the four cases of Fig. 19, building
 ///     parent-pointer trees in the shared forest.
 ///
-/// One TransitiveHasher is reused for all invocations in a run; it keeps the
-/// epoch-stamped record->leaf scratch map so per-invocation setup is O(1).
+/// One TransitiveHasher is reused for all invocations in a run (or, in the
+/// resident engine, for the life of the process); it keeps the
+/// epoch-stamped record->leaf scratch map so per-invocation setup is O(1),
+/// and reuses its key buffer and bucket table across invocations.
 ///
-/// Parallel execution (docs/threading.md): hash evaluation and bucket-key
-/// construction — the run's hot path — are farmed out to `pool` in blocks of
-/// records, while the bucket/forest merge consumes the precomputed keys
-/// serially in record order. The merge is the only stateful step ("bucket
-/// remembers the last-added record", Fig. 19's four cases), so keeping it
-/// serial makes the output byte-identical to a single-threaded run at any
-/// thread count.
+/// Each Apply is three phases (docs/threading.md):
+///   1. keys — hash evaluation and every table's bucket key per record,
+///      fanned out to `pool` in blocks of records, written table-major into
+///      one buffer holding the whole pass;
+///   2. buckets — one table at a time through one flat open-addressing
+///      table, replacing each key with its bucket's previous record (the
+///      record the paper's bucket would hold when this one arrives);
+///   3. forest — Fig. 19's cases replayed serially in record order from
+///      those predecessors.
+/// A record's predecessor in table t depends only on table t's keys of the
+/// records before it, so phase 2 reproduces the record-major merge's bucket
+/// contents exactly, and phase 3 issues the same forest calls in the same
+/// order: the output is byte-identical to a single-threaded record-major
+/// run at any thread count.
 class TransitiveHasher {
  public:
   /// `pool` may be null for strictly serial execution. `instr` attaches
-  /// observability sinks: each Apply emits a `hash_pass` trace span (plus a
-  /// `merge` span per serial merge block), an Observer::OnFunctionApplied
-  /// event and metric counters; empty instrumentation costs one boolean test
-  /// per Apply.
+  /// observability sinks: each Apply emits a `hash_pass` trace span (inside
+  /// it, one `buckets` span and a `merge` span per forest-phase block), an
+  /// Observer::OnFunctionApplied event and metric counters; empty
+  /// instrumentation costs one boolean test per Apply.
   TransitiveHasher(HashEngine* engine, ParentPointerForest* forest,
                    size_t num_records, ThreadPool* pool = nullptr,
                    Instrumentation instr = {},
@@ -68,19 +77,33 @@ class TransitiveHasher {
   /// reused (incremental computation, Appendix B.2).
   ///
   /// Anytime behavior: the attached RunController is checked once per
-  /// kKeyBlock record block, on the driving thread, at input-deterministic
-  /// boundaries. A stopped Apply sets last_apply_interrupted() and returns
-  /// an empty root set: records in unprocessed blocks were never hashed, so
-  /// the invocation's partial trees are incomplete and callers must discard
-  /// the round (the input records' previous trees are untouched — see
-  /// docs/robustness.md).
+  /// kKeyBlock record block of the key phase, on the driving thread, at
+  /// input-deterministic boundaries. A stopped Apply sets
+  /// last_apply_interrupted() and returns an empty root set without touching
+  /// the forest: records in unprocessed blocks were never hashed, so callers
+  /// must discard the round (the input records' previous trees are
+  /// untouched — see docs/robustness.md).
   std::vector<NodeId> Apply(const std::vector<RecordId>& records,
                             const SchemePlan& plan, int producer);
 
   /// True when the last Apply was stopped mid-pass by the controller.
   bool last_apply_interrupted() const { return interrupted_; }
 
+  /// Sets the invocation counter, so tests can run passes across its wrap.
+  void set_epoch_for_test(uint32_t epoch) { epoch_ = epoch; }
+
  private:
+  /// One slot of the bucket table: a key and the record last added under it
+  /// (kNoRecord marks an empty slot).
+  struct Bucket {
+    uint64_t key;
+    RecordId last;
+  };
+
+  /// Phase 2: replaces each key of keys_ by its bucket predecessor.
+  void LinkBucketPredecessors(const std::vector<RecordId>& records,
+                              size_t num_tables);
+
   HashEngine* engine_;
   ParentPointerForest* forest_;
   ThreadPool* pool_;
@@ -90,7 +113,10 @@ class TransitiveHasher {
   bool reuse_hashes_ = true;
   std::vector<NodeId> leaf_of_;      // valid when leaf_epoch_[r] == epoch_
   std::vector<uint32_t> leaf_epoch_;
-  std::vector<uint64_t> key_block_;  // reused per-block key buffer
+  /// Table-major, keys_[t * records + i]: record i's key in table t after
+  /// phase 1, its predecessor in table t (or kNoRecord) after phase 2.
+  std::vector<uint64_t> keys_;
+  std::vector<Bucket> buckets_;  // power-of-two size, cleared per table
   uint32_t epoch_ = 0;
 };
 

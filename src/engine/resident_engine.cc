@@ -353,10 +353,11 @@ void ResidentEngine::ArriveLocked(RecordId r) {
   const SchemePlan& plan0 = sequence_->plan(0);
   engine_->EnsureHashes(r, plan0);
   last_fn_[r] = 0;  // arrival evidence is level-1 only
+  std::vector<uint64_t> keys(plan0.tables.size());
+  engine_->TableKeys(r, plan0, keys.data());
   bool merged_any = false;
   for (size_t t = 0; t < plan0.tables.size(); ++t) {
-    const uint64_t key = engine_->TableKey(r, plan0.tables[t]);
-    std::vector<RecordId>& members = buckets_[t][key];
+    std::vector<RecordId>& members = buckets_[t][keys[t]];
     // The newest live member is the merge partner (every live member of a
     // bucket is in the same component, so any one works); dead tail entries
     // are pruned on the way.
@@ -402,12 +403,13 @@ NodeId ResidentEngine::ReopenComponentLocked(RecordId seed) {
   std::unordered_set<RecordId> visited = {seed};
   std::vector<RecordId> stack = {seed};
   NodeId root = forest_.FindRoot(leaf_of_[seed]);
+  std::vector<uint64_t> keys(plan0.tables.size());
   while (!stack.empty()) {
     const RecordId cur = stack.back();
     stack.pop_back();
+    engine_->TableKeys(cur, plan0, keys.data());
     for (size_t t = 0; t < plan0.tables.size(); ++t) {
-      const uint64_t key = engine_->TableKey(cur, plan0.tables[t]);
-      auto it = buckets_[t].find(key);
+      auto it = buckets_[t].find(keys[t]);
       if (it == buckets_[t].end()) continue;
       for (RecordId m : it->second) {
         if (!live_[m] || !visited.insert(m).second) continue;
@@ -437,12 +439,13 @@ void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints) {
   std::unordered_set<RecordId> visited(removed_ints.begin(),
                                        removed_ints.end());
   std::vector<RecordId> frontier(removed_ints.begin(), removed_ints.end());
+  std::vector<uint64_t> keys(plan0.tables.size());
   while (!frontier.empty()) {
     const RecordId r = frontier.back();
     frontier.pop_back();
+    engine_->TableKeys(r, plan0, keys.data());
     for (size_t t = 0; t < plan0.tables.size(); ++t) {
-      const uint64_t key = engine_->TableKey(r, plan0.tables[t]);
-      auto it = buckets_[t].find(key);
+      auto it = buckets_[t].find(keys[t]);
       if (it == buckets_[t].end()) continue;
       std::erase_if(it->second, [&](RecordId m) {
         return !live_[m] && in_batch.count(m) == 0;
@@ -467,9 +470,9 @@ void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints) {
     last_fn_[r] = 0;
   }
   for (RecordId r : removed_ints) {
+    engine_->TableKeys(r, plan0, keys.data());
     for (size_t t = 0; t < plan0.tables.size(); ++t) {
-      const uint64_t key = engine_->TableKey(r, plan0.tables[t]);
-      auto it = buckets_[t].find(key);
+      auto it = buckets_[t].find(keys[t]);
       if (it == buckets_[t].end()) continue;
       std::erase(it->second, r);
       if (it->second.empty()) buckets_[t].erase(it);
@@ -501,9 +504,9 @@ void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints) {
       const RecordId r = stack.back();
       stack.pop_back();
       group.push_back(r);
+      engine_->TableKeys(r, plan0, keys.data());
       for (size_t t = 0; t < plan0.tables.size(); ++t) {
-        const uint64_t key = engine_->TableKey(r, plan0.tables[t]);
-        auto it = buckets_[t].find(key);
+        auto it = buckets_[t].find(keys[t]);
         if (it == buckets_[t].end()) continue;
         for (RecordId m : it->second) {
           if (!live_[m] || grouped.count(m) != 0) continue;

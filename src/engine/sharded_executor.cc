@@ -175,16 +175,22 @@ EngineSnapshot MergeShardStatesLocked(
     }
     return x;
   };
-  for (const TablePlan& table : plan0.tables) {
-    std::unordered_map<uint64_t, RecordId> first_with_key;
-    first_with_key.reserve(n);
+  {
+    const size_t num_tables = plan0.tables.size();
+    std::vector<uint64_t> keys(n * num_tables);  // table-major
     for (size_t g = 0; g < n; ++g) {
-      const uint64_t key = engine.TableKey(static_cast<RecordId>(g), table);
-      auto [it, inserted] = first_with_key.emplace(key, g);
-      if (inserted) continue;
-      RecordId a = find(it->second);
-      RecordId b = find(static_cast<RecordId>(g));
-      if (a != b) uf[std::max(a, b)] = std::min(a, b);
+      engine.TableKeys(static_cast<RecordId>(g), plan0, keys.data() + g, n);
+    }
+    for (size_t t = 0; t < num_tables; ++t) {
+      std::unordered_map<uint64_t, RecordId> first_with_key;
+      first_with_key.reserve(n);
+      for (size_t g = 0; g < n; ++g) {
+        auto [it, inserted] = first_with_key.emplace(keys[t * n + g], g);
+        if (inserted) continue;
+        RecordId a = find(it->second);
+        RecordId b = find(static_cast<RecordId>(g));
+        if (a != b) uf[std::max(a, b)] = std::min(a, b);
+      }
     }
   }
   const double gather_seconds = phase_timer.ElapsedSeconds();

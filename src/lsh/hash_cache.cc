@@ -89,39 +89,9 @@ void HashCache::AdoptPrefix(const HashCache& src, RecordId src_record,
   computed_[dst_record] = have;
 }
 
-uint64_t HashCache::CombineRange(RecordId r, size_t begin, size_t end,
-                                 uint64_t key) const {
+void HashCache::CheckComputed(RecordId r, size_t count) const {
   ADALSH_CHECK_LT(r, computed_.size());
-  ADALSH_CHECK_LE(end, computed_[r]) << "CombineRange past computed prefix";
-  if (binary_) {
-    const std::vector<uint64_t>& blocks = bits_[r];
-    // Fold whole and partial 64-bit blocks of the bit range.
-    size_t j = begin;
-    while (j < end) {
-      size_t block = j / 64;
-      size_t bit = j % 64;
-      size_t take = std::min<size_t>(64 - bit, end - j);
-      uint64_t chunk = blocks[block] >> bit;
-      if (take < 64) chunk &= (uint64_t{1} << take) - 1;
-      key = SplitMix64(key ^ chunk);
-      j += take;
-    }
-    return key;
-  }
-  // Wide values fold word-at-a-time: two 32-bit mixed values pack into one
-  // 64-bit word per SplitMix64 round, halving the mix chain that dominates
-  // bucket-key construction. Packing is relative to `begin`, so two records
-  // combining the same range get equal keys iff their values agree on the
-  // whole range — the same equality semantics as the value-at-a-time fold.
-  const std::vector<uint32_t>& vals = values_[r];
-  size_t j = begin;
-  for (; j + 2 <= end; j += 2) {
-    uint64_t word = static_cast<uint64_t>(vals[j]) |
-                    (static_cast<uint64_t>(vals[j + 1]) << 32);
-    key = SplitMix64(key ^ word);
-  }
-  if (j < end) key = SplitMix64(key ^ vals[j]);
-  return key;
+  ADALSH_CHECK_LE(count, computed_[r]) << "fold past computed prefix";
 }
 
 uint64_t HashCache::ValueForTest(RecordId r, size_t j) const {

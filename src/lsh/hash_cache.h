@@ -1,6 +1,7 @@
 #ifndef ADALSH_LSH_HASH_CACHE_H_
 #define ADALSH_LSH_HASH_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +10,7 @@
 
 #include "lsh/hash_family.h"
 #include "record/record.h"
+#include "util/rng.h"
 
 namespace adalsh {
 
@@ -27,9 +29,9 @@ namespace adalsh {
 /// probability — negligible next to the LSH scheme's own design error.
 ///
 /// Concurrency contract (docs/threading.md): distinct records are independent
-/// slots — Ensure/CombineRange for different RecordIds may run on different
-/// threads concurrently, provided no two threads touch the same record inside
-/// one fork/join region. The only cross-record state is the cost counter,
+/// slots — Ensure/CombineRange/FoldRange for different RecordIds may run on
+/// different threads concurrently, provided no two threads touch the same
+/// record inside one fork/join region. The only cross-record state is the cost counter,
 /// which is a relaxed atomic (its total is order-independent, so parallel and
 /// serial runs report identical hash counts).
 class HashCache {
@@ -81,11 +83,51 @@ class HashCache {
   /// Folds values [begin, end) of record r into a running bucket key,
   /// word-at-a-time: binary families fold 64 packed bits per mix round, wide
   /// families two 32-bit values. Requires Ensure(record, r, end) to have
-  /// happened. Two records receive equal results iff (with overwhelming
-  /// probability) their raw values agree on the whole range — this builds
-  /// the AND-construction's concatenated bucket index.
+  /// happened (checked). Two records receive equal results iff (with
+  /// overwhelming probability) their raw values agree on the whole range —
+  /// this builds the AND-construction's concatenated bucket index.
   uint64_t CombineRange(RecordId r, size_t begin, size_t end,
-                        uint64_t key) const;
+                        uint64_t key) const {
+    CheckComputed(r, end);
+    return FoldRange(r, begin, end, key);
+  }
+
+  /// Aborts unless record r's computed prefix covers values [0, count).
+  void CheckComputed(RecordId r, size_t count) const;
+
+  /// CombineRange without its check, for callers that ran CheckComputed(r,
+  /// end) once for many folds of the same record (HashEngine::TableKeys).
+  uint64_t FoldRange(RecordId r, size_t begin, size_t end,
+                     uint64_t key) const {
+    if (binary_) {
+      const uint64_t* blocks = bits_[r].data();
+      // Fold whole and partial 64-bit blocks of the bit range.
+      for (size_t j = begin; j < end;) {
+        const size_t bit = j % 64;
+        const size_t take = std::min<size_t>(64 - bit, end - j);
+        uint64_t chunk = blocks[j / 64] >> bit;
+        if (take < 64) chunk &= (uint64_t{1} << take) - 1;
+        key = SplitMix64(key ^ chunk);
+        j += take;
+      }
+      return key;
+    }
+    // Wide values fold word-at-a-time: two 32-bit mixed values pack into one
+    // 64-bit word per SplitMix64 round, halving the mix chain that dominates
+    // bucket-key construction. Packing is relative to `begin`, so two
+    // records combining the same range get equal keys iff their values agree
+    // on the whole range — the same equality semantics as the
+    // value-at-a-time fold.
+    const uint32_t* vals = values_[r].data();
+    size_t j = begin;
+    for (; j + 2 <= end; j += 2) {
+      const uint64_t word = static_cast<uint64_t>(vals[j]) |
+                            (static_cast<uint64_t>(vals[j + 1]) << 32);
+      key = SplitMix64(key ^ word);
+    }
+    if (j < end) key = SplitMix64(key ^ vals[j]);
+    return key;
+  }
 
   /// Total raw hash evaluations performed through this cache (cost metric:
   /// the "number of hash functions applied" the paper's cost model counts).

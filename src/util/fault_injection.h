@@ -26,9 +26,9 @@ class RunController;
 /// kRecoveryReplay — so crash and error injection can land between any two
 /// bytes reaching the disk.
 enum class FaultSite {
-  kHashApply = 0,    // TransitiveHasher::Apply, once per record block
+  kHashApply = 0,    // TransitiveHasher::Apply key phase, once per block
   kPairwiseTile,     // PairwiseComputer sweep, once per row stripe
-  kMerge,            // TransitiveHasher's serial merge, once per record block
+  kMerge,            // TransitiveHasher's serial forest phase, once per block
   kWalAppend,        // MutationLog::Append, once per write() attempt
   kWalSync,          // MutationLog fsync, once per attempt
   kCheckpointWrite,  // checkpoint: hit 1 before temp write, hit 2 pre-rename

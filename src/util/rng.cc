@@ -11,13 +11,6 @@ uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 uint64_t DeriveSeed(uint64_t parent_seed, uint64_t stream) {
   return SplitMix64(parent_seed ^ SplitMix64(stream + 0x5851f42d4c957f2dULL));
 }

@@ -12,7 +12,13 @@ namespace adalsh {
 /// independent seed streams: every stochastic component in the library is
 /// seeded as `SplitMix64(base_seed ^ kComponentTag ^ index)`, which keeps
 /// experiments reproducible bit-for-bit while decorrelating components.
-uint64_t SplitMix64(uint64_t x);
+/// Inline: it is also the mix step of every bucket-key fold (HashCache).
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Derives a child seed from a parent seed and a stream index.
 uint64_t DeriveSeed(uint64_t parent_seed, uint64_t stream);

@@ -7,6 +7,7 @@
 // with the `engine_batches` counter — the engine report's serialized key
 // order is stable, and the slow-op watchdog's median verdicts behave.
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/function_sequence.h"
 #include "engine/engine_report.h"
 #include "engine/resident_engine.h"
 #include "engine/sharded_executor.h"
@@ -145,6 +147,54 @@ TEST(EngineTelemetryTest, ResidentHistogramCountsAreExact) {
     EXPECT_EQ(counter("engine_refinements_completed") +
                   counter("engine_refinements_interrupted"),
               6u);
+  }
+}
+
+TEST(EngineTelemetryTest, HashTableEntriesCountBucketWork) {
+  // `hash_table_entries` is the bucket work of the refinement hash passes:
+  // each completed hash round puts every record of its cluster into every
+  // table of the applied function's plan.
+  for (int threads : {1, 8}) {
+    GeneratedDataset generated = Workload(13);
+    MetricsRegistry registry;
+    ResidentEngine::Options options = test::EngineOptions(threads, 4);
+    options.config.instrumentation.metrics = &registry;
+    ResidentEngine engine(generated.rule, options);
+    const FunctionSequence sequence =
+        FunctionSequence::Build(generated.rule, generated.dataset.record(0),
+                                options.config.sequence)
+            .value();
+
+    uint64_t expected = 0;
+    size_t hash_rounds = 0;
+    auto tally = [&](const StatusOr<EngineMutationResult>& result) {
+      ASSERT_TRUE(result.ok());
+      for (const RoundRecord& round : result.value().stats.round_records) {
+        if (round.action != RoundAction::kHash || round.interrupted) continue;
+        expected += round.cluster_size *
+                    sequence.plan(round.function_index).tables.size();
+        ++hash_rounds;
+      }
+    };
+    std::vector<ExternalId> live;
+    for (size_t base = 0; base < generated.dataset.num_records(); base += 9) {
+      std::vector<Record> records;
+      for (size_t r = base;
+           r < std::min(base + 9, generated.dataset.num_records()); ++r) {
+        records.push_back(generated.dataset.record(r));
+      }
+      auto ingested = engine.Ingest(std::move(records));
+      tally(ingested);
+      live.insert(live.end(), ingested.value().assigned_ids.begin(),
+                  ingested.value().assigned_ids.end());
+    }
+    tally(engine.Remove(std::vector<ExternalId>{live[0], live[9]}));
+    tally(engine.Update(live[1], generated.dataset.record(20)));
+    tally(engine.Flush());
+
+    ASSERT_GT(hash_rounds, 0u) << "threads " << threads;
+    EXPECT_EQ(registry.Snapshot().counters.at("hash_table_entries"), expected)
+        << "threads " << threads;
   }
 }
 

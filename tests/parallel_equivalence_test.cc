@@ -305,12 +305,14 @@ TEST(ParallelEquivalenceTest, EnsureHashesParallelMatchesSerialValues) {
   EXPECT_EQ(parallel.total_hashes_computed(), serial.total_hashes_computed());
   // Spot-check bucket keys over a synthetic one-part table per unit.
   for (size_t u = 0; u < structure->units.size(); ++u) {
-    TablePlan table;
-    table.parts.push_back(TablePart{static_cast<int>(u), 0, 96});
-    for (RecordId r : ids) {
-      ASSERT_EQ(parallel.TableKey(r, table), serial.TableKey(r, table))
-          << "unit " << u << " record " << r;
-    }
+    plan.tables.push_back(TablePlan{{TablePart{static_cast<int>(u), 0, 96}}});
+  }
+  std::vector<uint64_t> parallel_keys(plan.tables.size());
+  std::vector<uint64_t> serial_keys(plan.tables.size());
+  for (RecordId r : ids) {
+    parallel.TableKeys(r, plan, parallel_keys.data());
+    serial.TableKeys(r, plan, serial_keys.data());
+    ASSERT_EQ(parallel_keys, serial_keys) << "record " << r;
   }
 }
 

@@ -1,12 +1,20 @@
 #include "core/transitive_hash_function.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/function_sequence.h"
 #include "core/scheme_optimizer.h"
+#include "datagen/cora_like.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace adalsh {
 namespace {
@@ -173,6 +181,216 @@ TEST(TransitiveHasherTest, IncrementalReuseAcrossPlans) {
     return clusters;
   };
   EXPECT_EQ(partition(ablated_forest, recomputed), partition(forest, reused));
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests against Appendix B.2's record-major merge.
+// ---------------------------------------------------------------------------
+
+/// Appendix B.2's merge as written: fresh std::unordered_map tables per call,
+/// each record inserted into every table, in table order, before the next
+/// record arrives. Test-only reference for TransitiveHasher's table-major
+/// bucket pass. Keys come from the same HashEngine API, so only the bucket
+/// and forest bookkeeping is under comparison.
+std::vector<NodeId> RecordMajorApply(HashEngine* engine,
+                                     ParentPointerForest* forest,
+                                     const std::vector<RecordId>& records,
+                                     const SchemePlan& plan, int producer) {
+  std::vector<std::unordered_map<uint64_t, RecordId>> tables(
+      plan.tables.size());
+  std::unordered_map<RecordId, NodeId> leaf_of;
+  std::vector<uint64_t> keys(plan.tables.size());
+  auto make_tree = [&](RecordId r) {
+    NodeId leaf = kInvalidNode;
+    forest->MakeTree(r, producer, &leaf);
+    leaf_of[r] = leaf;
+  };
+  for (RecordId r : records) {
+    engine->EnsureHashes(r, plan);
+    engine->TableKeys(r, plan, keys.data());
+    for (size_t t = 0; t < plan.tables.size(); ++t) {
+      auto [it, inserted] = tables[t].try_emplace(keys[t], r);
+      const auto mine = leaf_of.find(r);
+      if (inserted) {
+        if (mine == leaf_of.end()) make_tree(r);  // cases 1/2
+        continue;
+      }
+      const NodeId other_root = forest->FindRoot(leaf_of.at(it->second));
+      if (mine == leaf_of.end()) {
+        leaf_of[r] = forest->AddLeaf(other_root, r);  // case 3
+      } else {
+        const NodeId my_root = forest->FindRoot(mine->second);
+        if (my_root != other_root) forest->Merge(my_root, other_root);  // 4
+      }
+      it->second = r;
+    }
+    if (leaf_of.count(r) == 0) make_tree(r);  // a plan with no tables
+  }
+  std::vector<NodeId> roots;
+  std::unordered_set<NodeId> seen;
+  for (RecordId r : records) {
+    const NodeId root = forest->FindRoot(leaf_of.at(r));
+    if (seen.insert(root).second) roots.push_back(root);
+  }
+  return roots;
+}
+
+struct Pass {
+  std::vector<RecordId> records;
+  SchemePlan plan;
+  int producer = 0;
+};
+
+/// Runs `passes` through one TransitiveHasher at `threads` and through the
+/// reference, each over its own engine and forest, and requires every pass
+/// to return the same roots in the same order, each with the same leaf
+/// chain, leaf count and producer, after the same hash work.
+void ExpectMatchesRecordMajor(const Dataset& dataset,
+                              const RuleHashStructure& structure,
+                              const std::vector<Pass>& passes, int threads) {
+  HashEngine engine(dataset, structure, /*seed=*/31);
+  HashEngine reference_engine(dataset, structure, /*seed=*/31);
+  ParentPointerForest forest;
+  ParentPointerForest reference_forest;
+  ScopedThreadPool pool(threads);
+  TransitiveHasher hasher(&engine, &forest, dataset.num_records(), pool.get());
+  for (size_t p = 0; p < passes.size(); ++p) {
+    const Pass& pass = passes[p];
+    SCOPED_TRACE(testing::Message() << "pass " << p << " (" << pass.records.size()
+                                    << " records, " << pass.plan.tables.size()
+                                    << " tables), threads " << threads);
+    const std::vector<NodeId> roots =
+        hasher.Apply(pass.records, pass.plan, pass.producer);
+    const std::vector<NodeId> expected =
+        RecordMajorApply(&reference_engine, &reference_forest, pass.records,
+                         pass.plan, pass.producer);
+    ASSERT_EQ(roots, expected);
+    for (NodeId root : roots) {
+      ASSERT_EQ(forest.Leaves(root), reference_forest.Leaves(root));
+      ASSERT_EQ(forest.LeafCount(root), reference_forest.LeafCount(root));
+      ASSERT_EQ(forest.Producer(root), reference_forest.Producer(root));
+    }
+    ASSERT_EQ(engine.total_hashes_computed(),
+              reference_engine.total_hashes_computed());
+  }
+  EXPECT_EQ(forest.num_nodes(), reference_forest.num_nodes());
+}
+
+/// Every plan of `sequence` over all records, in ascending order, then a
+/// re-pass of the last plan over cached hashes, a shuffled-subset pass, a
+/// one-record pass and a pass with no tables.
+std::vector<Pass> SequencePasses(const Dataset& dataset,
+                                 const FunctionSequence& sequence) {
+  const std::vector<RecordId> all = dataset.AllRecordIds();
+  std::vector<Pass> passes;
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    passes.push_back({all, sequence.plan(i), static_cast<int>(i)});
+  }
+  const int last = static_cast<int>(sequence.size()) - 1;
+  passes.push_back({all, sequence.plan(last), last});
+  std::vector<RecordId> subset(all.begin(), all.begin() + all.size() / 2);
+  Rng rng(17);
+  rng.Shuffle(&subset);
+  passes.push_back({subset, sequence.plan(sequence.size() / 2), 1});
+  passes.push_back({{all[all.size() / 3]}, sequence.plan(last), last});
+  SchemePlan no_tables;
+  no_tables.hashes_per_unit.assign(sequence.structure().units.size(), 0);
+  passes.push_back({subset, no_tables, 0});
+  return passes;
+}
+
+FunctionSequence BuildSequence(const GeneratedDataset& generated,
+                               int max_budget) {
+  SequenceConfig config;
+  config.max_budget = max_budget;
+  return FunctionSequence::Build(generated.rule, generated.dataset.record(0),
+                                 config)
+      .value();
+}
+
+TEST(TransitiveHasherDifferentialTest, CoraLikeSequenceMatchesRecordMajor) {
+  CoraLikeConfig config;
+  config.num_entities = 60;
+  config.num_records = 500;
+  config.seed = 7;
+  const GeneratedDataset generated = GenerateCoraLike(config);
+  const FunctionSequence sequence = BuildSequence(generated, 1280);
+  ASSERT_GE(sequence.size(), 4u);
+  const std::vector<Pass> passes = SequencePasses(generated.dataset, sequence);
+  for (int threads : {1, 2, 8}) {
+    ExpectMatchesRecordMajor(generated.dataset, sequence.structure(), passes,
+                             threads);
+  }
+}
+
+TEST(TransitiveHasherDifferentialTest, PlantedDenseSequenceMatchesRecordMajor) {
+  // Large planted entities put many records in each bucket, so most table
+  // inserts hit a predecessor and cases 3 and 4 dominate.
+  std::vector<size_t> sizes = {120, 80, 40, 20, 10, 5};
+  sizes.resize(sizes.size() + 30, 1);
+  const GeneratedDataset generated = test::MakePlantedDataset(sizes, 13);
+  const FunctionSequence sequence = BuildSequence(generated, 640);
+  const std::vector<Pass> passes = SequencePasses(generated.dataset, sequence);
+  for (int threads : {1, 2, 8}) {
+    ExpectMatchesRecordMajor(generated.dataset, sequence.structure(), passes,
+                             threads);
+  }
+}
+
+TEST(TransitiveHasherDifferentialTest, PassOverSeveralKeyBlocksMatches) {
+  // More records than one 8192-record key block, so the key phase forks
+  // more than once and the forest phase crosses a block boundary.
+  std::vector<size_t> sizes = {5000, 3000, 1000};
+  sizes.resize(sizes.size() + 200, 1);
+  const GeneratedDataset generated = test::MakePlantedDataset(sizes, 29);
+  ASSERT_GT(generated.dataset.num_records(), 8192u);
+  const FunctionSequence sequence = BuildSequence(generated, 80);
+  const std::vector<RecordId> all = generated.dataset.AllRecordIds();
+  std::vector<RecordId> reversed(all.rbegin(), all.rend());
+  const std::vector<Pass> passes = {{all, sequence.plan(0), 0},
+                                    {reversed, sequence.plan(1), 1}};
+  for (int threads : {1, 2, 8}) {
+    ExpectMatchesRecordMajor(generated.dataset, sequence.structure(), passes,
+                             threads);
+  }
+}
+
+TEST(TransitiveHasherTest, EpochWrapMatchesFreshHasher) {
+  // A long-lived hasher's invocation counter wraps: Apply must restart it
+  // rather than abort, and a record stamped before the wrap must not look
+  // like it already has a leaf when the counter comes round again.
+  HasherFixture setup({8, 6, 4, 1});
+  const size_t n = setup.generated.dataset.num_records();
+  const SchemePlan plan = setup.PlanForBudget(80);
+  HashEngine wrapped_engine(setup.generated.dataset, setup.structure, 37);
+  HashEngine fresh_engine(setup.generated.dataset, setup.structure, 37);
+  ParentPointerForest wrapped_forest;
+  ParentPointerForest fresh_forest;
+  TransitiveHasher wrapped(&wrapped_engine, &wrapped_forest, n);
+  TransitiveHasher fresh(&fresh_engine, &fresh_forest, n);
+
+  // Pass 0 runs at epoch 1 and stamps records 0-3, 8 and 9. The jump then
+  // puts passes 1 and 2, over other records, at the last two epochs before
+  // the wrap, so pass 3 runs at epoch 1 again while those stamps still
+  // read 1; pass 4 runs at epoch 2.
+  const std::vector<RecordId> all = setup.generated.dataset.AllRecordIds();
+  const std::vector<std::vector<RecordId>> passes = {
+      {0, 1, 2, 3, 8, 9}, {4, 5, 6, 7, 10}, {14, 15, 18}, all, all};
+  for (size_t p = 0; p < passes.size(); ++p) {
+    if (p == 1) {
+      wrapped.set_epoch_for_test(std::numeric_limits<uint32_t>::max() - 2);
+    }
+    const std::vector<NodeId> got =
+        wrapped.Apply(passes[p], plan, static_cast<int>(p));
+    const std::vector<NodeId> want =
+        fresh.Apply(passes[p], plan, static_cast<int>(p));
+    ASSERT_EQ(got, want) << "pass " << p;
+    for (NodeId root : got) {
+      ASSERT_EQ(wrapped_forest.Leaves(root), fresh_forest.Leaves(root))
+          << "pass " << p;
+    }
+  }
+  EXPECT_EQ(wrapped_forest.num_nodes(), fresh_forest.num_nodes());
 }
 
 }  // namespace
