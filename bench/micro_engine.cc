@@ -12,9 +12,9 @@
 //   * queries: TopK/Cluster served from the published snapshot — these ride
 //     the read path only and should be orders of magnitude above mutations;
 //   * sharded: the same concurrent multi-writer update load against the
-//     single-lock resident engine (shards=0) and the sharded engine at
-//     several shard counts — the A/B for the sharded executor's claim that
-//     partitioning the mutation lock buys writer throughput. Reported with
+//     sharded engine at several shard counts, S=1 being the single mutation
+//     lock — the A/B for the sharded executor's claim that partitioning the
+//     mutation lock buys writer throughput. Reported with
 //     the summed per-mutation lock wait so the contention that disappears
 //     is visible, not just inferred;
 //   * durability: the streamed ingest through the durable engine at each
@@ -72,11 +72,10 @@ std::vector<Record> CopyRecords(const Dataset& dataset, size_t begin,
 
 /// W concurrent writers, each updating its own disjoint slice of the live
 /// ids (index mod W) with random replacement records. Returns wall seconds
-/// and the lock wait summed over every mutation — on the resident engine the
-/// wait is the single-lock queue; on the sharded engine writers only collide
-/// when their ids share a shard.
-template <typename Engine>
-void RunMultiWriterUpdates(Engine* engine, const Dataset& dataset,
+/// and the lock wait summed over every mutation — at S=1 the wait is the
+/// single-lock queue; at S >= 2 writers only collide when their ids share a
+/// shard.
+void RunMultiWriterUpdates(ShardedEngine* engine, const Dataset& dataset,
                            const std::vector<ExternalId>& live,
                            size_t writers, size_t rounds, double* seconds,
                            double* lock_wait_seconds) {
@@ -254,42 +253,30 @@ int Main(int argc, char** argv) {
       .Uint(cluster_hits)
       .EndObject();
 
-  // --- Sharded multi-writer A/B (docs/sharding.md). shards=0 is the
-  // resident engine's single lock under the identical load. ---
+  // --- Sharded multi-writer A/B (docs/sharding.md). shards=1 is the single
+  // mutation lock under the identical load. ---
   {
     const size_t writers = smoke ? 2 : 4;
     const size_t writer_rounds = smoke ? 4 : 48;
     json.Key("sharded").BeginObject().Key("writers").Uint(writers).Key(
         "rounds_per_writer").Uint(writer_rounds);
     json.Key("sweep").BeginArray();
-    for (int shards : {0, 1, 2, 4, 8}) {
+    for (int shards : {1, 2, 4, 8}) {
       double seconds = 0;
       double lock_wait_seconds = 0;
-      uint64_t total_hashes = 0;
-      if (shards == 0) {
-        ResidentEngine ab(workload.rule, EngineOptions());
-        StatusOr<EngineMutationResult> loaded =
-            ab.Ingest(CopyRecords(workload.dataset, 0, n));
-        ADALSH_CHECK(loaded.ok()) << loaded.status().message();
-        RunMultiWriterUpdates(&ab, workload.dataset,
-                              loaded.value().assigned_ids, writers,
-                              writer_rounds, &seconds, &lock_wait_seconds);
-        total_hashes = ab.counters().total_hashes;
-      } else {
-        ShardedEngine::Options options;
-        options.engine = EngineOptions();
-        options.shards = shards;
-        ShardedEngine ab(workload.rule, options);
-        StatusOr<EngineMutationResult> loaded =
-            ab.Ingest(CopyRecords(workload.dataset, 0, n));
-        ADALSH_CHECK(loaded.ok()) << loaded.status().message();
-        RunMultiWriterUpdates(&ab, workload.dataset,
-                              loaded.value().assigned_ids, writers,
-                              writer_rounds, &seconds, &lock_wait_seconds);
-        StatusOr<EngineMutationResult> flushed = ab.Flush();
-        ADALSH_CHECK(flushed.ok()) << flushed.status().message();
-        total_hashes = ab.counters().total_hashes;
-      }
+      ShardedEngine::Options options;
+      options.engine = EngineOptions();
+      options.shards = shards;
+      ShardedEngine ab(workload.rule, options);
+      StatusOr<EngineMutationResult> loaded =
+          ab.Ingest(CopyRecords(workload.dataset, 0, n));
+      ADALSH_CHECK(loaded.ok()) << loaded.status().message();
+      RunMultiWriterUpdates(&ab, workload.dataset, loaded.value().assigned_ids,
+                            writers, writer_rounds, &seconds,
+                            &lock_wait_seconds);
+      StatusOr<EngineMutationResult> flushed = ab.Flush();
+      ADALSH_CHECK(flushed.ok()) << flushed.status().message();
+      const uint64_t total_hashes = ab.counters().total_hashes;
       const double ops = static_cast<double>(writers * writer_rounds);
       json.BeginObject()
           .Key("shards")

@@ -1,9 +1,8 @@
 // Micro-benchmarks for the clustering substrate: parent-pointer-forest
-// operations (tree build / merge / root finding) and the bin index.
+// operations (tree build / merge / root finding, leaf iteration).
 
 #include <benchmark/benchmark.h>
 
-#include "clustering/bin_index.h"
 #include "clustering/parent_pointer_forest.h"
 #include "util/rng.h"
 
@@ -46,24 +45,6 @@ void BM_ForestLeafIteration(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_ForestLeafIteration)->Arg(1000)->Arg(100000);
-
-void BM_BinIndexInsertPop(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(2);
-  std::vector<uint32_t> counts(n);
-  for (uint32_t& c : counts) {
-    c = 1 + static_cast<uint32_t>(rng.NextBelow(1 << 16));
-  }
-  for (auto _ : state) {
-    BinIndex bins(1 << 17);
-    for (size_t i = 0; i < n; ++i) {
-      bins.Insert(static_cast<NodeId>(i), counts[i]);
-    }
-    while (!bins.empty()) benchmark::DoNotOptimize(bins.PopLargest());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_BinIndexInsertPop)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace adalsh

@@ -3,7 +3,7 @@
 #include <optional>
 #include <utility>
 
-#include "clustering/bin_index.h"
+#include "clustering/candidate_order.h"
 #include "core/hash_engine.h"
 #include "core/pairwise.h"
 #include "core/termination.h"
@@ -124,19 +124,25 @@ FilterOutput LshBlocking::Run(int k) {
   std::vector<NodeId> finals;
   if (!config_.apply_pairwise) {
     // LSH-X-nP: trust the stage-1 clusters; return the k largest.
-    BinIndex bins(num_records);
-    for (NodeId root : roots) bins.Insert(root, forest.LeafCount(root));
-    while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
-      finals.push_back(bins.PopLargest());
-    }
+    finals = LargestRoots(forest, roots, static_cast<size_t>(k));
   } else {
-    // Stage 2: verify clusters with P, largest first, until the k largest
-    // verified clusters dominate everything unverified (optimization (1)).
-    BinIndex bins(num_records);
-    for (NodeId root : roots) bins.Insert(root, forest.LeafCount(root));
-    while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
+    // Stage 2: verify clusters with P, largest first in the canonical
+    // candidate order, until the k largest verified clusters dominate
+    // everything unverified (optimization (1)).
+    CandidateSet candidates;
+    auto file = [&](NodeId root) {
+      candidates.insert({forest.LeafCount(root),
+                         MinOrderKey(forest, nullptr, root), root});
+    };
+    auto pop = [&] {
+      const NodeId root = candidates.begin()->root;
+      candidates.erase(candidates.begin());
+      return root;
+    };
+    for (NodeId root : roots) file(root);
+    while (finals.size() < static_cast<size_t>(k) && !candidates.empty()) {
       if (stop_now()) break;  // round boundary (anytime exit)
-      NodeId root = bins.PopLargest();
+      const NodeId root = pop();
       if (forest.Producer(root) == kProducerPairwise) {
         finals.push_back(root);
         continue;
@@ -176,17 +182,17 @@ FilterOutput LshBlocking::Run(int k) {
       if (interrupted) {
         // The cluster keeps its stage-1 level; the stuck controller ends the
         // loop at its next check and the fill below may still return it.
-        bins.Insert(root, forest.LeafCount(root));
+        file(root);
         continue;
       }
-      for (NodeId v : verified) bins.Insert(v, forest.LeafCount(v));
+      for (NodeId v : verified) file(v);
     }
     if (controller != nullptr && controller->stopped()) {
       // Graceful degradation: the largest unverified clusters complete the
-      // top-k at their stage-1 verification level (pops stay non-increasing,
-      // so the ranking is preserved).
-      while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
-        finals.push_back(bins.PopLargest());
+      // top-k at their stage-1 verification level (pops stay in canonical
+      // order, so the ranking is preserved).
+      while (finals.size() < static_cast<size_t>(k) && !candidates.empty()) {
+        finals.push_back(pop());
       }
     }
   }

@@ -51,7 +51,8 @@ struct LshBlockingConfig {
 /// paper's three fairness optimizations: (1) early termination once k
 /// verified clusters dominate all unverified ones, (2) P skips transitively
 /// closed pairs, (3) the same implementation/data structures as adaLSH
-/// (shared engine, forest, bin index).
+/// (shared hash engine, forest, and Algorithm 1's canonical candidate order,
+/// clustering/candidate_order.h).
 class LshBlocking {
  public:
   LshBlocking(const Dataset& dataset, const MatchRule& rule,

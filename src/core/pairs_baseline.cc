@@ -3,7 +3,7 @@
 #include <optional>
 #include <utility>
 
-#include "clustering/bin_index.h"
+#include "clustering/candidate_order.h"
 #include "core/pairwise.h"
 #include "core/termination.h"
 #include "obs/metrics_registry.h"
@@ -69,12 +69,8 @@ FilterOutput PairsBaseline::Run(int k) {
     round.interrupted = pairwise.last_apply_interrupted();
   }
 
-  BinIndex bins(dataset_->num_records());
-  for (NodeId root : roots) bins.Insert(root, forest.LeafCount(root));
-  std::vector<NodeId> finals;
-  while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
-    finals.push_back(bins.PopLargest());
-  }
+  const std::vector<NodeId> finals =
+      LargestRoots(forest, roots, static_cast<size_t>(k));
 
   FilterOutput output;
   output.clusters = MaterializeClusters(forest, finals);

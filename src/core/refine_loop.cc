@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
-#include <limits>
-#include <set>
 #include <utility>
 
+#include "clustering/candidate_order.h"
 #include "core/termination.h"
 #include "obs/metrics_registry.h"
 #include "util/check.h"
@@ -14,41 +13,6 @@
 #include "util/timer.h"
 
 namespace adalsh {
-namespace {
-
-/// Smallest order key among the leaves of `root` (canonical tie-break); the
-/// record id itself when `order_key` is null.
-uint64_t MinOrderKey(const ParentPointerForest& forest,
-                     const std::vector<uint64_t>* order_key, NodeId root) {
-  uint64_t min_key = std::numeric_limits<uint64_t>::max();
-  forest.ForEachLeaf(root, [&](RecordId r) {
-    min_key = std::min<uint64_t>(
-        min_key, order_key != nullptr ? (*order_key)[r] : r);
-  });
-  return min_key;
-}
-
-struct Candidate {
-  uint32_t size;
-  uint64_t min_key;
-  NodeId root;
-  uint64_t filed;  // filing sequence number (FIFO ablation only)
-};
-
-/// Canonical order: size descending, ties by ascending smallest order key
-/// (unique per cluster, so the order is total and history-independent —
-/// the root id never actually decides).
-struct CandidateLess {
-  bool operator()(const Candidate& a, const Candidate& b) const {
-    if (a.size != b.size) return a.size > b.size;
-    if (a.min_key != b.min_key) return a.min_key < b.min_key;
-    return a.root < b.root;
-  }
-};
-
-using CandidateSet = std::set<Candidate, CandidateLess>;
-
-}  // namespace
 
 void RecordRound(const Instrumentation& instr, RoundRecord round,
                  TraceRecorder::Span* span, FilterStats* stats) {

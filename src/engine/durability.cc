@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -63,8 +64,8 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(MatchRule rule,
   if (options.data_dir.empty()) {
     return Status::InvalidArgument("DurableEngine needs a data_dir");
   }
-  if (options.shards < 0) {
-    return Status::InvalidArgument("DurableEngine: shards must be >= 0");
+  if (options.shards < 1) {
+    return Status::InvalidArgument("DurableEngine: shards must be >= 1");
   }
   if (::mkdir(options.data_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::FailedPrecondition("mkdir " + options.data_dir + ": " +
@@ -89,26 +90,28 @@ Status DurableEngine::RecoverLocked() {
   if (DIR* d = ::opendir(dir.c_str())) {
     while (dirent* entry = ::readdir(d)) {
       int shard = 0;
-      if (ParseWalFileName(entry->d_name, &shard) && shard >= num_logs()) {
+      if (ParseWalFileName(entry->d_name, &shard) && shard >= options_.shards) {
         const std::string name(entry->d_name);  // d_name dies with closedir
         ::closedir(d);
         return Status::FailedPrecondition(
             "stale shard layout: " + dir + " holds " + name +
             " but this engine has only " +
-            std::to_string(num_logs()) + " log(s); reopen with the shard "
-            "count that wrote the directory");
+            std::to_string(options_.shards) + " log(s); reopen with the "
+            "shard count that wrote the directory");
       }
     }
     ::closedir(d);
   }
 
   // 2. Newest valid checkpoint, if any. A checkpoint written under a
-  // different shard count is the same stale-layout error as above.
+  // different shard count is the same stale-layout error as above. One that
+  // records shards=0 predates the single-engine shape's fold into S=1 and
+  // has the S=1 layout (one wal-0.log, one-part frames), so it reads as 1.
   std::optional<CheckpointData> checkpoint;
   {
     StatusOr<CheckpointData> loaded = LoadNewestCheckpoint(dir, &warnings);
     if (loaded.ok()) {
-      if (static_cast<int>(loaded->shards) != options_.shards) {
+      if (std::max<int>(1, loaded->shards) != options_.shards) {
         return Status::FailedPrecondition(
             "stale shard layout: checkpoint in " + dir + " was written with "
             "shards=" + std::to_string(loaded->shards) + ", engine opened "
@@ -122,8 +125,8 @@ Status DurableEngine::RecoverLocked() {
 
   // 3. Valid frame prefix of every shard log; torn/corrupt tails are
   // reported and truncated, never fatal (docs/durability.md).
-  std::vector<std::vector<WalFrame>> log_frames(num_logs());
-  for (int s = 0; s < num_logs(); ++s) {
+  std::vector<std::vector<WalFrame>> log_frames(options_.shards);
+  for (int s = 0; s < options_.shards; ++s) {
     StatusOr<WalReadResult> read = ReadMutationLog(WalPath(dir, s));
     if (!read.ok()) {
       if (read.status().code() == StatusCode::kNotFound) continue;
@@ -166,14 +169,10 @@ Status DurableEngine::RecoverLocked() {
     cost_model_logged_ = true;  // pinned by the caller on every run
   }
 
-  if (options_.shards > 0) {
-    ShardedEngine::Options sharded_options;
-    sharded_options.engine = engine_options;
-    sharded_options.shards = options_.shards;
-    sharded_.emplace(rule_, std::move(sharded_options));
-  } else {
-    resident_.emplace(rule_, std::move(engine_options));
-  }
+  ShardedEngine::Options sharded_options;
+  sharded_options.engine = std::move(engine_options);
+  sharded_options.shards = options_.shards;
+  sharded_.emplace(rule_, std::move(sharded_options));
 
   // 5. Seed from the checkpoint: one bulk ingest of the live set. The
   // confluence contract makes this byte-identical to the incremental
@@ -186,8 +185,8 @@ Status DurableEngine::RecoverLocked() {
     next_ext_id_ = checkpoint->next_external_id;
     if (!checkpoint->records.empty()) {
       prototype_ = checkpoint->records.front();
-      StatusOr<EngineMutationResult> seeded = EngineIngestWithIds(
-          std::move(checkpoint->records), checkpoint->ids, {});
+      StatusOr<EngineMutationResult> seeded = sharded_->IngestWithIds(
+          std::move(checkpoint->records), checkpoint->ids);
       if (!seeded.ok()) {
         return Status::FailedPrecondition(
             "checkpoint re-ingest failed: " + seeded.status().ToString());
@@ -205,8 +204,9 @@ Status DurableEngine::RecoverLocked() {
   // Per-log (seq, on-disk bytes) of every valid frame, captured before the
   // frames are moved into the groups — step 8 needs the sizes to compute
   // committed offsets, and a moved-from frame re-encodes to the wrong bytes.
-  std::vector<std::vector<std::pair<uint64_t, size_t>>> extents(num_logs());
-  for (int s = 0; s < num_logs(); ++s) {
+  std::vector<std::vector<std::pair<uint64_t, size_t>>> extents(
+      options_.shards);
+  for (int s = 0; s < options_.shards; ++s) {
     for (WalFrame& frame : log_frames[s]) {
       extents[s].emplace_back(frame.seq, EncodeWalFrame(frame).size());
       if (frame.seq <= replay_floor) continue;  // superseded by checkpoint
@@ -277,7 +277,7 @@ Status DurableEngine::RecoverLocked() {
         }
         next_ext_id_ = std::max(next_ext_id_, ids.back() + 1);
         StatusOr<EngineMutationResult> result =
-            EngineIngestWithIds(std::move(records), ids, {});
+            sharded_->IngestWithIds(std::move(records), std::move(ids));
         applied = result.ok() ? Status::Ok() : result.status();
         break;
       }
@@ -287,23 +287,18 @@ Status DurableEngine::RecoverLocked() {
           ids.insert(ids.end(), frame.ids.begin(), frame.ids.end());
         }
         std::sort(ids.begin(), ids.end());
-        StatusOr<EngineMutationResult> result =
-            resident_.has_value() ? resident_->Remove(ids)
-                                  : sharded_->Remove(ids);
+        StatusOr<EngineMutationResult> result = sharded_->Remove(ids);
         applied = result.ok() ? Status::Ok() : result.status();
         break;
       }
       case WalFrameType::kUpdate: {
         StatusOr<EngineMutationResult> result =
-            resident_.has_value()
-                ? resident_->Update(first.ids[0], Record(first.records[0]))
-                : sharded_->Update(first.ids[0], Record(first.records[0]));
+            sharded_->Update(first.ids[0], Record(first.records[0]));
         applied = result.ok() ? Status::Ok() : result.status();
         break;
       }
       case WalFrameType::kFlush: {
-        StatusOr<EngineMutationResult> result =
-            resident_.has_value() ? resident_->Flush() : sharded_->Flush();
+        StatusOr<EngineMutationResult> result = sharded_->Flush();
         applied = result.ok() ? Status::Ok() : result.status();
         break;
       }
@@ -328,7 +323,7 @@ Status DurableEngine::RecoverLocked() {
   // retained frames gives the exact file offset. Anything after (torn bytes
   // or discarded ghost frames) is physically truncated — a ghost frame's
   // seq would otherwise collide with a future mutation's.
-  for (int s = 0; s < num_logs(); ++s) {
+  for (int s = 0; s < options_.shards; ++s) {
     uint64_t committed = 0;
     for (const auto& [seq, bytes] : extents[s]) {
       if (seq > last_applied_seq) break;
@@ -378,19 +373,16 @@ Status DurableEngine::AppendFramesLocked(WalFrame frame,
 
 void DurableEngine::MaybeLogCostModelLocked() {
   if (cost_model_logged_) return;
-  std::optional<CostModel> model =
-      resident_.has_value() ? resident_->cost_model() : sharded_->cost_model();
+  std::optional<CostModel> model = sharded_->cost_model();
   if (!model.has_value()) return;
   WalFrame frame;
   frame.type = WalFrameType::kCostModel;
   frame.seq = next_seq_++;
   frame.generation = Snapshot()->generation;
-  frame.parts = static_cast<uint32_t>(num_logs());
+  frame.parts = static_cast<uint32_t>(options_.shards);
   frame.cost_per_hash = model->cost_per_hash();
   frame.cost_per_pair = model->cost_per_pair();
-  std::vector<int> all(num_logs());
-  for (int s = 0; s < num_logs(); ++s) all[s] = s;
-  Status appended = AppendFramesLocked(std::move(frame), all);
+  Status appended = AppendFramesLocked(std::move(frame), AllLogs());
   if (appended.ok()) cost_model_logged_ = true;
 }
 
@@ -431,16 +423,13 @@ Status DurableEngine::CheckpointLocked() {
   data.next_external_id = next_ext_id_;
   data.generation = Snapshot()->generation;
   data.shards = static_cast<uint32_t>(options_.shards);
-  std::optional<CostModel> model =
-      resident_.has_value() ? resident_->cost_model() : sharded_->cost_model();
+  std::optional<CostModel> model = sharded_->cost_model();
   if (model.has_value()) {
     data.has_cost_model = true;
     data.cost_per_hash = model->cost_per_hash();
     data.cost_per_pair = model->cost_per_pair();
   }
-  std::vector<std::pair<ExternalId, Record>> live =
-      resident_.has_value() ? resident_->LiveRecords()
-                            : sharded_->LiveRecords();
+  std::vector<std::pair<ExternalId, Record>> live = sharded_->LiveRecords();
   data.ids.reserve(live.size());
   data.records.reserve(live.size());
   for (auto& [id, record] : live) {
@@ -490,8 +479,7 @@ StatusOr<EngineMutationResult> DurableEngine::Ingest(
   if (!writable.ok()) return writable;
   if (records.empty()) {
     // Nothing to make durable; still a (no-op) engine mutation.
-    return resident_.has_value() ? resident_->Ingest({}, opts)
-                                 : sharded_->Ingest({}, opts);
+    return sharded_->Ingest({}, opts);
   }
   const Record& prototype =
       prototype_.has_value() ? *prototype_ : records.front();
@@ -502,12 +490,12 @@ StatusOr<EngineMutationResult> DurableEngine::Ingest(
 
   std::vector<ExternalId> ids(records.size());
   for (size_t i = 0; i < records.size(); ++i) ids[i] = next_ext_id_ + i;
-  std::vector<std::vector<size_t>> by_shard(num_logs());
+  std::vector<std::vector<size_t>> by_shard(options_.shards);
   for (size_t i = 0; i < ids.size(); ++i) {
-    by_shard[ShardOfId(ids[i])].push_back(i);
+    by_shard[ShardOfExternalId(ids[i], options_.shards)].push_back(i);
   }
   std::vector<int> involved;
-  for (int s = 0; s < num_logs(); ++s) {
+  for (int s = 0; s < options_.shards; ++s) {
     if (!by_shard[s].empty()) involved.push_back(s);
   }
 
@@ -530,7 +518,7 @@ StatusOr<EngineMutationResult> DurableEngine::Ingest(
   next_ext_id_ = ids.back() + 1;
   if (!prototype_.has_value()) prototype_ = records.front();
   StatusOr<EngineMutationResult> result =
-      EngineIngestWithIds(std::move(records), ids, opts);
+      sharded_->IngestWithIds(std::move(records), std::move(ids), opts);
   if (result.ok()) {
     MaybeLogCostModelLocked();
     ++mutations_since_checkpoint_;
@@ -553,16 +541,18 @@ StatusOr<EngineMutationResult> DurableEngine::Remove(
       return Status::InvalidArgument("Remove: id " + std::to_string(id) +
                                      " appears twice in the batch");
     }
-    if (!EngineIsLive(id)) {
+    if (!sharded_->IsLive(id)) {
       return Status::NotFound("Remove: no live record with id " +
                               std::to_string(id));
     }
   }
   if (!ids.empty()) {
-    std::vector<std::vector<uint64_t>> by_shard(num_logs());
-    for (ExternalId id : ids) by_shard[ShardOfId(id)].push_back(id);
+    std::vector<std::vector<uint64_t>> by_shard(options_.shards);
+    for (ExternalId id : ids) {
+      by_shard[ShardOfExternalId(id, options_.shards)].push_back(id);
+    }
     std::vector<int> involved;
-    for (int s = 0; s < num_logs(); ++s) {
+    for (int s = 0; s < options_.shards; ++s) {
       if (!by_shard[s].empty()) involved.push_back(s);
     }
     const uint64_t seq = next_seq_++;
@@ -578,9 +568,7 @@ StatusOr<EngineMutationResult> DurableEngine::Remove(
       if (!appended.ok()) return appended;
     }
   }
-  StatusOr<EngineMutationResult> result =
-      resident_.has_value() ? resident_->Remove(ids, opts)
-                            : sharded_->Remove(ids, opts);
+  StatusOr<EngineMutationResult> result = sharded_->Remove(ids, opts);
   if (result.ok() && !ids.empty()) {
     ++mutations_since_checkpoint_;
     MaybeCheckpointLocked();
@@ -594,7 +582,7 @@ StatusOr<EngineMutationResult> DurableEngine::Update(
   std::lock_guard<std::mutex> lock(mu_);
   Status writable = CheckWritableLocked();
   if (!writable.ok()) return writable;
-  if (!EngineIsLive(id)) {
+  if (!sharded_->IsLive(id)) {
     return Status::NotFound("Update: no live record with id " +
                             std::to_string(id));
   }
@@ -608,11 +596,11 @@ StatusOr<EngineMutationResult> DurableEngine::Update(
   frame.generation = Snapshot()->generation;
   frame.ids.push_back(id);
   frame.records.push_back(Record(record));
-  Status appended = AppendFramesLocked(std::move(frame), {ShardOfId(id)});
+  Status appended = AppendFramesLocked(
+      std::move(frame), {ShardOfExternalId(id, options_.shards)});
   if (!appended.ok()) return appended;
   StatusOr<EngineMutationResult> result =
-      resident_.has_value() ? resident_->Update(id, std::move(record), opts)
-                            : sharded_->Update(id, std::move(record), opts);
+      sharded_->Update(id, std::move(record), opts);
   if (result.ok()) {
     ++mutations_since_checkpoint_;
     MaybeCheckpointLocked();
@@ -630,10 +618,8 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
   frame.type = WalFrameType::kFlush;
   frame.seq = next_seq_++;
   frame.generation = Snapshot()->generation;
-  frame.parts = static_cast<uint32_t>(num_logs());
-  std::vector<int> all(num_logs());
-  for (int s = 0; s < num_logs(); ++s) all[s] = s;
-  Status appended = AppendFramesLocked(std::move(frame), all);
+  frame.parts = static_cast<uint32_t>(options_.shards);
+  Status appended = AppendFramesLocked(std::move(frame), AllLogs());
   if (!appended.ok()) return appended;
 
   // Flush is the sync=batch barrier: everything appended since the last
@@ -656,8 +642,7 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
     }
   }
 
-  StatusOr<EngineMutationResult> result =
-      resident_.has_value() ? resident_->Flush(opts) : sharded_->Flush(opts);
+  StatusOr<EngineMutationResult> result = sharded_->Flush(opts);
   if (result.ok()) {
     ++mutations_since_checkpoint_;
     MaybeCheckpointLocked();
@@ -666,41 +651,29 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
   return result;
 }
 
-bool DurableEngine::EngineIsLive(ExternalId id) const {
-  return resident_.has_value() ? resident_->IsLive(id) : sharded_->IsLive(id);
-}
-
-StatusOr<EngineMutationResult> DurableEngine::EngineIngestWithIds(
-    std::vector<Record> records, std::vector<ExternalId> ids,
-    const EngineBatchOptions& opts) {
-  return resident_.has_value()
-             ? resident_->IngestWithIds(std::move(records), std::move(ids),
-                                        opts)
-             : sharded_->IngestWithIds(std::move(records), std::move(ids),
-                                       opts);
+std::vector<int> DurableEngine::AllLogs() const {
+  std::vector<int> all(options_.shards);
+  std::iota(all.begin(), all.end(), 0);
+  return all;
 }
 
 std::shared_ptr<const EngineSnapshot> DurableEngine::Snapshot() const {
-  return resident_.has_value() ? resident_->Snapshot() : sharded_->Snapshot();
+  return sharded_->Snapshot();
 }
 
 StatusOr<std::vector<std::vector<ExternalId>>> DurableEngine::TopK(
     int k) const {
-  return resident_.has_value() ? resident_->TopK(k) : sharded_->TopK(k);
+  return sharded_->TopK(k);
 }
 
 StatusOr<std::vector<ExternalId>> DurableEngine::Cluster(ExternalId id) const {
-  return resident_.has_value() ? resident_->Cluster(id)
-                               : sharded_->Cluster(id);
+  return sharded_->Cluster(id);
 }
 
-EngineCounters DurableEngine::counters() const {
-  return resident_.has_value() ? resident_->counters() : sharded_->counters();
-}
+EngineCounters DurableEngine::counters() const { return sharded_->counters(); }
 
 std::vector<EngineCounters> DurableEngine::shard_counters() const {
-  if (sharded_.has_value()) return sharded_->shard_counters();
-  return {};
+  return sharded_->shard_counters();
 }
 
 DurabilityStats DurableEngine::durability_stats() const {

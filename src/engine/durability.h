@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/resident_engine.h"
 #include "engine/sharded_executor.h"
 #include "io/wal.h"
 #include "util/status.h"
@@ -43,7 +42,7 @@ struct DurabilityStats {
   std::vector<std::string> recovery_warnings;
 };
 
-/// Durable wrapper around the resident/sharded engine (docs/durability.md):
+/// Durable wrapper around the sharded engine (docs/durability.md):
 /// every mutation is appended to a write-ahead log *before* it is applied,
 /// checkpoints periodically fold the live set into an atomically-replaced
 /// snapshot file that truncates the logs, and Open() recovers by loading the
@@ -75,13 +74,12 @@ struct DurabilityStats {
 class DurableEngine {
  public:
   struct Options {
-    /// Per-(shard-)engine template, exactly ResidentEngine::Options.
+    /// Per-shard engine template, exactly ResidentEngine::Options.
     ResidentEngine::Options engine;
 
-    /// 0 = wrap a ResidentEngine (continuous certification, one log);
-    /// >= 1 = wrap a ShardedEngine with that many shards (deferred global
-    /// certification, one log per shard).
-    int shards = 0;
+    /// Shards of the wrapped ShardedEngine, one log each (>= 1; Open refuses
+    /// anything less). S=1 certifies continuously, S>=2 at every Flush.
+    int shards = 1;
 
     /// Directory for logs and checkpoints; created if missing.
     std::string data_dir;
@@ -95,9 +93,10 @@ class DurableEngine {
 
   /// Opens the data directory, recovers (newest valid checkpoint + log-tail
   /// replay, torn tails truncated with a warning), and returns a serving
-  /// engine. Fails with FailedPrecondition on a stale shard layout (the
-  /// directory was written with a different shard count — id routing would
-  /// scatter records to wrong logs) and on unreadable/uncreatable storage.
+  /// engine. Fails with InvalidArgument when `shards` < 1, and with
+  /// FailedPrecondition on a stale shard layout (the directory was written
+  /// with a different shard count — id routing would scatter records to
+  /// wrong logs) and on unreadable/uncreatable storage.
   static StatusOr<std::unique_ptr<DurableEngine>> Open(MatchRule rule,
                                                        Options options);
 
@@ -123,7 +122,8 @@ class DurableEngine {
   /// long.
   Status Checkpoint();
 
-  // Queries: straight pass-through, never blocked by mutations.
+  // Queries: straight pass-through to the sharded engine, never blocked by
+  // mutations.
   std::shared_ptr<const EngineSnapshot> Snapshot() const;
   StatusOr<std::vector<std::vector<ExternalId>>> TopK(int k) const;
   StatusOr<std::vector<ExternalId>> Cluster(ExternalId id) const;
@@ -166,20 +166,13 @@ class DurableEngine {
   /// Exports the wal_* counters/gauges through the obs metrics registry.
   void ReportMetricsLocked();
 
-  // Wrapped-engine dispatch (exactly one of the two is constructed).
-  int num_logs() const { return options_.shards > 0 ? options_.shards : 1; }
-  int ShardOfId(ExternalId id) const {
-    return options_.shards > 0 ? ShardOfExternalId(id, options_.shards) : 0;
-  }
-  bool EngineIsLive(ExternalId id) const;
-  StatusOr<EngineMutationResult> EngineIngestWithIds(
-      std::vector<Record> records, std::vector<ExternalId> ids,
-      const EngineBatchOptions& opts);
+  /// Every shard's log indices, for frames that go to all logs.
+  std::vector<int> AllLogs() const;
 
   MatchRule rule_;
   Options options_;
 
-  std::optional<ResidentEngine> resident_;
+  /// Built by RecoverLocked once the cost model is pinned.
   std::optional<ShardedEngine> sharded_;
 
   /// Serializes mutations, WAL appends and checkpoints (see class comment).

@@ -80,25 +80,26 @@ void AppendDurability(const DurabilityStats& stats, JsonWriter* out) {
       .EndObject();
 }
 
-/// Shared body for all engine shapes: they expose the same
-/// Snapshot()/counters()/top_k() surface, and the schema is identical except
-/// for the sharded engine's extra "shards" key and "per_shard" breakdown and
-/// the durable engine's "durability" object.
+/// Shared body for the sharded engine and its durable wrapper: they expose
+/// the same Snapshot()/counters()/shard_counters()/top_k()/shards() surface,
+/// and the schema is identical except for the durable engine's "durability"
+/// object.
 template <typename Engine>
-std::string WriteReport(const Engine& engine, int shards,
-                        const std::vector<EngineCounters>* per_shard,
+std::string WriteReport(const Engine& engine,
                         const DurabilityStats* durability,
                         const MetricsSnapshot* metrics) {
   const std::shared_ptr<const EngineSnapshot> snap = engine.Snapshot();
   const EngineCounters counters = engine.counters();
+  const std::vector<EngineCounters> per_shard = engine.shard_counters();
 
   JsonWriter json;
   json.BeginObject()
       .Key("schema")
       .String("adalsh-engine-report-v1")
       .Key("top_k")
-      .Int(engine.top_k());
-  if (shards > 0) json.Key("shards").Int(shards);
+      .Int(engine.top_k())
+      .Key("shards")
+      .Int(engine.shards());
 
   // The SIMD dispatch levels the kernels resolved to under this engine's
   // worker count (re-probed at construction when --threads changes) — which
@@ -114,13 +115,13 @@ std::string WriteReport(const Engine& engine, int shards,
   json.Key("counters");
   AppendCounters(counters, &json);
 
-  // Per-shard balance breakdown (sharded engine only): records, bucket
-  // load and work counters per shard, in shard order.
-  if (per_shard != nullptr && !per_shard->empty()) {
+  // Per-shard balance breakdown (once the first ingest built the shards):
+  // records, bucket load and work counters per shard, in shard order.
+  if (!per_shard.empty()) {
     json.Key("per_shard").BeginArray();
-    for (size_t s = 0; s < per_shard->size(); ++s) {
+    for (size_t s = 0; s < per_shard.size(); ++s) {
       json.BeginObject().Key("shard").Uint(s).Key("counters");
-      AppendCounters((*per_shard)[s], &json);
+      AppendCounters(per_shard[s], &json);
       json.EndObject();
     }
     json.EndArray();
@@ -160,26 +161,15 @@ std::string WriteReport(const Engine& engine, int shards,
 
 }  // namespace
 
-std::string WriteEngineReportJson(const ResidentEngine& engine,
-                                  const MetricsSnapshot* metrics) {
-  return WriteReport(engine, /*shards=*/0, /*per_shard=*/nullptr,
-                     /*durability=*/nullptr, metrics);
-}
-
 std::string WriteEngineReportJson(const ShardedEngine& engine,
                                   const MetricsSnapshot* metrics) {
-  const std::vector<EngineCounters> per_shard = engine.shard_counters();
-  return WriteReport(engine, engine.shards(), &per_shard,
-                     /*durability=*/nullptr, metrics);
+  return WriteReport(engine, /*durability=*/nullptr, metrics);
 }
 
 std::string WriteEngineReportJson(const DurableEngine& engine,
                                   const MetricsSnapshot* metrics) {
-  const std::vector<EngineCounters> per_shard = engine.shard_counters();
   const DurabilityStats durability = engine.durability_stats();
-  return WriteReport(engine, engine.shards(),
-                     per_shard.empty() ? nullptr : &per_shard, &durability,
-                     metrics);
+  return WriteReport(engine, &durability, metrics);
 }
 
 }  // namespace adalsh

@@ -57,19 +57,31 @@ class ShardedMergeAccess {
 
 namespace {
 
-/// Folds one shard pass's accounting into an aggregated mutation result:
-/// counters sum, wall time takes the slowest shard (the passes overlap),
-/// round records concatenate in shard order so the per-round sum invariants
-/// of filter_output.h keep holding for the aggregate.
-void AccumulateStats(const FilterStats& in, FilterStats* out) {
+/// Appends `in`'s round records after `out`'s, renumbered so indices stay
+/// 1-based and in order, and sums the work they account for — the per-round
+/// invariants of filter_output.h keep holding for the concatenation.
+void AppendRounds(const FilterStats& in, FilterStats* out) {
+  for (RoundRecord round : in.round_records) {
+    round.round = out->round_records.size() + 1;
+    out->round_records.push_back(std::move(round));
+  }
   out->rounds += in.rounds;
   out->hashes_computed += in.hashes_computed;
   out->pairwise_similarities += in.pairwise_similarities;
   out->modeled_cost += in.modeled_cost;
+}
+
+/// Folds one shard pass into an aggregated mutation result: rounds
+/// concatenate in shard order, counters sum, wall time takes the slowest
+/// shard (the passes overlap), and the per-record snapshots add up (shards
+/// hold disjoint live sets).
+void FoldShardResult(const EngineMutationResult& shard,
+                     EngineMutationResult* result) {
+  const FilterStats& in = shard.stats;
+  FilterStats* out = &result->stats;
+  AppendRounds(in, out);
   out->filtering_seconds = std::max(out->filtering_seconds,
                                     in.filtering_seconds);
-  out->round_records.insert(out->round_records.end(), in.round_records.begin(),
-                            in.round_records.end());
   if (out->records_last_hashed_at.size() < in.records_last_hashed_at.size()) {
     out->records_last_hashed_at.resize(in.records_last_hashed_at.size(), 0);
   }
@@ -79,6 +91,10 @@ void AccumulateStats(const FilterStats& in, FilterStats* out) {
   out->records_finished_by_pairwise += in.records_finished_by_pairwise;
   if (in.termination_reason != TerminationReason::kCompleted) {
     out->termination_reason = in.termination_reason;
+  }
+  result->lock_wait_seconds += shard.lock_wait_seconds;
+  if (shard.refinement != TerminationReason::kCompleted) {
+    result->refinement = shard.refinement;
   }
 }
 
@@ -100,7 +116,7 @@ void AccumulateStats(const FilterStats& in, FilterStats* out) {
 EngineSnapshot MergeShardStatesLocked(
     const MatchRule& rule, const ResidentEngine::Options& tmpl,
     CostModel cost_model,
-    const std::vector<std::unique_ptr<ResidentEngine>>& shards,
+    std::span<const std::unique_ptr<ResidentEngine>> shards,
     ThreadPool* pool) {
   const Instrumentation& instr = tmpl.config.instrumentation;
   TraceRecorder::Span span(instr.trace, "shard_merge", "engine");
@@ -351,6 +367,23 @@ ShardedEngine::ShardedEngine(MatchRule rule, Options options)
 
 ShardedEngine::~ShardedEngine() = default;
 
+ShardedEngine::ShardSpan ShardedEngine::Shards() const {
+  std::lock_guard<std::mutex> lock(id_mu_);
+  return shards_;
+}
+
+uint64_t ShardedEngine::Publish() {
+  const ShardSpan shards = Shards();
+  std::shared_ptr<const EngineSnapshot> shard_snapshot =
+      shards.size() == 1 ? shards.front()->Snapshot() : nullptr;
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  if (shard_snapshot != nullptr &&
+      shard_snapshot->generation > snapshot_->generation) {
+    snapshot_ = std::move(shard_snapshot);
+  }
+  return snapshot_->generation;
+}
+
 Status ShardedEngine::EnsureShardsLocked(
     const std::vector<Record>& prototype_batch) {
   if (!shards_.empty()) return Status::Ok();
@@ -416,11 +449,9 @@ StatusOr<EngineMutationResult> ShardedEngine::Ingest(
     for (size_t i = 0; i < records.size(); ++i) ids.push_back(next_ext_id_++);
   }
 
-  if (records.empty() || shards_.empty()) {
+  if (records.empty()) {
     EngineMutationResult result;
-    result.assigned_ids = ids;
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    result.generation = generation_;
+    result.generation = Publish();
     return result;
   }
   StatusOr<EngineMutationResult> routed =
@@ -462,8 +493,7 @@ StatusOr<EngineMutationResult> ShardedEngine::IngestWithIds(
   }
   if (records.empty()) {
     EngineMutationResult result;
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    result.generation = generation_;
+    result.generation = Publish();
     return result;
   }
   // Liveness collisions are caught by each shard's own IngestWithIds (the
@@ -479,12 +509,13 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
     std::vector<Record> records, const std::vector<ExternalId>& ids,
     const EngineBatchOptions& opts) {
   const Instrumentation& instr = options_.engine.config.instrumentation;
+  const ShardSpan shards = Shards();
   EngineMutationResult result;
 
   // Partition by shard, preserving batch order within each sub-batch (ids
   // stay strictly increasing per shard).
-  std::vector<std::vector<Record>> shard_records(shards_.size());
-  std::vector<std::vector<ExternalId>> shard_ids(shards_.size());
+  std::vector<std::vector<Record>> shard_records(shards.size());
+  std::vector<std::vector<ExternalId>> shard_ids(shards.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const int s = ShardOfExternalId(ids[i], options_.shards);
     shard_records[s].push_back(std::move(records[i]));
@@ -494,7 +525,7 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
   // One thread per involved shard: each sub-batch runs the full per-shard
   // round loop concurrently on disjoint engines.
   std::vector<int> involved;
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < shards.size(); ++s) {
     if (!shard_records[s].empty()) involved.push_back(static_cast<int>(s));
   }
   std::vector<StatusOr<EngineMutationResult>> shard_results(
@@ -506,7 +537,7 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
     TraceRecorder::Span span(instr.trace, "shard_run", "engine");
     span.AddArg("shard", static_cast<double>(s));
     span.AddArg("records", static_cast<double>(shard_records[s].size()));
-    shard_results[idx] = shards_[s]->IngestWithIds(
+    shard_results[idx] = shards[s]->IngestWithIds(
         std::move(shard_records[s]), std::move(shard_ids[s]), opts);
   };
   // An external RunController is Arm()ed by every pass that uses it
@@ -529,38 +560,25 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
 
   for (size_t idx = 0; idx < involved.size(); ++idx) {
     if (!shard_results[idx].ok()) return shard_results[idx].status();
-    const EngineMutationResult& shard = shard_results[idx].value();
-    AccumulateStats(shard.stats, &result.stats);
-    result.lock_wait_seconds += shard.lock_wait_seconds;
-    if (shard.refinement != TerminationReason::kCompleted) {
-      result.refinement = shard.refinement;
-    }
+    FoldShardResult(shard_results[idx].value(), &result);
     if (instr.metrics != nullptr) {
       instr.metrics->AddCounter(
           "shard" + std::to_string(involved[idx]) + "_mutations", 1);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    result.generation = generation_;
-  }
+  result.generation = Publish();
   return result;
 }
 
 StatusOr<EngineMutationResult> ShardedEngine::Remove(
     std::span<const ExternalId> ids, const EngineBatchOptions& opts) {
   const Instrumentation& instr = options_.engine.config.instrumentation;
-  if (shards_.empty()) {
-    if (ids.empty()) {
-      EngineMutationResult result;
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      result.generation = generation_;
-      return result;
-    }
+  const ShardSpan shards = Shards();
+  if (shards.empty() && !ids.empty()) {
     return Status::NotFound("Remove: no live record with id " +
                             std::to_string(ids.front()));
   }
-  std::vector<std::vector<ExternalId>> shard_ids(shards_.size());
+  std::vector<std::vector<ExternalId>> shard_ids(shards.size());
   std::unordered_set<ExternalId> seen;
   for (ExternalId id : ids) {
     if (!seen.insert(id).second) {
@@ -571,41 +589,37 @@ StatusOr<EngineMutationResult> ShardedEngine::Remove(
   }
   // Pre-validate across every involved shard before mutating any of them.
   // Best-effort under races on the same ids (see header).
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < shards.size(); ++s) {
     for (ExternalId id : shard_ids[s]) {
-      if (!shards_[s]->IsLive(id)) {
+      if (!shards[s]->IsLive(id)) {
         return Status::NotFound("Remove: no live record with id " +
                                 std::to_string(id));
       }
     }
   }
   EngineMutationResult result;
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < shards.size(); ++s) {
     if (shard_ids[s].empty()) continue;
     TraceRecorder::Span span(instr.trace, "shard_run", "engine");
     span.AddArg("shard", static_cast<double>(s));
     StatusOr<EngineMutationResult> shard =
-        shards_[s]->Remove(shard_ids[s], opts);
+        shards[s]->Remove(shard_ids[s], opts);
     if (!shard.ok()) return shard.status();
-    AccumulateStats(shard.value().stats, &result.stats);
-    result.lock_wait_seconds += shard.value().lock_wait_seconds;
-    if (shard.value().refinement != TerminationReason::kCompleted) {
-      result.refinement = shard.value().refinement;
-    }
+    FoldShardResult(shard.value(), &result);
     if (instr.metrics != nullptr) {
       instr.metrics->AddCounter("shard" + std::to_string(s) + "_mutations",
                                 1);
     }
   }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  result.generation = generation_;
+  result.generation = Publish();
   return result;
 }
 
 StatusOr<EngineMutationResult> ShardedEngine::Update(
     ExternalId id, Record record, const EngineBatchOptions& opts) {
   const Instrumentation& instr = options_.engine.config.instrumentation;
-  if (shards_.empty()) {
+  const ShardSpan shards = Shards();
+  if (shards.empty()) {
     return Status::NotFound("Update: no live record with id " +
                             std::to_string(id));
   }
@@ -613,14 +627,13 @@ StatusOr<EngineMutationResult> ShardedEngine::Update(
   TraceRecorder::Span span(instr.trace, "shard_run", "engine");
   span.AddArg("shard", static_cast<double>(s));
   StatusOr<EngineMutationResult> shard =
-      shards_[s]->Update(id, std::move(record), opts);
+      shards[s]->Update(id, std::move(record), opts);
   if (!shard.ok()) return shard.status();
   if (instr.metrics != nullptr) {
     instr.metrics->AddCounter("shard" + std::to_string(s) + "_mutations", 1);
   }
   EngineMutationResult result = std::move(shard).value();
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  result.generation = generation_;
+  result.generation = Publish();
   return result;
 }
 
@@ -629,63 +642,61 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
   const Instrumentation& instr = options_.engine.config.instrumentation;
   Timer flush_timer;
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
+  const ShardSpan shards = Shards();
   EngineMutationResult result;
-  if (shards_.empty()) {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    result.generation = generation_;
-    return result;
-  }
   // Complete any shard refinement left unfinished by SLO-interrupted
-  // mutations; the request's options bound these passes only.
-  for (const std::unique_ptr<ResidentEngine>& shard : shards_) {
+  // mutations; the request's options bound these passes only. At S=1 the
+  // flushed shard's snapshot is the global one, published below.
+  for (const std::unique_ptr<ResidentEngine>& shard : shards) {
     StatusOr<EngineMutationResult> flushed = shard->Flush(opts);
     if (!flushed.ok()) return flushed.status();
-    result.lock_wait_seconds += flushed.value().lock_wait_seconds;
-    if (flushed.value().refinement != TerminationReason::kCompleted) {
-      result.refinement = flushed.value().refinement;
-    }
+    FoldShardResult(flushed.value(), &result);
   }
 
-  // The global certification pause: hold every shard's mutation lock (in
-  // ascending shard order — the only multi-lock acquisition in the engine)
-  // while the merge reads shard state and certifies the global top-k.
-  Timer wait_timer;
-  std::vector<std::unique_lock<std::mutex>> shard_locks;
-  shard_locks.reserve(shards_.size());
-  for (const std::unique_ptr<ResidentEngine>& shard : shards_) {
-    shard_locks.emplace_back(ShardedMergeAccess::Mutex(*shard));
+  if (shards.size() >= 2) {
+    // The global certification pause: hold every shard's mutation lock (in
+    // ascending shard order — the only multi-lock acquisition in the
+    // engine) while the merge reads shard state and certifies the global
+    // top-k.
+    Timer wait_timer;
+    std::vector<std::unique_lock<std::mutex>> shard_locks;
+    shard_locks.reserve(shards.size());
+    for (const std::unique_ptr<ResidentEngine>& shard : shards) {
+      shard_locks.emplace_back(ShardedMergeAccess::Mutex(*shard));
+    }
+    result.lock_wait_seconds += wait_timer.ElapsedSeconds();
+    ScopedThreadPool merge_pool(options_.engine.config.threads);
+    Timer merge_timer;
+    auto merged = std::make_shared<EngineSnapshot>(MergeShardStatesLocked(
+        rule_, options_.engine, *shared_cost_model_, shards,
+        merge_pool.get()));
+    const double merge_seconds = merge_timer.ElapsedSeconds();
+    shard_locks.clear();
+    if (instr.metrics != nullptr) {
+      instr.metrics->RecordLatency("shard_merge_seconds", merge_seconds);
+    }
+    // The merge pass, not the shard flushes, certified what is published.
+    result.stats = merged->stats;
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    merged->generation = snapshot_->generation + 1;
+    snapshot_ = std::move(merged);
   }
-  result.lock_wait_seconds += wait_timer.ElapsedSeconds();
-  const int total_threads = options_.engine.config.threads;
-  ScopedThreadPool merge_pool(total_threads);
-  Timer merge_timer;
-  EngineSnapshot merged = MergeShardStatesLocked(
-      rule_, options_.engine, *shared_cost_model_, shards_, merge_pool.get());
-  const double merge_seconds = merge_timer.ElapsedSeconds();
-  shard_locks.clear();
 
   // Per-shard balance gauges, read after the merge released the shard locks
   // (counters() takes each shard's mutation lock itself).
   if (instr.metrics != nullptr) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const EngineCounters c = shards_[s]->counters();
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const EngineCounters c = shards[s]->counters();
       const std::string prefix = "shard" + std::to_string(s);
       instr.metrics->SetGauge(prefix + "_live_records",
                               static_cast<double>(c.live_records));
       instr.metrics->SetGauge(prefix + "_level1_buckets",
                               static_cast<double>(c.level1_buckets));
     }
-    instr.metrics->RecordLatency("shard_merge_seconds", merge_seconds);
     instr.metrics->RecordLatency("shard_flush_seconds",
                                  flush_timer.ElapsedSeconds());
   }
-
-  result.stats = merged.stats;
-  auto snap = std::make_shared<EngineSnapshot>(std::move(merged));
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snap->generation = ++generation_;
-  result.generation = generation_;
-  snapshot_ = std::move(snap);
+  result.generation = Publish();
   return result;
 }
 
@@ -717,7 +728,7 @@ StatusOr<std::vector<ExternalId>> ShardedEngine::Cluster(
 
 EngineCounters ShardedEngine::counters() const {
   EngineCounters total;
-  for (const std::unique_ptr<ResidentEngine>& shard : shards_) {
+  for (const std::unique_ptr<ResidentEngine>& shard : Shards()) {
     const EngineCounters c = shard->counters();
     total.batches += c.batches;
     total.ingested += c.ingested;
@@ -732,21 +743,22 @@ EngineCounters ShardedEngine::counters() const {
     total.total_hashes += c.total_hashes;
     total.total_similarities += c.total_similarities;
   }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  total.generation = generation_;
-  total.live_records = snapshot_->live_records;
+  std::shared_ptr<const EngineSnapshot> snap = Snapshot();
+  total.generation = snap->generation;
+  total.live_records = snap->live_records;
   return total;
 }
 
 bool ShardedEngine::IsLive(ExternalId id) const {
-  if (shards_.empty()) return false;
-  return shards_[ShardOfExternalId(id, options_.shards)]->IsLive(id);
+  const ShardSpan shards = Shards();
+  if (shards.empty()) return false;
+  return shards[ShardOfExternalId(id, options_.shards)]->IsLive(id);
 }
 
 std::vector<std::pair<ExternalId, Record>> ShardedEngine::LiveRecords()
     const {
   std::vector<std::pair<ExternalId, Record>> out;
-  for (const std::unique_ptr<ResidentEngine>& shard : shards_) {
+  for (const std::unique_ptr<ResidentEngine>& shard : Shards()) {
     std::vector<std::pair<ExternalId, Record>> shard_live =
         shard->LiveRecords();
     out.insert(out.end(), std::make_move_iterator(shard_live.begin()),
@@ -763,9 +775,10 @@ std::optional<CostModel> ShardedEngine::cost_model() const {
 }
 
 std::vector<EngineCounters> ShardedEngine::shard_counters() const {
+  const ShardSpan shards = Shards();
   std::vector<EngineCounters> per_shard;
-  per_shard.reserve(shards_.size());
-  for (const std::unique_ptr<ResidentEngine>& shard : shards_) {
+  per_shard.reserve(shards.size());
+  for (const std::unique_ptr<ResidentEngine>& shard : shards) {
     per_shard.push_back(shard->counters());
   }
   return per_shard;
@@ -784,7 +797,19 @@ StatusOr<EngineSnapshot> RunShardedBatch(
   if (!ingested.ok()) return ingested.status();
   StatusOr<EngineMutationResult> flushed = engine.Flush();
   if (!flushed.ok()) return flushed.status();
-  return EngineSnapshot(*engine.Snapshot());
+  // The published snapshot's stats describe the flush alone; the run's are
+  // the ingest's rounds followed by the flush's, with the flush's
+  // Definition 3 snapshot (it treated the same live records last).
+  EngineSnapshot snap(*engine.Snapshot());
+  FilterStats run = std::move(ingested.value().stats);
+  AppendRounds(snap.stats, &run);
+  run.filtering_seconds += snap.stats.filtering_seconds;
+  run.records_last_hashed_at = std::move(snap.stats.records_last_hashed_at);
+  run.records_finished_by_pairwise = snap.stats.records_finished_by_pairwise;
+  run.termination_reason = snap.stats.termination_reason;
+  run.cluster_verification = std::move(snap.stats.cluster_verification);
+  snap.stats = std::move(run);
+  return snap;
 }
 
 }  // namespace adalsh

@@ -28,24 +28,30 @@ namespace adalsh {
 /// never migrates and removals/updates route without any directory lookup.
 int ShardOfExternalId(ExternalId id, int shards);
 
-/// A resident engine over S internal shards. Mutations route to their
-/// record's shard and serialize only on that shard's lock, so writers
-/// touching different shards proceed in parallel — the single-writer-lock
-/// bottleneck this layer exists to remove. Each shard continuously maintains
-/// its own shard-local certified top-k exactly like a standalone
-/// ResidentEngine.
+/// A resident engine over S internal shards — the one engine shape the
+/// durable engine, the serve CLI and the load generator run. Mutations route
+/// to their record's shard and serialize only on that shard's lock, so
+/// writers touching different shards proceed in parallel — the
+/// single-writer-lock bottleneck this layer exists to remove. Each shard
+/// continuously maintains its own shard-local certified top-k exactly like a
+/// standalone ResidentEngine.
 ///
-/// Global certification is deferred: the globally-merged snapshot served by
-/// Snapshot()/TopK()/Cluster() advances only when Flush() runs the
-/// cross-shard merge (per-shard refinement alone cannot certify a global
-/// top-k, because a component split across shards may hold cross-shard merge
-/// evidence no shard ever saw). This is the sharded engine's explicit
-/// certification cadence: mutate freely, Flush() to publish.
+/// Certification cadence depends on S. At S=1 the one shard's snapshot
+/// already is the global certified top-k (the cross-shard merge is the
+/// identity there), so it is published after every mutation — a standalone
+/// ResidentEngine's continuous certification, generation for generation —
+/// and Flush() runs no merge. At S>=2 global certification is deferred: the
+/// globally-merged snapshot served by Snapshot()/TopK()/Cluster() advances
+/// only when Flush() runs the cross-shard merge (per-shard refinement alone
+/// cannot certify a global top-k, because a component split across shards
+/// may hold cross-shard merge evidence no shard ever saw): mutate freely,
+/// Flush() to publish.
 ///
 /// Threading: Ingest/Remove/Update are safe from any thread; a single call
 /// that spans multiple shards applies per shard (see each method). Flush()
 /// serializes against other Flush() calls and briefly locks every shard.
-/// Queries never block on mutations.
+/// Queries never block on mutations, and published generations never move
+/// backwards, whatever order concurrent writers finish in.
 class ShardedEngine {
  public:
   struct Options {
@@ -104,24 +110,25 @@ class ShardedEngine {
                                         const EngineBatchOptions& opts = {});
 
   /// Global certification point: flushes every shard (completing any
-  /// SLO-interrupted shard refinement), then runs the canonical cross-shard
-  /// merge under all shard locks and publishes the merged snapshot. The
-  /// merge itself always runs to completion. `opts` applies to the per-shard
+  /// SLO-interrupted shard refinement); at S>=2 it then runs the canonical
+  /// cross-shard merge under all shard locks and publishes the merged
+  /// snapshot, at S=1 it publishes the flushed shard's snapshot. The merge
+  /// itself always runs to completion. `opts` applies to the per-shard
   /// flushes only.
   StatusOr<EngineMutationResult> Flush(const EngineBatchOptions& opts = {});
 
-  /// The last globally-merged snapshot (generation 0 before the first
-  /// Flush). Mutations since the last Flush are NOT reflected — see the
-  /// class comment on deferred global certification.
+  /// The published global snapshot (generation 0 before the first
+  /// publication). At S>=2 mutations since the last Flush are NOT reflected
+  /// — see the class comment on certification cadence.
   std::shared_ptr<const EngineSnapshot> Snapshot() const;
 
-  /// TopK/Cluster against the last merged snapshot (ResidentEngine
+  /// TopK/Cluster against the published snapshot (ResidentEngine
   /// semantics).
   StatusOr<std::vector<std::vector<ExternalId>>> TopK(int k) const;
   StatusOr<std::vector<ExternalId>> Cluster(ExternalId id) const;
 
   /// Whole-life counters summed across shards; `generation` and
-  /// `live_records` describe the merged snapshot.
+  /// `live_records` describe the published snapshot.
   EngineCounters counters() const;
 
   /// One EngineCounters per shard, in shard order (empty before the first
@@ -152,6 +159,20 @@ class ShardedEngine {
   /// id_mu_.
   Status EnsureShardsLocked(const std::vector<Record>& prototype_batch);
 
+  using ShardSpan = std::span<const std::unique_ptr<ResidentEngine>>;
+
+  /// The shard engines, or none before the first ingest built them. Reads
+  /// shards_ under id_mu_; the span stays valid after the lock is released
+  /// because the vector is filled once, in one locked region, and never
+  /// changes again.
+  ShardSpan Shards() const;
+
+  /// Ends every mutation: at S=1 adopts the shard's snapshot as the
+  /// published one when it is newer (so generations stay monotone when
+  /// concurrent writers finish out of order). Returns the published
+  /// generation.
+  uint64_t Publish();
+
   /// Shared tail of Ingest/IngestWithIds: partitions (records, ids) by
   /// shard, runs the involved shard passes (concurrently unless an external
   /// controller forces serial execution) and aggregates their results. Ids
@@ -163,27 +184,28 @@ class ShardedEngine {
   MatchRule rule_;
   Options options_;
 
-  /// Guards id assignment and lazy shard construction.
+  /// Guards id assignment and the shard list, built by the first ingest.
   mutable std::mutex id_mu_;
   ExternalId next_ext_id_ = 0;
-  std::vector<std::unique_ptr<ResidentEngine>> shards_;
+  std::vector<std::unique_ptr<ResidentEngine>> shards_;  // read via Shards()
   std::optional<CostModel> shared_cost_model_;
   std::optional<Record> prototype_;  // schema reference, set at first ingest
 
-  /// Serializes Flush() merges; publishes through snapshot_mu_.
+  /// Serializes Flush() calls; publishes through snapshot_mu_.
   mutable std::mutex flush_mu_;
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const EngineSnapshot> snapshot_;
-  uint64_t generation_ = 0;
 };
 
 /// One-shot batch entry point (the CLI's `--shards` path): ingests the whole
 /// dataset through a ShardedEngine — one concurrent per-shard batch — then
-/// flushes and returns the merged snapshot. External ids are the dataset's
-/// record indices. With `options.engine.cost_model` unset the model is
-/// calibrated once on the full dataset and shared, so the result is still
-/// identical across shard counts for one process (pin the model to make it
-/// reproducible across runs).
+/// flushes and returns the published snapshot. External ids are the
+/// dataset's record indices. The snapshot's `stats` account for the whole
+/// run: the ingest's rounds followed by the flush's, with the Definition 3
+/// per-record snapshot of the flush. With `options.engine.cost_model` unset
+/// the model is calibrated once on the full dataset and shared, so the
+/// result is still identical across shard counts for one process (pin the
+/// model to make it reproducible across runs).
 StatusOr<EngineSnapshot> RunShardedBatch(const Dataset& dataset,
                                          const MatchRule& rule,
                                          const ShardedEngine::Options& options);

@@ -42,7 +42,8 @@ struct CheckpointData {
 
   /// Shard count of the engine that wrote the checkpoint; a mismatch with
   /// the recovering configuration is a stale-layout error (the id->shard
-  /// routing changed, so per-shard logs no longer line up).
+  /// routing changed, so per-shard logs no longer line up). Checkpoints of
+  /// the retired single-engine shape hold 0, which recovery reads as 1.
   uint32_t shards = 0;
 
   bool has_cost_model = false;

@@ -12,7 +12,7 @@
 
 namespace adalsh {
 
-/// Write-ahead mutation log for the resident/sharded engine
+/// Write-ahead mutation log for the sharded engine
 /// (docs/durability.md). One file per shard engine, append-only, replayed on
 /// startup to reconstruct the mutations that post-date the newest checkpoint.
 ///

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adaptive_lsh.h"
+#include "engine/sharded_executor.h"
 #include "engine_harness.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
@@ -80,9 +81,12 @@ TEST(EngineEquivalenceTest, PureIngestHistoryMatchesBatchFilter) {
   // offline batch filter, and both drive the one shared round loop under
   // the same order key (external id == record id). So they must agree on
   // the ranked top-k, member by member, and on every round after Run's H_1
-  // round (the engine's arrivals take that round's place). The second shape
-  // puts three equal-size clusters across rank k, so the shared tie-break
-  // decides which of them makes the cut.
+  // round (the engine's arrivals take that round's place). The same holds
+  // for the whole-run rounds the batch CLI's --shards=1 path reports
+  // (RunShardedBatch: the ingest's rounds, then the flush's, which has
+  // nothing left to refine). The second shape puts three equal-size
+  // clusters across rank k, so the shared tie-break decides which of them
+  // makes the cut.
   constexpr int kK = 3;
   const std::vector<std::vector<size_t>> shapes = {
       {14, 9, 6, 3, 1, 1}, {14, 9, 6, 6, 6, 3, 1, 1}};
@@ -105,26 +109,40 @@ TEST(EngineEquivalenceTest, PureIngestHistoryMatchesBatchFilter) {
         EXPECT_EQ(output.clusters.UnionOfTopClusters(kK),
                   truth.TopKRecords(kK));
 
+        const std::vector<RoundRecord>& batch_rounds =
+            output.stats.round_records;
+        auto expect_rounds_after_h1 =
+            [&](const std::vector<RoundRecord>& engine_rounds) {
+              ASSERT_EQ(engine_rounds.size() + 1, batch_rounds.size());
+              for (size_t i = 0; i < engine_rounds.size(); ++i) {
+                const RoundRecord& e = engine_rounds[i];
+                const RoundRecord& b = batch_rounds[i + 1];
+                EXPECT_EQ(e.cluster_size, b.cluster_size) << "round " << i + 2;
+                EXPECT_EQ(e.action, b.action) << "round " << i + 2;
+                EXPECT_EQ(e.function_index, b.function_index)
+                    << "round " << i + 2;
+                EXPECT_EQ(e.hashes_computed, b.hashes_computed)
+                    << "round " << i + 2;
+                EXPECT_EQ(e.pairwise_similarities, b.pairwise_similarities)
+                    << "round " << i + 2;
+              }
+            };
+
         ResidentEngine one_batch(generated.rule,
                                  test::EngineOptions(threads, kK));
         auto ingested = one_batch.Ingest(all);
         ASSERT_TRUE(ingested.ok());
         EXPECT_EQ(RankedClusters(one_batch, kK), output.clusters.clusters);
-        const std::vector<RoundRecord>& engine_rounds =
-            ingested.value().stats.round_records;
-        const std::vector<RoundRecord>& batch_rounds =
-            output.stats.round_records;
-        ASSERT_EQ(engine_rounds.size() + 1, batch_rounds.size());
-        for (size_t i = 0; i < engine_rounds.size(); ++i) {
-          const RoundRecord& e = engine_rounds[i];
-          const RoundRecord& b = batch_rounds[i + 1];
-          EXPECT_EQ(e.cluster_size, b.cluster_size) << "round " << i + 2;
-          EXPECT_EQ(e.action, b.action) << "round " << i + 2;
-          EXPECT_EQ(e.function_index, b.function_index) << "round " << i + 2;
-          EXPECT_EQ(e.hashes_computed, b.hashes_computed) << "round " << i + 2;
-          EXPECT_EQ(e.pairwise_similarities, b.pairwise_similarities)
-              << "round " << i + 2;
-        }
+        expect_rounds_after_h1(ingested.value().stats.round_records);
+
+        ShardedEngine::Options sharded;
+        sharded.engine = test::EngineOptions(threads, kK);
+        sharded.shards = 1;
+        auto snap = RunShardedBatch(generated.dataset, generated.rule, sharded);
+        ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+        expect_rounds_after_h1(snap.value().stats.round_records);
+        EXPECT_EQ(snap.value().stats.rounds,
+                  snap.value().stats.round_records.size());
       }
     }
   }

@@ -13,6 +13,7 @@
 #include "core/lsh_blocking.h"
 #include "core/pairs_baseline.h"
 #include "engine/resident_engine.h"
+#include "engine/sharded_executor.h"
 #include "engine_harness.h"
 #include "test_util.h"
 
@@ -145,6 +146,32 @@ TEST_P(FilterStatsTest, ResidentEngineHoldsInvariants) {
 
   ResidentEngine partial(generated.rule, options);
   ExpectInvariants(ingest(&partial, half), half, functions);
+}
+
+TEST_P(FilterStatsTest, ShardedBatchHoldsInvariants) {
+  // RunShardedBatch reports the whole run — the ingest's per-shard rounds
+  // followed by the flush's (at S >= 2 the cross-shard merge's) — over the
+  // whole dataset.
+  GeneratedDataset generated = MakeDataset();
+  const size_t n = generated.dataset.num_records();
+  ShardedEngine::Options options;
+  options.engine = test::EngineOptions(GetParam(), 3);
+  const size_t functions =
+      FunctionSequence::Build(generated.rule, generated.dataset.record(0),
+                              options.engine.config.sequence)
+          .value()
+          .size();
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    options.shards = shards;
+    StatusOr<EngineSnapshot> snap =
+        RunShardedBatch(generated.dataset, generated.rule, options);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ExpectInvariants(snap.value().stats, n, functions);
+    EXPECT_GT(snap.value().stats.rounds, 0u);
+    EXPECT_EQ(snap.value().stats.cluster_verification,
+              snap.value().verification);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, FilterStatsTest, testing::Values(1, 2, 8));

@@ -345,13 +345,19 @@ TEST(ResidentEngineTest, CountersTrackTheWholeLife) {
 }
 
 TEST(ResidentEngineTest, EngineReportCarriesSchemaCountersAndSnapshot) {
+  // The report covers the served engine shape: an S=1 ShardedEngine, whose
+  // ingest publishes at once (continuous certification).
   GeneratedDataset generated = test::MakePlantedDataset({4, 2}, 23);
-  ResidentEngine engine(generated.rule, test::EngineOptions(1, 2));
+  ShardedEngine::Options options;
+  options.engine = test::EngineOptions(1, 2);
+  options.shards = 1;
+  ShardedEngine engine(generated.rule, options);
   ASSERT_TRUE(engine.Ingest(AllRecords(generated.dataset)).ok());
   const std::string report = WriteEngineReportJson(engine);
   for (const char* needle :
-       {"\"schema\":\"adalsh-engine-report-v1\"", "\"counters\"",
-        "\"ingested\":6", "\"snapshot\"", "\"generation\":1",
+       {"\"schema\":\"adalsh-engine-report-v1\"", "\"shards\":1",
+        "\"counters\"", "\"ingested\":6", "\"per_shard\"",
+        "\"snapshot\"", "\"generation\":1",
         "\"cluster_sizes\":[4,2]", "\"refinement\"",
         "\"termination_reason\":\"completed\""}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle << "\n"

@@ -7,13 +7,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/resident_engine.h"
 #include "engine/sharded_executor.h"
 #include "engine_harness.h"
 #include "test_util.h"
@@ -110,8 +113,7 @@ TEST(ShardEquivalenceTest, RandomizedHistoriesAreConfluentAcrossShards) {
 TEST(ShardEquivalenceTest, SkewedMegaClusterStaysIdentical) {
   // One mega-entity plus a long singleton tail: with S >= 2 the mega
   // component is all but guaranteed to span shards, forcing the reopened
-  // producer-0 path through a heavily skewed bucket-size distribution (the
-  // sharded half of the bin_index skew coverage).
+  // producer-0 path through a heavily skewed bucket-size distribution.
   for (uint64_t seed : {5, 12}) {
     GeneratedDataset generated = test::MakePlantedDataset(
         {40, 3, 2, 1, 1, 1, 1, 1, 1, 1}, seed);
@@ -209,6 +211,123 @@ TEST(ShardEquivalenceTest, ConcurrentWritersConvergeAfterFlush) {
             test::ReferenceCanonical(generated.dataset, generated.rule, live,
                                      4));
   EXPECT_EQ(engine.counters().live_records, live.size());
+}
+
+/// Drives a ResidentEngine and an S=1 ShardedEngine through the identical
+/// mutations and checks, after every one, that both report and serve the
+/// same generation and canonical snapshot: S=1 certifies continuously, as
+/// the resident engine does.
+class Lockstep {
+ public:
+  Lockstep(ResidentEngine* resident, ShardedEngine* sharded)
+      : resident_(resident), sharded_(sharded) {}
+
+  StatusOr<EngineMutationResult> Ingest(std::vector<Record> records) {
+    StatusOr<EngineMutationResult> expected = resident_->Ingest(records);
+    return Check(expected, sharded_->Ingest(std::move(records)));
+  }
+  StatusOr<EngineMutationResult> Remove(std::span<const ExternalId> ids) {
+    StatusOr<EngineMutationResult> expected = resident_->Remove(ids);
+    return Check(expected, sharded_->Remove(ids));
+  }
+  StatusOr<EngineMutationResult> Update(ExternalId id, Record record) {
+    StatusOr<EngineMutationResult> expected = resident_->Update(id, record);
+    return Check(expected, sharded_->Update(id, std::move(record)));
+  }
+
+  size_t mutations() const { return mutations_; }
+
+ private:
+  StatusOr<EngineMutationResult> Check(
+      const StatusOr<EngineMutationResult>& expected,
+      StatusOr<EngineMutationResult> actual) {
+    ++mutations_;
+    EXPECT_EQ(expected.ok(), actual.ok()) << "mutation " << mutations_;
+    if (expected.ok() && actual.ok()) {
+      EXPECT_EQ(actual.value().generation, expected.value().generation)
+          << "mutation " << mutations_;
+      EXPECT_EQ(actual.value().assigned_ids, expected.value().assigned_ids)
+          << "mutation " << mutations_;
+    }
+    const std::shared_ptr<const EngineSnapshot> want = resident_->Snapshot();
+    const std::shared_ptr<const EngineSnapshot> got = sharded_->Snapshot();
+    EXPECT_EQ(got->generation, want->generation) << "mutation " << mutations_;
+    EXPECT_EQ(test::CanonicalSnapshot(*got), test::CanonicalSnapshot(*want))
+        << "mutation " << mutations_;
+    return actual;
+  }
+
+  ResidentEngine* resident_;
+  ShardedEngine* sharded_;
+  size_t mutations_ = 0;
+};
+
+TEST(ShardEquivalenceTest, SingleShardCertifiesLikeResidentEngine) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    GeneratedDataset generated =
+        test::MakePlantedDataset(SizesForSeed(seed), seed);
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      ResidentEngine resident(generated.rule,
+                              test::EngineOptions(threads, /*top_k=*/4));
+      ShardedEngine sharded(generated.rule,
+                            ShardedOptions(/*shards=*/1, threads, 4));
+      Lockstep lockstep(&resident, &sharded);
+      test::RunRandomScript(&lockstep, generated.dataset, seed);
+      EXPECT_GT(lockstep.mutations(), 0u);
+      auto flushed = sharded.Flush();
+      ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+      auto expected = resident.Flush();
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(flushed.value().generation, expected.value().generation);
+      EXPECT_EQ(test::CanonicalSnapshot(*sharded.Snapshot()),
+                test::CanonicalSnapshot(*resident.Snapshot()));
+    }
+  }
+}
+
+TEST(ShardEquivalenceTest, FirstIngestRacesWithReaders) {
+  // The first ingest builds the shard engines while other threads already
+  // query and mutate (the TSan target for lazy shard construction): readers
+  // poll counters(), IsLive() and Snapshot() and must see generations that
+  // never move backwards, with two writers racing to ingest first.
+  GeneratedDataset generated = test::MakePlantedDataset({3, 2, 1}, 4);
+  const size_t total = generated.dataset.num_records();
+  for (int shards : {1, 4}) {
+    for (int round = 0; round < 20; ++round) {
+      ShardedEngine engine(generated.rule, ShardedOptions(shards, 2, 2));
+      std::atomic<bool> done{false};
+      std::atomic<int> failures{0};
+      std::thread reader([&] {
+        uint64_t last_generation = 0;
+        while (!done.load(std::memory_order_acquire)) {
+          const EngineCounters counters = engine.counters();
+          (void)engine.IsLive(0);
+          const std::shared_ptr<const EngineSnapshot> snap = engine.Snapshot();
+          if (snap->generation < last_generation ||
+              counters.generation < last_generation) {
+            ++failures;
+          }
+          last_generation = snap->generation;
+        }
+      });
+      std::vector<std::thread> writers;
+      for (size_t w = 0; w < 2; ++w) {
+        writers.emplace_back([&, w] {
+          for (size_t r = w; r < total; r += 2) {
+            if (!engine.Ingest({generated.dataset.record(r)}).ok()) ++failures;
+          }
+        });
+      }
+      for (std::thread& t : writers) t.join();
+      done.store(true, std::memory_order_release);
+      reader.join();
+      ASSERT_EQ(failures.load(), 0) << "shards " << shards;
+      ASSERT_TRUE(engine.Flush().ok());
+      EXPECT_EQ(engine.Snapshot()->live_records, total) << "shards " << shards;
+    }
+  }
 }
 
 TEST(ShardEquivalenceTest, PartitionIsDeterministicAndCovering) {

@@ -97,7 +97,7 @@ std::string StatsDebug(const DurabilityStats& stats) {
 TEST(WalRecoveryTest, FreshDirectoryOpensEmptyAndServes) {
   TempDir dir;
   auto engine = DurableEngine::Open(MatchRule::Leaf(0, 0.5),
-                                    DurableOptions(0, 1, 3, dir.path()));
+                                    DurableOptions(1, 1, 3, dir.path()));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const DurabilityStats stats = engine.value()->durability_stats();
   EXPECT_FALSE(stats.checkpoint_loaded);
@@ -120,7 +120,7 @@ TEST(WalRecoveryTest, FreshDirectoryOpensEmptyAndServes) {
 // replays the WAL through the same confluence contract the differential
 // harness certifies, so any divergence is a durability bug, not noise.
 TEST(WalRecoveryTest, RecoveredEngineMatchesReferenceAcrossSeedsThreadsShards) {
-  constexpr int kShardCounts[] = {0, 1, 4};
+  constexpr int kShardCounts[] = {1, 2, 4};
   constexpr int kThreadCounts[] = {1, 2, 8};
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     GeneratedDataset generated =
@@ -238,7 +238,7 @@ TEST(WalRecoveryTest, AutomaticCheckpointEveryNMutations) {
   GeneratedDataset generated = test::MakePlantedDataset({8}, 5);
   {
     auto engine = DurableEngine::Open(
-        generated.rule, DurableOptions(0, 1, 3, dir.path(),
+        generated.rule, DurableOptions(1, 1, 3, dir.path(),
                                        WalSyncPolicy::kBatch,
                                        /*checkpoint_every_n=*/3));
     ASSERT_TRUE(engine.ok());
@@ -248,7 +248,7 @@ TEST(WalRecoveryTest, AutomaticCheckpointEveryNMutations) {
     EXPECT_GE(engine.value()->durability_stats().checkpoints_written, 2u);
   }
   auto recovered = DurableEngine::Open(
-      generated.rule, DurableOptions(0, 1, 3, dir.path(),
+      generated.rule, DurableOptions(1, 1, 3, dir.path(),
                                      WalSyncPolicy::kBatch,
                                      /*checkpoint_every_n=*/3));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -261,7 +261,7 @@ TEST(WalRecoveryTest, ReopenedSessionsContinueIdAndSeqSpaces) {
   GeneratedDataset generated = test::MakePlantedDataset({12}, 9);
   {
     auto engine = DurableEngine::Open(generated.rule,
-                                      DurableOptions(0, 1, 3, dir.path()));
+                                      DurableOptions(1, 1, 3, dir.path()));
     ASSERT_TRUE(engine.ok());
     auto ingested = engine.value()->Ingest(Slice(generated.dataset, 0, 5));
     ASSERT_TRUE(ingested.ok());
@@ -269,7 +269,7 @@ TEST(WalRecoveryTest, ReopenedSessionsContinueIdAndSeqSpaces) {
   }
   {
     auto engine = DurableEngine::Open(generated.rule,
-                                      DurableOptions(0, 1, 3, dir.path()));
+                                      DurableOptions(1, 1, 3, dir.path()));
     ASSERT_TRUE(engine.ok());
     // External ids must continue past the recovered history, never reuse.
     auto ingested = engine.value()->Ingest(Slice(generated.dataset, 5, 5));
@@ -279,7 +279,7 @@ TEST(WalRecoveryTest, ReopenedSessionsContinueIdAndSeqSpaces) {
     ASSERT_TRUE(engine.value()->Remove(ids).ok());
   }
   auto engine = DurableEngine::Open(generated.rule,
-                                    DurableOptions(0, 1, 3, dir.path()));
+                                    DurableOptions(1, 1, 3, dir.path()));
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ(engine.value()->counters().live_records, 9u);
   auto cluster = engine.value()->Cluster(9);
@@ -292,7 +292,7 @@ TEST(WalRecoveryTest, GarbageTailIsTruncatedWithoutLosingMutations) {
   test::LiveMap live;
   {
     auto engine = DurableEngine::Open(generated.rule,
-                                      DurableOptions(0, 2, 4, dir.path()));
+                                      DurableOptions(1, 2, 4, dir.path()));
     ASSERT_TRUE(engine.ok());
     live = test::RunRandomScript(engine.value().get(), generated.dataset, 4);
   }
@@ -304,7 +304,7 @@ TEST(WalRecoveryTest, GarbageTailIsTruncatedWithoutLosingMutations) {
     out << "torn tail bytes that are not a frame";
   }
   auto recovered = DurableEngine::Open(generated.rule,
-                                       DurableOptions(0, 2, 4, dir.path()));
+                                       DurableOptions(1, 2, 4, dir.path()));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const DurabilityStats stats = recovered.value()->durability_stats();
   EXPECT_TRUE(stats.log_truncated);
@@ -322,7 +322,7 @@ TEST(WalRecoveryTest, BitFlippedTailDropsOnlyTheDamagedSuffix) {
   GeneratedDataset generated = test::MakePlantedDataset({8}, 6);
   {
     auto engine = DurableEngine::Open(generated.rule,
-                                      DurableOptions(0, 1, 3, dir.path()));
+                                      DurableOptions(1, 1, 3, dir.path()));
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 0, 3)).ok());
     ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 3, 2)).ok());
@@ -343,7 +343,7 @@ TEST(WalRecoveryTest, BitFlippedTailDropsOnlyTheDamagedSuffix) {
     file.write(&byte, 1);
   }
   auto recovered = DurableEngine::Open(generated.rule,
-                                       DurableOptions(0, 1, 3, dir.path()));
+                                       DurableOptions(1, 1, 3, dir.path()));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const DurabilityStats stats = recovered.value()->durability_stats();
   EXPECT_TRUE(stats.log_truncated);
@@ -395,7 +395,7 @@ TEST(WalRecoveryTest, PermanentAppendFailureDegradesToReadOnly) {
   TempDir dir;
   GeneratedDataset generated = test::MakePlantedDataset({6}, 8);
   auto engine = DurableEngine::Open(generated.rule,
-                                    DurableOptions(0, 1, 3, dir.path()));
+                                    DurableOptions(1, 1, 3, dir.path()));
   ASSERT_TRUE(engine.ok());
   ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 0, 4)).ok());
 
@@ -432,7 +432,7 @@ TEST(WalRecoveryTest, PermanentSyncFailureUnderAlwaysDegrades) {
   GeneratedDataset generated = test::MakePlantedDataset({6}, 8);
   auto engine = DurableEngine::Open(
       generated.rule,
-      DurableOptions(0, 1, 3, dir.path(), WalSyncPolicy::kAlways));
+      DurableOptions(1, 1, 3, dir.path(), WalSyncPolicy::kAlways));
   ASSERT_TRUE(engine.ok());
 
   FaultInjector injector;
@@ -449,7 +449,7 @@ TEST(WalRecoveryTest, TransientSyncFailureIsRetriedInvisibly) {
   GeneratedDataset generated = test::MakePlantedDataset({6}, 8);
   auto engine = DurableEngine::Open(
       generated.rule,
-      DurableOptions(0, 1, 3, dir.path(), WalSyncPolicy::kAlways));
+      DurableOptions(1, 1, 3, dir.path(), WalSyncPolicy::kAlways));
   ASSERT_TRUE(engine.ok());
 
   FaultInjector injector;
@@ -467,7 +467,7 @@ TEST(WalRecoveryTest, ReplayFaultFailsOpenGracefully) {
   GeneratedDataset generated = test::MakePlantedDataset({6}, 8);
   {
     auto engine = DurableEngine::Open(generated.rule,
-                                      DurableOptions(0, 1, 3, dir.path()));
+                                      DurableOptions(1, 1, 3, dir.path()));
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 0, 3)).ok());
   }
@@ -476,7 +476,7 @@ TEST(WalRecoveryTest, ReplayFaultFailsOpenGracefully) {
                   Status::FailedPrecondition("injected replay error"));
   ScopedFaultInjector installed(&injector);
   auto recovered = DurableEngine::Open(generated.rule,
-                                       DurableOptions(0, 1, 3, dir.path()));
+                                       DurableOptions(1, 1, 3, dir.path()));
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -491,7 +491,7 @@ TEST(WalRecoveryTest, StaleShardLayoutIsRejected) {
     ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 0, 8)).ok());
     ASSERT_TRUE(engine.value()->Checkpoint().ok());
   }
-  for (int wrong_shards : {0, 2}) {
+  for (int wrong_shards : {1, 2}) {
     auto reopened = DurableEngine::Open(
         generated.rule, DurableOptions(wrong_shards, 1, 3, dir.path()));
     ASSERT_FALSE(reopened.ok()) << "shards=" << wrong_shards;
@@ -524,11 +524,60 @@ TEST(WalRecoveryTest, CheckpointShardMismatchIsRejectedWithoutLogs) {
             std::string::npos);
 }
 
+TEST(WalRecoveryTest, ShardCountZeroCheckpointOpensAtOneShard) {
+  // Checkpoints written before the single-engine shape was folded into S=1
+  // record shards=0. Their directories have the S=1 layout (one wal-0.log,
+  // one-part frames), so they reopen at S=1 with the live set intact, and
+  // any other shard count is still a stale layout.
+  TempDir dir;
+  GeneratedDataset generated = test::MakePlantedDataset({4, 3, 1}, 13);
+  CheckpointData data;
+  data.last_seq = 5;
+  data.shards = 0;
+  test::LiveMap live;
+  for (size_t r = 0; r < generated.dataset.num_records(); ++r) {
+    const ExternalId id = 2 * r;  // sparse, as after removals
+    data.ids.push_back(id);
+    data.records.push_back(generated.dataset.record(r));
+    live[id] = r;
+  }
+  data.next_external_id = data.ids.back() + 1;
+  ASSERT_TRUE(WriteCheckpoint(dir.path(), data).ok());
+
+  auto mismatched = DurableEngine::Open(generated.rule,
+                                        DurableOptions(2, 1, 3, dir.path()));
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(mismatched.status().message().find("stale shard layout"),
+            std::string::npos);
+
+  auto opened = DurableEngine::Open(generated.rule,
+                                    DurableOptions(1, 1, 3, dir.path()));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const DurabilityStats stats = opened.value()->durability_stats();
+  EXPECT_TRUE(stats.checkpoint_loaded);
+  EXPECT_EQ(stats.checkpoint_seq, 5u);
+  EXPECT_EQ(test::CanonicalSnapshot(*opened.value()->Snapshot()),
+            test::ReferenceCanonical(generated.dataset, generated.rule, live,
+                                     3));
+  auto ingested = opened.value()->Ingest(Slice(generated.dataset, 0, 1));
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(ingested.value().assigned_ids.front(), data.next_external_id);
+}
+
+TEST(WalRecoveryTest, ShardCountZeroIsRefused) {
+  TempDir dir;
+  auto opened = DurableEngine::Open(MatchRule::Leaf(0, 0.5),
+                                    DurableOptions(0, 1, 3, dir.path()));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(WalRecoveryTest, EngineReportCarriesDurabilityPlane) {
   TempDir dir;
   GeneratedDataset generated = test::MakePlantedDataset({5}, 3);
   auto engine = DurableEngine::Open(generated.rule,
-                                    DurableOptions(0, 1, 3, dir.path()));
+                                    DurableOptions(1, 1, 3, dir.path()));
   ASSERT_TRUE(engine.ok());
   ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 0, 5)).ok());
   const std::string report = WriteEngineReportJson(*engine.value());

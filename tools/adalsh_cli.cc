@@ -94,14 +94,14 @@
 // or binary-garbage line answers `err ...` and the session continues —
 // stdin hardening for the long-lived server (docs/robustness.md).
 //
-// --shards=S serves a ShardedEngine (docs/sharding.md): mutations route to
-// their record's shard and serialize only on that shard's lock; the
-// snapshot served by topk/cluster advances only at `flush`, which runs the
-// canonical cross-shard merge (deferred global certification). --shards=0
-// (default) keeps the single resident engine with its continuous
-// certification — the default transcript is unchanged.
+// --shards=S (default 1, S >= 1) sets the ShardedEngine's partition width
+// (docs/sharding.md): mutations route to their record's shard and serialize
+// only on that shard's lock. At S=1 every mutation publishes a new snapshot
+// (continuous certification); at S >= 2 the snapshot served by topk/cluster
+// advances only at `flush`, which runs the canonical cross-shard merge
+// (deferred global certification).
 //
-// Runs a ResidentEngine and speaks a newline-delimited protocol on
+// Runs the engine and speaks a newline-delimited protocol on
 // stdin/stdout (one reply line — or cluster lines followed by an "ok" line —
 // per command; failures answer "err <message>" and the session continues):
 //   add <csv row>        stage a record (parsed under --columns)
@@ -155,7 +155,6 @@
 #include "distance/rule_parser.h"
 #include "engine/durability.h"
 #include "engine/engine_report.h"
-#include "engine/resident_engine.h"
 #include "engine/sharded_executor.h"
 #include "eval/metrics.h"
 #include "eval/recovery.h"
@@ -274,7 +273,7 @@ int RunServe(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt("max-pairwise", 0));
   uint64_t max_hashes = static_cast<uint64_t>(flags.GetInt("max-hashes", 0));
   std::string simd = flags.GetString("simd", "");
-  int shards = static_cast<int>(flags.GetInt("shards", 0));
+  int shards = static_cast<int>(flags.GetInt("shards", 1));
   std::string trace_path = flags.GetString("trace-out", "");
   int64_t trace_max_spans = flags.GetInt("trace-max-spans", 100000);
   std::string metrics_out = flags.GetString("metrics-out", "");
@@ -295,7 +294,7 @@ int RunServe(int argc, char** argv) {
   }
   if (k < 1) return Fail("--k must be >= 1");
   if (threads < 0) return Fail("--threads must be >= 1");
-  if (shards < 0) return Fail("--shards must be >= 0");
+  if (shards < 1) return Fail("--shards must be >= 1");
   if (trace_max_spans < 0) return Fail("--trace-max-spans must be >= 0");
   if (metrics_interval_ms < 0.0) {
     return Fail("--metrics-interval-ms must be >= 0");
@@ -380,11 +379,9 @@ int RunServe(int argc, char** argv) {
   watchdog_options.min_samples = static_cast<size_t>(watchdog_min_samples);
   SlowOpWatchdog watchdog(watchdog_options, &std::cerr);
 
-  // One of the three engine shapes, behind a uniform mutation/query
-  // surface; none is movable (mutex members), so construct in place. With
-  // --data-dir the durable wrapper owns whichever inner shape --shards
-  // picked and recovers it from disk before serving (docs/durability.md).
-  std::optional<ResidentEngine> resident;
+  // The sharded engine, or with --data-dir the durable wrapper that owns
+  // one and recovers it from disk before serving (docs/durability.md).
+  // Neither is movable (mutex members), so construct in place.
   std::optional<ShardedEngine> sharded;
   std::unique_ptr<DurableEngine> durable;
   if (!data_dir.empty()) {
@@ -407,44 +404,31 @@ int RunServe(int argc, char** argv) {
               << " frames_replayed=" << recovered.frames_replayed
               << " frames_discarded=" << recovered.frames_discarded
               << " live=" << durable->counters().live_records << "\n";
-  } else if (shards > 0) {
+  } else {
     ShardedEngine::Options sharded_options;
     sharded_options.engine = std::move(options);
     sharded_options.shards = shards;
     sharded.emplace(*rule, std::move(sharded_options));
-  } else {
-    resident.emplace(*rule, std::move(options));
   }
   auto ingest = [&](std::vector<Record> records) {
-    return durable  ? durable->Ingest(std::move(records))
-           : sharded ? sharded->Ingest(std::move(records))
-                     : resident->Ingest(std::move(records));
+    return durable ? durable->Ingest(std::move(records))
+                   : sharded->Ingest(std::move(records));
   };
   auto remove = [&](const std::vector<ExternalId>& ids) {
-    return durable  ? durable->Remove(ids)
-           : sharded ? sharded->Remove(ids)
-                     : resident->Remove(ids);
+    return durable ? durable->Remove(ids) : sharded->Remove(ids);
   };
   auto update = [&](ExternalId id, Record record) {
-    return durable  ? durable->Update(id, std::move(record))
-           : sharded ? sharded->Update(id, std::move(record))
-                     : resident->Update(id, std::move(record));
+    return durable ? durable->Update(id, std::move(record))
+                   : sharded->Update(id, std::move(record));
   };
-  auto flush = [&]() {
-    return durable  ? durable->Flush()
-           : sharded ? sharded->Flush()
-                     : resident->Flush();
-  };
+  auto flush = [&]() { return durable ? durable->Flush() : sharded->Flush(); };
   auto snapshot = [&]() {
-    return durable  ? durable->Snapshot()
-           : sharded ? sharded->Snapshot()
-                     : resident->Snapshot();
+    return durable ? durable->Snapshot() : sharded->Snapshot();
   };
   auto stats_json = [&]() {
     const MetricsSnapshot snapshot = metrics.Snapshot();
-    return durable  ? WriteEngineReportJson(*durable, &snapshot)
-           : sharded ? WriteEngineReportJson(*sharded, &snapshot)
-                     : WriteEngineReportJson(*resident, &snapshot);
+    return durable ? WriteEngineReportJson(*durable, &snapshot)
+                   : WriteEngineReportJson(*sharded, &snapshot);
   };
 
   // One adalsh-metrics-v1 line per emission, shared by the `metrics`

@@ -49,7 +49,7 @@ serve_session() {
   return "$status"
 }
 
-# The deterministic mutation stream. With --shards=0 and the cost model
+# The deterministic mutation stream. With --shards=1 and the cost model
 # pinned on the command line, each mutation appends exactly one WAL frame:
 #   frame 1  commit  (ingest ids 0,1)
 #   frame 2  commit  (ingest id 2)
@@ -112,30 +112,30 @@ crash_case() {
   echo "crash_smoke: $name OK (crash at $crash, matches $ref)"
 }
 
-# References: the full state and the two prefixes the resident kill points
+# References: the full state and the two prefixes the single-shard kill points
 # land on.
-make_reference full 0 "${mutations[@]}"
-make_reference prefix2 0 "${mutations[@]:0:5}"   # through the second commit
-make_reference prefix4 0 "${mutations[@]:0:7}"   # through the remove
+make_reference full 1 "${mutations[@]}"
+make_reference prefix2 1 "${mutations[@]:0:5}"   # through the second commit
+make_reference prefix4 1 "${mutations[@]:0:7}"   # through the remove
 
-# --- Kill-point matrix, resident engine -------------------------------------
+# --- Kill-point matrix, one shard -------------------------------------------
 
 # The trigger fires before the pwrite: frame 3 (the update) is never
 # written, frames 1-2 survive.
-crash_case append3 0 wal_append:3 prefix2 "${mutations[@]}"
+crash_case append3 1 wal_append:3 prefix2 "${mutations[@]}"
 
 # The trigger fires before the fsync: frame 4 (the remove) is already in
 # the file and a process kill does not empty the page cache, so frames 1-4
 # survive.
-crash_case sync4 0 wal_sync:4 prefix4 "${mutations[@]}"
+crash_case sync4 1 wal_sync:4 prefix4 "${mutations[@]}"
 
 # Checkpoint kill points: the crash lands inside the `checkpoint` command
 # after every mutation frame is durable, so recovery replays the full log.
 # Hit 1 is before the temp file is written (no trace may remain), hit 2 is
 # after the temp fsync but before the rename (the half-baked temp must be
 # ignored and pruned).
-crash_case ckpt_temp 0 checkpoint_write:1 full "${mutations[@]}" "checkpoint"
-crash_case ckpt_rename 0 checkpoint_write:2 full "${mutations[@]}" "checkpoint"
+crash_case ckpt_temp 1 checkpoint_write:1 full "${mutations[@]}" "checkpoint"
+crash_case ckpt_rename 1 checkpoint_write:2 full "${mutations[@]}" "checkpoint"
 # The orphaned .tmp may survive until the next successful checkpoint prunes
 # it, but no completed checkpoint may have become visible.
 if find "$scratch/case_ckpt_rename" -name 'checkpoint-*' ! -name '*.tmp' \
@@ -151,15 +151,15 @@ dir="$scratch/case_replay"
 mkdir -p "$dir"
 status=0
 serve_session "$dir" "$scratch/case_replay.mut" "$scratch/case_replay.muterr" \
-  0 "" "${mutations[@]}" "quit" || fail "replay case: mutation session failed"
+  1 "" "${mutations[@]}" "quit" || fail "replay case: mutation session failed"
 serve_session "$dir" "$scratch/case_replay.crash" \
-  "$scratch/case_replay.crasherr" 0 recovery_replay:2 "${query[@]}" \
+  "$scratch/case_replay.crasherr" 1 recovery_replay:2 "${query[@]}" \
   || status=$?
 if [[ "$status" -ne 42 ]]; then
   fail "replay case: expected _Exit(42) during replay, got exit $status"
 fi
 serve_session "$dir" "$scratch/case_replay.query" "$scratch/case_replay.qerr" \
-  0 "" "${query[@]}" || fail "replay case: second restart failed"
+  1 "" "${query[@]}" || fail "replay case: second restart failed"
 if ! diff -u "$scratch/ref_full.query" "$scratch/case_replay.query"; then
   fail "replay case: state after crash-during-recovery deviates"
 fi
@@ -173,11 +173,11 @@ echo "crash_smoke: replay OK (crash at recovery_replay:2, matches full)"
 dir="$scratch/case_torn"
 mkdir -p "$dir"
 serve_session "$dir" "$scratch/case_torn.mut" "$scratch/case_torn.muterr" \
-  0 "" "${mutations[@]}" "quit" || fail "torn case: mutation session failed"
+  1 "" "${mutations[@]}" "quit" || fail "torn case: mutation session failed"
 [[ -s "$dir/wal-0.log" ]] || fail "torn case: wal-0.log missing or empty"
 truncate -s -7 "$dir/wal-0.log"
 serve_session "$dir" "$scratch/case_torn.query" "$scratch/case_torn.qerr" \
-  0 "" "${query[@]}" || fail "torn case: restart after truncate failed"
+  1 "" "${query[@]}" || fail "torn case: restart after truncate failed"
 grep -q 'invalid frame' "$scratch/case_torn.qerr" \
   || fail "torn case: restart printed no torn-tail warning"
 if ! diff -u "$scratch/ref_prefix4.query" "$scratch/case_torn.query"; then

@@ -1,7 +1,7 @@
-// In-process load generator for the resident engine (docs/engine.md) and its
-// sharded counterpart (docs/sharding.md): replays a randomized mutation
-// history — batched ingests with interleaved removes and updates over a
-// Cora-like workload, split across one or more writer threads — while reader
+// In-process load generator for the sharded engine (docs/engine.md,
+// docs/sharding.md): replays a randomized mutation history — batched
+// ingests with interleaved removes and updates over a Cora-like workload,
+// split across one or more writer threads — while reader
 // threads concurrently hammer TopK/Cluster against the published snapshots,
 // then reports throughput and latency percentiles as a JSON document (schema
 // adalsh-engine-loadgen-v1).
@@ -11,10 +11,9 @@
 // a torn snapshot fails the run instead of skewing the numbers.
 //
 // Every mutation's time spent waiting for the engine lock (summed across
-// shard locks in the sharded engine) feeds the lock_wait histogram — the
-// before/after signal for the sharded engine's multi-writer claim: with
-// --writers=4 the resident engine's single lock shows the queueing that
-// --shards=4 removes.
+// shard locks) feeds the lock_wait histogram — the before/after signal for
+// the sharded engine's multi-writer claim: with --writers=4 the single lock
+// of --shards=1 shows the queueing that --shards=4 removes.
 //
 // Flags:
 //   --records=N     dataset size to stream in (default 800)
@@ -22,7 +21,7 @@
 //   --batch=N       max records per ingest batch (default 32)
 //   --readers=N     concurrent query threads (default 2)
 //   --writers=N     concurrent mutation threads (default 1)
-//   --shards=N      0 = ResidentEngine; >=1 = ShardedEngine with N shards
+//   --shards=N      shard count, >= 1 (default 1)
 //   --threads=N     engine worker threads, 0 = hardware (default 0)
 //   --k=N           maintained top-k (default 10)
 //   --seed=N        workload + history seed (default 1)
@@ -48,7 +47,6 @@
 
 #include "datagen/cora_like.h"
 #include "engine/durability.h"
-#include "engine/resident_engine.h"
 #include "engine/sharded_executor.h"
 #include "obs/histogram.h"
 #include "obs/json_writer.h"
@@ -240,7 +238,7 @@ struct DriveConfig {
   size_t max_batch;
   int readers;
   int writers;
-  int shards;  // 0 = resident engine
+  int shards;
   int threads;
   int top_k;
   uint64_t seed;
@@ -252,7 +250,7 @@ struct DriveConfig {
 
 // Runs the full load: reader threads polling, writer threads replaying
 // disjoint strided slices of the shuffled history, one final Flush, then the
-// JSON report. Works identically over ResidentEngine and ShardedEngine.
+// JSON report. Works identically over ShardedEngine and DurableEngine.
 template <typename Engine>
 int Drive(Engine* engine, const GeneratedDataset& workload,
           const DriveConfig& cfg) {
@@ -367,8 +365,7 @@ int Drive(Engine* engine, const GeneratedDataset& workload,
   WriteLatency(&json, "remove", Summarize(&remove_us));
   WriteLatency(&json, "update", Summarize(&update_us));
   // Time each mutation spent queueing for the engine lock (summed across
-  // shard locks when sharded) — the contention the sharded engine exists to
-  // relieve.
+  // shard locks) — the contention the sharded engine exists to relieve.
   WriteHistogramLatency(&json, "lock_wait", lock_wait, /*scale=*/1e3, "ms");
   json.EndObject().Key("queries").BeginObject().Key("observations").Uint(
       observations);
@@ -437,7 +434,7 @@ int Run(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("batch", cfg.smoke ? 8 : 32));
   cfg.readers = static_cast<int>(flags.GetInt("readers", 2));
   cfg.writers = static_cast<int>(flags.GetInt("writers", 1));
-  cfg.shards = static_cast<int>(flags.GetInt("shards", 0));
+  cfg.shards = static_cast<int>(flags.GetInt("shards", 1));
   cfg.threads = static_cast<int>(flags.GetInt("threads", 0));
   cfg.top_k = static_cast<int>(flags.GetInt("k", 10));
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
@@ -448,7 +445,7 @@ int Run(int argc, char** argv) {
   ADALSH_CHECK(cfg.records > 0 && cfg.max_batch > 0 && cfg.readers >= 0) <<
                "need --records > 0, --batch > 0, --readers >= 0";
   ADALSH_CHECK(cfg.writers >= 1) << "need --writers >= 1";
-  ADALSH_CHECK(cfg.shards >= 0) << "need --shards >= 0";
+  ADALSH_CHECK(cfg.shards >= 1) << "need --shards >= 1";
 
   CoraLikeConfig data_config;
   data_config.num_records = cfg.records;
@@ -478,14 +475,10 @@ int Run(int argc, char** argv) {
     ADALSH_CHECK(engine.ok()) << engine.status().message();
     return Drive(engine.value().get(), workload, cfg);
   }
-  if (cfg.shards > 0) {
-    ShardedEngine::Options sharded_options;
-    sharded_options.engine = options;
-    sharded_options.shards = cfg.shards;
-    ShardedEngine engine(workload.rule, sharded_options);
-    return Drive(&engine, workload, cfg);
-  }
-  ResidentEngine engine(workload.rule, options);
+  ShardedEngine::Options sharded_options;
+  sharded_options.engine = options;
+  sharded_options.shards = cfg.shards;
+  ShardedEngine engine(workload.rule, sharded_options);
   return Drive(&engine, workload, cfg);
 }
 

@@ -5,10 +5,11 @@
 # clusters, removals, error replies, input-hardening rejections (an oversized
 # line and a line with control bytes, docs/robustness.md), and a flush — and
 # diffs the transcript against tests/golden/engine_smoke.golden
-# byte-for-byte. The session pins
-# the cost model and seed, so the transcript is reproducible at any thread
-# count; a second session checks the (wall-clock-bearing, so not
-# byte-diffable) `stats` report carries the engine-report schema.
+# byte-for-byte, at the default shape and with an explicit --shards=1, each
+# at 1 and 8 worker threads. The session pins the cost model and seed, so
+# the transcript is reproducible at any thread count. A refused --shards=0
+# and a second session checking that the (wall-clock-bearing, so not
+# byte-diffable) `stats` report carries the engine-report schema follow.
 #
 # Wired into ctest as `engine_smoke` (mirrors tools/trace_smoke.sh).
 #
@@ -35,70 +36,61 @@ serve=("$cli" serve --columns=text "--rule=leaf(0;0.5)" --k=3 --threads=1
 long_line="add $(printf 'x%.0s' $(seq 1 300))"
 ctrl_line=$'add alpha\x01beta'
 
-printf '%s\n' \
-  "topk" \
-  "add alpha beta gamma delta epsilon zeta eta theta" \
-  "add alpha beta gamma delta epsilon zeta eta iota" \
-  "add alpha beta kappa delta epsilon zeta eta theta" \
-  "add red orange yellow green blue indigo violet pink" \
-  "add red orange yellow green blue indigo violet black" \
-  "commit" \
-  "topk" \
-  "cluster 1" \
-  "add red orange cyan green blue indigo violet pink" \
-  "add lonely solitary single unique alone only sole one" \
-  "commit" \
-  "topk" \
-  "update 4 alpha beta gamma delta epsilon zeta kappa theta" \
-  "topk" \
-  "remove 0 1" \
-  "topk" \
-  "remove 99" \
-  "bogus" \
-  "$long_line" \
-  "$ctrl_line" \
-  "topk" \
-  "flush" \
-  "quit" \
-  | "${serve[@]}" > "$transcript"
+session=(
+  "topk"
+  "add alpha beta gamma delta epsilon zeta eta theta"
+  "add alpha beta gamma delta epsilon zeta eta iota"
+  "add alpha beta kappa delta epsilon zeta eta theta"
+  "add red orange yellow green blue indigo violet pink"
+  "add red orange yellow green blue indigo violet black"
+  "commit"
+  "topk"
+  "cluster 1"
+  "add red orange cyan green blue indigo violet pink"
+  "add lonely solitary single unique alone only sole one"
+  "commit"
+  "topk"
+  "update 4 alpha beta gamma delta epsilon zeta kappa theta"
+  "topk"
+  "remove 0 1"
+  "topk"
+  "remove 99"
+  "bogus"
+  "$long_line"
+  "$ctrl_line"
+  "topk"
+  "flush"
+  "quit"
+)
 
-if ! diff -u "$golden" "$transcript"; then
-  echo "FAIL: serve transcript deviates from $golden" >&2
+# replay <transcript> <extra serve flags...> — runs the session and diffs
+# its transcript against the golden byte-for-byte.
+replay() {
+  local out="$1"
+  shift
+  printf '%s\n' "${session[@]}" | "${serve[@]}" "$@" > "$out"
+  if ! diff -u "$golden" "$out"; then
+    echo "FAIL: serve transcript with [$*] deviates from $golden" >&2
+    exit 1
+  fi
+}
+
+# The default shape, then an explicit --shards=1 (the same engine: one shard
+# certifies continuously). The transcript must also be thread-count
+# independent: the same bytes at 8 worker threads.
+replay "$transcript"
+replay "$transcript.s1" --shards=1
+replay "$transcript.t8" --threads=8
+replay "$transcript.s1t8" --shards=1 --threads=8
+
+# There is no engine shape below one shard: --shards=0 is refused.
+if printf 'quit\n' | "${serve[@]}" --shards=0 > /dev/null 2> "$scratch/s0.err"
+then
+  echo "FAIL: serve accepted --shards=0" >&2
   exit 1
 fi
-
-# The transcript above must be thread-count-independent: replay it at 8
-# worker threads and expect the identical bytes.
-threaded=("${serve[@]}")
-threaded=("${threaded[@]/--threads=1/--threads=8}")
-printf '%s\n' \
-  "topk" \
-  "add alpha beta gamma delta epsilon zeta eta theta" \
-  "add alpha beta gamma delta epsilon zeta eta iota" \
-  "add alpha beta kappa delta epsilon zeta eta theta" \
-  "add red orange yellow green blue indigo violet pink" \
-  "add red orange yellow green blue indigo violet black" \
-  "commit" \
-  "topk" \
-  "cluster 1" \
-  "add red orange cyan green blue indigo violet pink" \
-  "add lonely solitary single unique alone only sole one" \
-  "commit" \
-  "topk" \
-  "update 4 alpha beta gamma delta epsilon zeta kappa theta" \
-  "topk" \
-  "remove 0 1" \
-  "topk" \
-  "remove 99" \
-  "bogus" \
-  "$long_line" \
-  "$ctrl_line" \
-  "topk" \
-  "flush" \
-  "quit" \
-  | "${threaded[@]}" > "$transcript.t8"
-if ! diff -u "$golden" "$transcript.t8"; then
-  echo "FAIL: serve transcript differs at --threads=8" >&2
+if ! grep -q -- '--shards must be >= 1' "$scratch/s0.err"; then
+  echo "FAIL: serve --shards=0 did not explain its refusal" >&2
   exit 1
 fi
 

@@ -29,7 +29,9 @@
 #
 # docs/sharding.md requires the TSan run for any change to the sharded
 # executor or the cross-shard merge (shard locks are taken in bulk at Flush
-# while per-shard mutations and global queries proceed concurrently):
+# while per-shard mutations and global queries proceed concurrently; the
+# first ingest builds the shards while readers and other writers race it —
+# ShardEquivalenceTest.FirstIngestRacesWithReaders in shard_equivalence):
 #
 #   tools/run_sanitized_tests.sh thread -R 'shard_equivalence|shard_parity'
 #

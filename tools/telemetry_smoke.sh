@@ -115,7 +115,7 @@ check_exports() {
   fi
 }
 
-for shards in 0 2; do
+for shards in 1 2; do
   tag="shards=$shards"
   jsonl="$scratch/metrics_s$shards.jsonl"
   prom="$jsonl.prom"
