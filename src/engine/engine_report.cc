@@ -101,9 +101,9 @@ std::string WriteReport(const Engine& engine,
       .Key("shards")
       .Int(engine.shards());
 
-  // The SIMD dispatch levels the kernels resolved to under this engine's
-  // worker count (re-probed at construction when --threads changes) — which
-  // code paths produced the numbers below, not a result-affecting choice.
+  // The SIMD level the kernels dispatch to (the pin, else the widest
+  // hardware level) — which code paths produced the numbers below, not a
+  // result-affecting choice.
   json.Key("simd")
       .BeginObject()
       .Key("dot")

@@ -9,7 +9,6 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "util/check.h"
-#include "util/simd_kernels.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -73,12 +72,6 @@ ResidentEngine::ResidentEngine(MatchRule rule, Options options)
   Status valid = ValidateConfig(options_.config);
   ADALSH_CHECK(valid.ok()) << valid.ToString();
   ADALSH_CHECK_GE(options_.top_k, 1) << "ResidentEngine top_k must be >= 1";
-  // --threads determines the load regime the SIMD kernels run under; if the
-  // worker count changed since the last probe, re-resolve the dispatch
-  // levels for it (simd_kernels.h — speed re-pick only, results identical).
-  simd::NotifyWorkerCount(options_.config.threads > 0
-                              ? options_.config.threads
-                              : ThreadPool::HardwareConcurrency());
   // Generation 0: the published view before any completed refinement.
   snapshot_ = std::make_shared<EngineSnapshot>();
 }

@@ -430,35 +430,7 @@ Status ShardedEngine::EnsureShardsLocked(
 
 StatusOr<EngineMutationResult> ShardedEngine::Ingest(
     std::vector<Record> records, const EngineBatchOptions& opts) {
-  std::vector<ExternalId> ids;
-  {
-    std::lock_guard<std::mutex> lock(id_mu_);
-    if (!records.empty()) {
-      const Record& prototype =
-          prototype_.has_value() ? *prototype_ : records.front();
-      for (size_t i = 0; i < records.size(); ++i) {
-        Status schema =
-            ResidentEngine::CheckRecordSchema(prototype, records[i], i);
-        if (!schema.ok()) return schema;
-      }
-      Status init = EnsureShardsLocked(records);
-      if (!init.ok()) return init;
-      if (!prototype_.has_value()) prototype_ = records.front();
-    }
-    ids.reserve(records.size());
-    for (size_t i = 0; i < records.size(); ++i) ids.push_back(next_ext_id_++);
-  }
-
-  if (records.empty()) {
-    EngineMutationResult result;
-    result.generation = Publish();
-    return result;
-  }
-  StatusOr<EngineMutationResult> routed =
-      RouteIngest(std::move(records), ids, opts);
-  if (!routed.ok()) return routed.status();
-  routed.value().assigned_ids = std::move(ids);
-  return routed;
+  return RouteIngest(std::move(records), std::nullopt, opts);
 }
 
 StatusOr<EngineMutationResult> ShardedEngine::IngestWithIds(
@@ -475,41 +447,57 @@ StatusOr<EngineMutationResult> ShardedEngine::IngestWithIds(
           "IngestWithIds: ids must be strictly increasing within the batch");
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(id_mu_);
-    if (!records.empty()) {
-      const Record& prototype =
-          prototype_.has_value() ? *prototype_ : records.front();
-      for (size_t i = 0; i < records.size(); ++i) {
-        Status schema =
-            ResidentEngine::CheckRecordSchema(prototype, records[i], i);
-        if (!schema.ok()) return schema;
-      }
-      Status init = EnsureShardsLocked(records);
-      if (!init.ok()) return init;
-      if (!prototype_.has_value()) prototype_ = records.front();
-      next_ext_id_ = std::max(next_ext_id_, ids.back() + 1);
-    }
-  }
+  return RouteIngest(std::move(records), std::move(ids), opts);
+}
+
+StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
+    std::vector<Record> records,
+    std::optional<std::vector<ExternalId>> given_ids,
+    const EngineBatchOptions& opts) {
   if (records.empty()) {
     EngineMutationResult result;
     result.generation = Publish();
     return result;
   }
-  // Liveness collisions are caught by each shard's own IngestWithIds (the
-  // routed sub-batch lands on the shard that owns the colliding id).
-  StatusOr<EngineMutationResult> routed =
-      RouteIngest(std::move(records), ids, opts);
-  if (!routed.ok()) return routed.status();
-  routed.value().assigned_ids = std::move(ids);
-  return routed;
-}
-
-StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
-    std::vector<Record> records, const std::vector<ExternalId>& ids,
-    const EngineBatchOptions& opts) {
-  const Instrumentation& instr = options_.engine.config.instrumentation;
+  std::vector<ExternalId> ids;
+  {
+    std::lock_guard<std::mutex> lock(id_mu_);
+    const Record& prototype =
+        prototype_.has_value() ? *prototype_ : records.front();
+    for (size_t i = 0; i < records.size(); ++i) {
+      Status schema =
+          ResidentEngine::CheckRecordSchema(prototype, records[i], i);
+      if (!schema.ok()) return schema;
+    }
+    Status init = EnsureShardsLocked(records);
+    if (!init.ok()) return init;
+    if (!prototype_.has_value()) prototype_ = records.front();
+    if (!given_ids.has_value()) {
+      ids.reserve(records.size());
+      for (size_t i = 0; i < records.size(); ++i) {
+        ids.push_back(next_ext_id_++);
+      }
+    }
+  }
   const ShardSpan shards = Shards();
+  if (given_ids.has_value()) {
+    // Every id is checked on its shard before any shard ingests: a shard
+    // rejecting its sub-batch after another shard applied its own would
+    // break all-or-nothing. Best-effort under concurrent writers on the
+    // same ids, like Remove.
+    for (ExternalId id : *given_ids) {
+      if (shards[ShardOfExternalId(id, options_.shards)]->IsLive(id)) {
+        return Status::InvalidArgument("IngestWithIds: id " +
+                                       std::to_string(id) +
+                                       " is already bound to a live record");
+      }
+    }
+    ids = std::move(*given_ids);
+    std::lock_guard<std::mutex> lock(id_mu_);
+    next_ext_id_ = std::max(next_ext_id_, ids.back() + 1);
+  }
+
+  const Instrumentation& instr = options_.engine.config.instrumentation;
   EngineMutationResult result;
 
   // Partition by shard, preserving batch order within each sub-batch (ids
@@ -566,6 +554,7 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
           "shard" + std::to_string(involved[idx]) + "_mutations", 1);
     }
   }
+  result.assigned_ids = std::move(ids);
   result.generation = Publish();
   return result;
 }

@@ -86,10 +86,11 @@ class ShardedEngine {
 
   /// Ingest with caller-assigned external ids (ResidentEngine::IngestWithIds
   /// semantics: strictly increasing within the batch, no collision with live
-  /// ids — InvalidArgument otherwise): routes each record by
-  /// ShardOfExternalId and advances the internal id counter past the largest
-  /// assigned id. The durable engine replays logged ingests through this, so
-  /// recovered records land on the shards that logged them
+  /// ids — InvalidArgument otherwise, before any shard changes; best-effort
+  /// under concurrent writers on the same ids, like Remove): routes each
+  /// record by ShardOfExternalId and advances the internal id counter past
+  /// the largest assigned id. The durable engine replays logged ingests
+  /// through this, so recovered records land on the shards that logged them
   /// (docs/durability.md).
   StatusOr<EngineMutationResult> IngestWithIds(
       std::vector<Record> records, std::vector<ExternalId> ids,
@@ -173,13 +174,16 @@ class ShardedEngine {
   /// generation.
   uint64_t Publish();
 
-  /// Shared tail of Ingest/IngestWithIds: partitions (records, ids) by
-  /// shard, runs the involved shard passes (concurrently unless an external
-  /// controller forces serial execution) and aggregates their results. Ids
-  /// are already assigned/validated and shards_ is non-empty.
-  StatusOr<EngineMutationResult> RouteIngest(std::vector<Record> records,
-                                             const std::vector<ExternalId>& ids,
-                                             const EngineBatchOptions& opts);
+  /// Shared body of Ingest/IngestWithIds: checks the schema, builds the
+  /// shards on the first non-empty batch, assigns fresh ids when
+  /// `given_ids` is nullopt or checks that none of the given ones is live
+  /// on its shard, and only then partitions the batch by shard, runs the
+  /// involved shard passes (concurrently unless an external controller
+  /// forces serial execution) and aggregates their results.
+  StatusOr<EngineMutationResult> RouteIngest(
+      std::vector<Record> records,
+      std::optional<std::vector<ExternalId>> given_ids,
+      const EngineBatchOptions& opts);
 
   MatchRule rule_;
   Options options_;

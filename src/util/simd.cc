@@ -113,9 +113,8 @@ std::string SimdLevelName(SimdLevel level) {
 }
 
 StatusOr<int> ParseSimdPin(const std::string& name) {
-  if (name == "auto") return kSimdLevelAuto;
   SimdLevel level;
-  if (name == "native") {
+  if (name == "auto" || name == "native") {
     level = DetectSimdLevel();
   } else if (name == "scalar") {
     level = SimdLevel::kScalar;

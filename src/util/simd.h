@@ -19,15 +19,10 @@ namespace adalsh {
 /// to the determinism contract of docs/threading.md — and what makes the
 /// selection below a pure performance choice.
 ///
-/// Selection happens once per process. By default ("auto") each kernel
-/// resolves its own target on first use with a microsecond-scale throughput
-/// probe over the hardware-supported levels — wide registers are not
-/// uniformly a win (virtualized hosts in particular can execute 512-bit
-/// floating point at a fraction of 128-bit throughput while 512-bit integer
-/// ops still win), and the probe picks whatever this machine actually runs
-/// fastest. A *pin* (ADALSH_SIMD, the --simd flag, or SetSimdPin) instead
-/// forces every kernel onto one named level — that is the testing hook the
-/// differential suites and the sanitizer matrix use.
+/// One rule selects the level of every kernel: the *pin* (ADALSH_SIMD, the
+/// --simd flag, or SetSimdPin) when one is set, otherwise DetectSimdLevel().
+/// The pin is the testing hook the differential suites and the sanitizer
+/// matrix use.
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable C++, the semantic reference
   kAvx2 = 1,    ///< x86 AVX2 (256-bit float/int lanes)
@@ -39,13 +34,13 @@ enum class SimdLevel : int {
 /// target on non-x86). Never returns a level the hardware lacks.
 SimdLevel DetectSimdLevel();
 
-/// No-pin sentinel: each kernel uses its probed-best target.
+/// No-pin sentinel: every kernel runs DetectSimdLevel().
 constexpr int kSimdLevelAuto = -1;
 
 /// The current pin: kSimdLevelAuto, or the SimdLevel value every kernel is
 /// forced onto. Initialized on first use from the ADALSH_SIMD environment
 /// variable when set (a level name, "native", or "auto"; aborts on an
-/// unknown name so sanitizer matrices fail loudly), otherwise auto.
+/// unknown name so sanitizer matrices fail loudly), otherwise no pin.
 int SimdPin();
 
 /// Sets the pin (tests, --simd flag): kSimdLevelAuto or the value of a
@@ -66,9 +61,9 @@ std::vector<SimdLevel> SupportedSimdLevels();
 /// Canonical names: "scalar", "avx2", "avx512", "neon".
 std::string SimdLevelName(SimdLevel level);
 
-/// Parses a pin spec: "auto" (per-kernel probe, = kSimdLevelAuto), "native"
-/// (pin the widest hardware level), or a level name. Errors on unknown
-/// names or levels unsupported on this machine.
+/// Parses a pin spec: "auto" or "native" (both the widest hardware level,
+/// DetectSimdLevel()) or a level name. Errors on unknown names or levels
+/// unsupported on this machine.
 StatusOr<int> ParseSimdPin(const std::string& name);
 
 /// Minimal 64-byte-aligned float arena for the structure-of-arrays payloads

@@ -1,12 +1,10 @@
 #include "util/simd_kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -98,6 +96,7 @@ __attribute__((target("avx2"))) double DotAvx2(const float* a, const float* b,
   _mm256_store_pd(lanes + 4, acc1);
   _mm256_store_pd(lanes + 8, acc2);
   _mm256_store_pd(lanes + 12, acc3);
+  _mm256_zeroupper();  // FinishDot is baseline SSE code
   return FinishDot(lanes, a, b, size, i);
 }
 
@@ -119,6 +118,7 @@ __attribute__((target("avx512f,avx512dq"))) double DotAvx512(const float* a,
   alignas(kSimdAlign) double lanes[kDotLanes];
   _mm512_store_pd(lanes + 0, acc0);
   _mm512_store_pd(lanes + 8, acc1);
+  _mm256_zeroupper();  // FinishDot is baseline SSE code
   return FinishDot(lanes, a, b, size, i);
 }
 
@@ -155,17 +155,21 @@ __attribute__((target("avx2"))) void DotAvx2X2(const float* a0,
     r1q3 = _mm256_add_pd(r1q3, _mm256_mul_pd(
         _mm256_cvtps_pd(_mm_loadu_ps(a1 + i + 12)), b3));
   }
-  alignas(kSimdAlign) double lanes[kDotLanes];
-  _mm256_store_pd(lanes + 0, r0q0);
-  _mm256_store_pd(lanes + 4, r0q1);
-  _mm256_store_pd(lanes + 8, r0q2);
-  _mm256_store_pd(lanes + 12, r0q3);
-  *out0 = FinishDot(lanes, a0, b, size, i);
-  _mm256_store_pd(lanes + 0, r1q0);
-  _mm256_store_pd(lanes + 4, r1q1);
-  _mm256_store_pd(lanes + 8, r1q2);
-  _mm256_store_pd(lanes + 12, r1q3);
-  *out1 = FinishDot(lanes, a1, b, size, i);
+  // Both rows are stored before the vzeroupper: row 1's accumulators are
+  // still live in registers until then.
+  alignas(kSimdAlign) double lanes0[kDotLanes];
+  alignas(kSimdAlign) double lanes1[kDotLanes];
+  _mm256_store_pd(lanes0 + 0, r0q0);
+  _mm256_store_pd(lanes0 + 4, r0q1);
+  _mm256_store_pd(lanes0 + 8, r0q2);
+  _mm256_store_pd(lanes0 + 12, r0q3);
+  _mm256_store_pd(lanes1 + 0, r1q0);
+  _mm256_store_pd(lanes1 + 4, r1q1);
+  _mm256_store_pd(lanes1 + 8, r1q2);
+  _mm256_store_pd(lanes1 + 12, r1q3);
+  _mm256_zeroupper();  // FinishDot is baseline SSE code
+  *out0 = FinishDot(lanes0, a0, b, size, i);
+  *out1 = FinishDot(lanes1, a1, b, size, i);
 }
 
 __attribute__((target("avx512f,avx512dq"))) void DotAvx512X2(
@@ -186,13 +190,15 @@ __attribute__((target("avx512f,avx512dq"))) void DotAvx512X2(
     r1hi = _mm512_add_pd(r1hi, _mm512_mul_pd(
         _mm512_cvtps_pd(_mm256_loadu_ps(a1 + i + 8)), bhi));
   }
-  alignas(kSimdAlign) double lanes[kDotLanes];
-  _mm512_store_pd(lanes + 0, r0lo);
-  _mm512_store_pd(lanes + 8, r0hi);
-  *out0 = FinishDot(lanes, a0, b, size, i);
-  _mm512_store_pd(lanes + 0, r1lo);
-  _mm512_store_pd(lanes + 8, r1hi);
-  *out1 = FinishDot(lanes, a1, b, size, i);
+  alignas(kSimdAlign) double lanes0[kDotLanes];
+  alignas(kSimdAlign) double lanes1[kDotLanes];
+  _mm512_store_pd(lanes0 + 0, r0lo);
+  _mm512_store_pd(lanes0 + 8, r0hi);
+  _mm512_store_pd(lanes1 + 0, r1lo);
+  _mm512_store_pd(lanes1 + 8, r1hi);
+  _mm256_zeroupper();  // see DotAvx2X2
+  *out0 = FinishDot(lanes0, a0, b, size, i);
+  *out1 = FinishDot(lanes1, a1, b, size, i);
 }
 
 #endif  // ADALSH_X86
@@ -333,125 +339,19 @@ __attribute__((target("avx512f,avx512dq"))) uint64_t MinHashAvx512(
 
 #endif  // ADALSH_X86
 
-// ---------------------------------------------------------------------------
-// Auto selection: one throughput probe per kernel, run once per process on
-// first unpinned use. Wider is not uniformly faster — virtualized hosts in
-// particular can execute 512-bit floating point at a fraction of 128-bit
-// throughput while 512-bit integer ops still win — and because every level
-// returns identical bits, picking by measured speed is always safe.
-// ---------------------------------------------------------------------------
-
-constexpr size_t kProbeElems = 256;
-constexpr int kProbeCallsPerRound = 64;
-constexpr int kProbeRounds = 3;
-
-/// Times `call` (one kernel invocation over kProbeElems elements) and
-/// returns the best-of-kProbeRounds round time — min filters scheduler
-/// noise, which matters on loaded single-core hosts.
-template <typename Call>
-double ProbeSeconds(Call&& call) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int round = 0; round < kProbeRounds; ++round) {
-    Timer timer;
-    for (int c = 0; c < kProbeCallsPerRound; ++c) call();
-    best = std::min(best, timer.ElapsedSeconds());
-  }
-  return best;
-}
-
-template <typename Probe>
-SimdLevel FastestLevel(Probe&& probe) {
-  SimdLevel best = SimdLevel::kScalar;
-  double best_seconds = std::numeric_limits<double>::infinity();
-  for (SimdLevel level : SupportedSimdLevels()) {
-    probe(level);  // warm up: page in code, spin up vector units
-    double seconds = ProbeSeconds([&] { probe(level); });
-    if (seconds < best_seconds) {
-      best_seconds = seconds;
-      best = level;
-    }
-  }
-  return best;
-}
-
-SimdLevel ProbeDotLevel() {
-  // Stack scratch, not static: probes may run concurrently (racing threads
-  // each probe, the CAS in ResolveProbed picks the winner).
-  alignas(kSimdAlign) float a[kProbeElems];
-  alignas(kSimdAlign) float b[kProbeElems];
-  uint64_t state = 0x5eedu;
-  for (size_t i = 0; i < kProbeElems; ++i) {
-    state = SplitMix64(state);
-    a[i] = static_cast<float>(static_cast<int64_t>(state >> 40)) * 1e-5f;
-    state = SplitMix64(state);
-    b[i] = static_cast<float>(static_cast<int64_t>(state >> 40)) * 1e-5f;
-  }
-  volatile double sink = 0.0;
-  return FastestLevel([&](SimdLevel level) {
-    sink = sink + DotProductF32At(level, a, b, kProbeElems);
-  });
-}
-
-SimdLevel ProbeMinHashLevel() {
-  uint64_t tokens[kProbeElems];  // stack scratch — see ProbeDotLevel
-  uint64_t state = 0x70ce;
-  for (size_t i = 0; i < kProbeElems; ++i) {
-    state = SplitMix64(state);
-    tokens[i] = state;
-  }
-  volatile uint64_t sink = 0;
-  uint64_t seed = 0;
-  return FastestLevel([&](SimdLevel level) {
-    sink = sink ^ MinHashTokensAt(level, tokens, kProbeElems, ++seed);
-  });
-}
-
-/// Probed-best levels, resettable (unlike function-local statics) so
-/// NotifyWorkerCount can discard a verdict measured under a different load
-/// regime. kLevelUnprobed marks "probe on next unpinned use"; the CAS keeps
-/// the first finished probe authoritative when several threads race — any
-/// stored level is valid (all are bit-identical), this only pins the choice.
-constexpr int kLevelUnprobed = -1;
-std::atomic<int> g_probed_dot_level{kLevelUnprobed};
-std::atomic<int> g_probed_minhash_level{kLevelUnprobed};
-std::atomic<int> g_probe_worker_count{0};
-
-SimdLevel ResolveProbed(std::atomic<int>* slot, SimdLevel (*probe)()) {
-  int level = slot->load(std::memory_order_acquire);
-  if (level == kLevelUnprobed) {
-    int fresh = static_cast<int>(probe());
-    int expected = kLevelUnprobed;
-    if (!slot->compare_exchange_strong(expected, fresh,
-                                       std::memory_order_acq_rel)) {
-      fresh = expected;  // another thread's probe won
-    }
-    level = fresh;
-  }
-  return static_cast<SimdLevel>(level);
+/// The one dispatch rule (simd.h): the pin when one is set, otherwise the
+/// widest level the hardware runs.
+SimdLevel ActiveLevel() {
+  const int pin = SimdPin();
+  return pin == kSimdLevelAuto ? DetectSimdLevel()
+                               : static_cast<SimdLevel>(pin);
 }
 
 }  // namespace
 
-SimdLevel ActiveDotLevel() {
-  int pin = SimdPin();
-  if (pin != kSimdLevelAuto) return static_cast<SimdLevel>(pin);
-  return ResolveProbed(&g_probed_dot_level, &ProbeDotLevel);
-}
+SimdLevel ActiveDotLevel() { return ActiveLevel(); }
 
-SimdLevel ActiveMinHashLevel() {
-  int pin = SimdPin();
-  if (pin != kSimdLevelAuto) return static_cast<SimdLevel>(pin);
-  return ResolveProbed(&g_probed_minhash_level, &ProbeMinHashLevel);
-}
-
-void NotifyWorkerCount(int workers) {
-  if (workers < 1) workers = 1;
-  const int last = g_probe_worker_count.exchange(workers,
-                                                 std::memory_order_acq_rel);
-  if (last == workers) return;
-  g_probed_dot_level.store(kLevelUnprobed, std::memory_order_release);
-  g_probed_minhash_level.store(kLevelUnprobed, std::memory_order_release);
-}
+SimdLevel ActiveMinHashLevel() { return ActiveLevel(); }
 
 double DotProductF32At(SimdLevel level, const float* a, const float* b,
                        size_t size) {

@@ -29,13 +29,19 @@ namespace simd {
 /// A 512-bit path runs lanes 0-7 / 8-15 as two vector accumulators, a
 /// 256-bit path as four, a 128-bit path as eight, and the scalar path as
 /// sixteen doubles — all the same arithmetic in the same order.
+///
+/// The x86 vector kernels are compiled for their own target while their
+/// callers (and FinishDot's scalar tail) are baseline SSE code, so every
+/// kernel clears the upper YMM/ZMM state (vzeroupper) before it calls or
+/// returns into baseline code; otherwise each later SSE instruction pays
+/// the AVX-to-SSE transition penalty. The simd_vzeroupper ctest checks the
+/// compiled libraries for this.
 
 constexpr size_t kDotLanes = 16;
 
-/// Dispatch target each kernel currently uses: the process pin when one is
-/// set (SimdPin), otherwise this kernel's probed-best level, resolved once
-/// on first use (see util/simd.h — wide registers are not uniformly a win,
-/// and the two kernels can legitimately resolve to different levels).
+/// Dispatch target of the kernels: the process pin when one is set
+/// (SimdPin), otherwise DetectSimdLevel() (util/simd.h). Both kernels always
+/// run the same level; the two names are what reports print.
 SimdLevel ActiveDotLevel();
 SimdLevel ActiveMinHashLevel();
 
@@ -72,16 +78,6 @@ uint64_t MinHashTokens(const uint64_t* tokens, size_t size, uint64_t seed);
 /// Same kernel forced to one level.
 uint64_t MinHashTokensAt(SimdLevel level, const uint64_t* tokens, size_t size,
                          uint64_t seed);
-
-/// Tells the dispatcher how many worker threads the process is about to run
-/// the kernels under. The throughput probe's verdict depends on the load the
-/// vector units see — wide registers that win on an idle core can lose under
-/// SMT contention — so when the worker count changes (ResidentEngine
-/// construction honoring --threads), the probed-best levels are discarded
-/// and re-resolved on next unpinned use under the new regime. A no-op when a
-/// level is pinned (SimdPin), and never changes results: every level is
-/// bit-identical, so re-probing only re-picks speed.
-void NotifyWorkerCount(int workers);
 
 }  // namespace simd
 }  // namespace adalsh

@@ -330,6 +330,47 @@ TEST(ShardEquivalenceTest, FirstIngestRacesWithReaders) {
   }
 }
 
+TEST(ShardEquivalenceTest, RejectedIngestWithIdsChangesNoShard) {
+  // A batch with one id already live on its shard is rejected whole: the
+  // batch's other ids, routed to other shards, must not be ingested either.
+  GeneratedDataset generated = test::MakePlantedDataset({3, 2, 2, 1}, 5);
+  for (int shards : {2, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedEngine engine(generated.rule, ShardedOptions(shards, 1, 2));
+    std::vector<Record> records;
+    std::vector<ExternalId> ids;
+    for (ExternalId id = 0; id < 8; ++id) {
+      records.push_back(generated.dataset.record(id));
+      ids.push_back(id);
+    }
+    ASSERT_TRUE(engine.IngestWithIds(std::move(records), ids).ok());
+    ExternalId fresh = 100;
+    while (ShardOfExternalId(fresh, shards) == ShardOfExternalId(0, shards)) {
+      ++fresh;
+    }
+    auto live_ids = [&engine] {
+      std::vector<ExternalId> live;
+      for (const auto& [id, record] : engine.LiveRecords()) {
+        live.push_back(id);
+      }
+      return live;
+    };
+    const std::vector<ExternalId> live_before = live_ids();
+    const uint64_t ingested_before = engine.counters().ingested;
+    const uint64_t generation_before = engine.Snapshot()->generation;
+
+    auto rejected = engine.IngestWithIds(
+        {generated.dataset.record(0), generated.dataset.record(1)},
+        {0, fresh});
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(engine.IsLive(fresh));
+    EXPECT_EQ(live_ids(), live_before);
+    EXPECT_EQ(engine.counters().ingested, ingested_before);
+    EXPECT_EQ(engine.Snapshot()->generation, generation_before);
+  }
+}
+
 TEST(ShardEquivalenceTest, PartitionIsDeterministicAndCovering) {
   for (int shards : kShardCounts) {
     std::vector<int> seen(shards, 0);

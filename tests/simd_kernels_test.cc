@@ -231,30 +231,10 @@ TEST(SimdDispatchTest, PinForcesBothKernels) {
   }
 }
 
-TEST(SimdDispatchTest, AutoResolvesToSupportedLevels) {
+TEST(SimdDispatchTest, AutoResolvesToDetectedLevel) {
   int previous = SetSimdPin(kSimdLevelAuto);
-  EXPECT_TRUE(SimdLevelSupported(simd::ActiveDotLevel()));
-  EXPECT_TRUE(SimdLevelSupported(simd::ActiveMinHashLevel()));
-  SetSimdPin(previous);
-}
-
-TEST(SimdDispatchTest, WorkerCountChangeReprobesToSupportedLevels) {
-  // NotifyWorkerCount discards the probed verdicts when the count changes;
-  // the next unpinned use must re-resolve to some supported level and keep
-  // producing the identical results (bit-identity makes re-picks free).
-  int previous = SetSimdPin(kSimdLevelAuto);
-  Rng rng(DeriveSeed(15, 0x90b3));
-  std::vector<float> a = RandomFloats(64, &rng, 2.0f);
-  std::vector<float> b = RandomFloats(64, &rng, 2.0f);
-  const double reference =
-      simd::DotProductF32At(SimdLevel::kScalar, a.data(), b.data(), 64);
-  for (int workers : {1, 8, 8, 2}) {  // repeat is a no-op, change re-probes
-    simd::NotifyWorkerCount(workers);
-    EXPECT_TRUE(SimdLevelSupported(simd::ActiveDotLevel()));
-    EXPECT_TRUE(SimdLevelSupported(simd::ActiveMinHashLevel()));
-    ExpectSameBits(reference, simd::DotProductF32(a.data(), b.data(), 64),
-                   "dot-reprobe", simd::ActiveDotLevel(), 64);
-  }
+  EXPECT_EQ(simd::ActiveDotLevel(), DetectSimdLevel());
+  EXPECT_EQ(simd::ActiveMinHashLevel(), DetectSimdLevel());
   SetSimdPin(previous);
 }
 
@@ -272,10 +252,10 @@ TEST(SimdDispatchTest, ParsePinRoundTrips) {
   }
   StatusOr<int> auto_pin = ParseSimdPin("auto");
   ASSERT_TRUE(auto_pin.ok());
-  EXPECT_EQ(*auto_pin, kSimdLevelAuto);
   StatusOr<int> native = ParseSimdPin("native");
   ASSERT_TRUE(native.ok());
   EXPECT_EQ(*native, static_cast<int>(DetectSimdLevel()));
+  EXPECT_EQ(*auto_pin, *native);
   EXPECT_FALSE(ParseSimdPin("sse9").ok());
 }
 

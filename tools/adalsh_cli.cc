@@ -24,13 +24,15 @@
 // (tools/shard_parity_smoke.sh). --shards=0 (default) keeps the in-process
 // batch filter.
 //
-// --simd pins the kernel dispatch level: auto (default), native, scalar,
-// avx2, avx512, neon. Results are identical at every level (docs/simd.md) —
-// the pin only changes speed, so it exists for benchmarking and parity
-// checks (tools/simd_parity_smoke.sh). Equivalent to setting ADALSH_SIMD.
+// --simd pins the kernel dispatch level: scalar, avx2, avx512, neon, or
+// native/auto (both the widest level this machine runs, which is also what
+// an unpinned run uses). Results are identical at every level
+// (docs/simd.md) — the pin only changes speed, so it exists for
+// benchmarking and parity checks (tools/simd_parity_smoke.sh). Equivalent
+// to setting ADALSH_SIMD.
 //
-// A `simd-level` subcommand prints the detected, supported, and per-kernel
-// active levels in a script-friendly key/value form and exits.
+// A `simd-level` subcommand prints the detected, supported, and active
+// levels in a script-friendly key/value form and exits.
 //
 // --cost-model pins the jump-to-P unit costs for --method=adalsh instead of
 // wall-clock calibration, making the run's round schedule — and therefore
@@ -137,6 +139,7 @@
 // with every flag combination.
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <condition_variable>
@@ -195,9 +198,9 @@ Status ApplySimdFlag(const std::string& name) {
 
 /// `adalsh_cli simd-level` — prints the dispatch state as `key value` lines:
 /// the widest level this machine supports (detected), every runnable level
-/// (supported), and the level each kernel resolves to right now (dot,
-/// minhash — reflecting ADALSH_SIMD or the probe). Scripts key off these,
-/// e.g. tools/run_sanitized_tests.sh reruns kernel suites at `detected`.
+/// (supported), and the level the kernels dispatch to (dot, minhash — the
+/// ADALSH_SIMD pin if set, else `detected`). Scripts key off these, e.g.
+/// tools/simd_parity_smoke.sh diffs scalar against the widest `supported`.
 int RunSimdLevel() {
   std::cout << "detected " << SimdLevelName(DetectSimdLevel()) << "\n";
   std::cout << "supported";
@@ -226,11 +229,16 @@ StatusOr<std::vector<std::string>> SplitCsvPayload(const std::string& text) {
   return row;
 }
 
+/// Decimal digits only, and the value must fit in 64 bits: an out-of-range
+/// id is refused rather than clamped to some id the client never sent.
 StatusOr<uint64_t> ParseExternalId(const std::string& token) {
-  if (token.empty() || token.find_first_not_of("0123456789") != std::string::npos) {
+  uint64_t id = 0;
+  const char* end = token.data() + token.size();
+  const auto [last, error] = std::from_chars(token.data(), end, id);
+  if (error != std::errc() || last != end) {
     return Status::InvalidArgument("bad record id '" + token + "'");
   }
-  return static_cast<uint64_t>(std::strtoull(token.c_str(), nullptr, 10));
+  return id;
 }
 
 std::string VerificationName(int level) {
@@ -293,7 +301,7 @@ int RunServe(int argc, char** argv) {
     return Fail("serve requires --columns=<spec> and --rule=<rule DSL>");
   }
   if (k < 1) return Fail("--k must be >= 1");
-  if (threads < 0) return Fail("--threads must be >= 1");
+  if (threads < 0) return Fail("--threads must be >= 0");
   if (shards < 1) return Fail("--shards must be >= 1");
   if (trace_max_spans < 0) return Fail("--trace-max-spans must be >= 0");
   if (metrics_interval_ms < 0.0) {
@@ -608,18 +616,18 @@ int RunServe(int argc, char** argv) {
       }
       std::cout << MutationReply(result.value()) << "\n" << std::flush;
     } else if (cmd == "topk") {
-      int query_k = k;
+      uint64_t query_k = static_cast<uint64_t>(k);
       if (!payload.empty()) {
         StatusOr<uint64_t> parsed_k = ParseExternalId(payload);
         if (!parsed_k.ok() || *parsed_k < 1) {
           reply_status(Status::InvalidArgument("bad k '" + payload + "'"));
           continue;
         }
-        query_k = static_cast<int>(*parsed_k);
+        query_k = *parsed_k;
       }
       std::shared_ptr<const EngineSnapshot> snap = snapshot();
-      const size_t count = std::min<size_t>(
-          static_cast<size_t>(query_k), snap->clusters.size());
+      const size_t count = static_cast<size_t>(
+          std::min<uint64_t>(query_k, snap->clusters.size()));
       PrintClusters({snap->clusters.begin(), snap->clusters.begin() + count},
                     {snap->verification.begin(),
                      snap->verification.begin() + count});
@@ -749,7 +757,7 @@ int main(int argc, char** argv) {
   }
   if (k < 1) return Fail("--k must be >= 1");
   if (bk < k) return Fail("--bk must be >= --k");
-  if (threads < 0) return Fail("--threads must be >= 1");
+  if (threads < 0) return Fail("--threads must be >= 0");
   if (threads > 0) SetGlobalThreadCount(threads);
   if (shards < 0) return Fail("--shards must be >= 0");
   if (shards > 0 && method != "adalsh") {

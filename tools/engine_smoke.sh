@@ -7,9 +7,10 @@
 # diffs the transcript against tests/golden/engine_smoke.golden
 # byte-for-byte, at the default shape and with an explicit --shards=1, each
 # at 1 and 8 worker threads. The session pins the cost model and seed, so
-# the transcript is reproducible at any thread count. A refused --shards=0
-# and a second session checking that the (wall-clock-bearing, so not
-# byte-diffable) `stats` report carries the engine-report schema follow.
+# the transcript is reproducible at any thread count. A refused --shards=0,
+# a second session checking that the (wall-clock-bearing, so not
+# byte-diffable) `stats` report carries the engine-report schema, and a
+# third checking the protocol's integer edge cases follow.
 #
 # Wired into ctest as `engine_smoke` (mirrors tools/trace_smoke.sh).
 #
@@ -102,5 +103,19 @@ for key in adalsh-engine-report-v1 counters snapshot refinement; do
     exit 1
   fi
 done
+
+# Integer edge cases: an id past 2^64-1 is refused, not clamped to
+# UINT64_MAX, and a k of 2^32 saturates at the snapshot size instead of
+# narrowing to 0.
+edges=$(printf 'add a b c\nadd a b c\ncommit\nremove 18446744073709551616\ntopk 4294967296\nquit\n' |
+        "${serve[@]}")
+if ! grep -qx "err bad record id '18446744073709551616'" <<< "$edges"; then
+  echo "FAIL: remove of an out-of-range id was not refused" >&2
+  exit 1
+fi
+if ! grep -q '^ok gen=[0-9]* clusters=1 ' <<< "$edges"; then
+  echo "FAIL: topk 4294967296 did not serve the snapshot's cluster" >&2
+  exit 1
+fi
 
 echo "engine_smoke OK: $transcript"

@@ -53,11 +53,11 @@
 #
 # docs/simd.md requires the address and undefined runs for any change to the
 # vector kernels (util/simd_kernels.cc) or the SoA layouts feeding them
-# (FeatureCache, RandomHyperplaneFamily): after the main ctest pass (which
-# runs at whatever level auto dispatch probes), the kernel suites rerun with
-# the dispatch pinned to scalar and to the widest level the machine supports
+# (FeatureCache, RandomHyperplaneFamily): the main ctest pass runs unpinned,
+# at the widest level the machine supports; the kernel suites then rerun
+# pinned to scalar (ADALSH_SIMD=scalar) and to the widest level
 # (ADALSH_SIMD=native), so out-of-bounds tail reads and misaligned vector
-# loads can't hide behind the probe's choice.
+# loads show on both paths even when the main pass is filtered with -R.
 
 set -euo pipefail
 
