@@ -8,7 +8,7 @@
 //   * one_shot: the same records in a single batch (the from-scratch
 //     filter's work shape), the reference point for the streaming overhead;
 //   * mutations: remove/update round-trips on a resident population, each
-//     of which dismantles and re-refines a level-1 component;
+//     of which regroups and re-refines a level-1 component;
 //   * queries: TopK/Cluster served from the published snapshot — these ride
 //     the read path only and should be orders of magnitude above mutations;
 //   * sharded: the same concurrent multi-writer update load against the

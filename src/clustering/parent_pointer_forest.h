@@ -35,7 +35,12 @@ constexpr int kProducerPairwise = 1 << 20;
 /// Nodes are never freed: each invocation of a clustering function builds new
 /// trees over its input records and abandons the old ones, and the pool grows
 /// monotonically with the total work performed (which Algorithm 1 is designed
-/// to keep small).
+/// to keep small). Callers depend on this: a tree stays valid, with its
+/// root, producer and leaf chain intact, after passes over its leaves build
+/// newer trees. The resident engine keeps each component's level-1 tree
+/// across any number of refinements as its only record of level-1
+/// membership, so freeing or compacting nodes must carry those trees over
+/// and remap the engine's record-to-leaf maps.
 class ParentPointerForest {
  public:
   ParentPointerForest() = default;

@@ -235,12 +235,16 @@ EngineMutationResult ResidentEngine::ApplyBatch(
   span.AddArg("lock_wait_ms", lock_wait_seconds * 1e3);
   ++counters_.batches;
 
+  // Records whose level-1 components this mutation touched.
+  std::vector<RecordId> arrived;
   if (!removed_ints.empty()) {
-    RemoveLocked(removed_ints);
+    TraceRecorder::Span remove_span(instr.trace, "engine_remove", "engine");
+    RemoveLocked(removed_ints, &arrived);
     counters_.removed += removed_ints.size();
   }
 
   if (!adds.empty()) {
+    TraceRecorder::Span arrive_span(instr.trace, "engine_arrive", "engine");
     const RecordId first_new = static_cast<RecordId>(dataset_.num_records());
     for (Record& record : adds) {
       // The engine has no ground truth; entity 0 is a placeholder (the
@@ -254,9 +258,15 @@ EngineMutationResult ResidentEngine::ApplyBatch(
       live_[r] = 1;
       ext_of_[r] = add_ext_ids[i];
       int_of_[add_ext_ids[i]] = r;
-      ArriveLocked(r);
+      counters_.arrivals_merged += ArriveLocked(r) ? 1 : 0;
+      arrived.push_back(r);
     }
     counters_.ingested += adds.size();
+  }
+
+  if (!arrived.empty()) {
+    TraceRecorder::Span reopen_span(instr.trace, "engine_reopen", "engine");
+    ReopenLocked(arrived);
   }
 
   EngineMutationResult result;
@@ -269,6 +279,8 @@ EngineMutationResult ResidentEngine::ApplyBatch(
     refine_seconds = refine_timer.ElapsedSeconds();
     if (result.refinement == TerminationReason::kCompleted) {
       ++counters_.refinements_completed;
+      TraceRecorder::Span publish_span(instr.trace, "engine_publish",
+                                       "engine");
       PublishLocked(finals, result.stats);
     } else {
       ++counters_.refinements_interrupted;
@@ -335,6 +347,7 @@ void ResidentEngine::GrowStateLocked() {
   if (live_.size() >= n) return;
   live_.resize(n, 0);
   leaf_of_.resize(n, kInvalidNode);
+  level1_leaf_.resize(n, kInvalidNode);
   last_fn_.resize(n, 0);
   ext_of_.resize(n, 0);
   engine_->GrowTo(n);
@@ -342,182 +355,80 @@ void ResidentEngine::GrowStateLocked() {
   pairwise_->NotifyDatasetGrown();
 }
 
-void ResidentEngine::ArriveLocked(RecordId r) {
+bool ResidentEngine::ArriveLocked(RecordId r) {
   const SchemePlan& plan0 = sequence_->plan(0);
   engine_->EnsureHashes(r, plan0);
   last_fn_[r] = 0;  // arrival evidence is level-1 only
   std::vector<uint64_t> keys(plan0.tables.size());
   engine_->TableKeys(r, plan0, keys.data());
-  bool merged_any = false;
+  NodeId& leaf = level1_leaf_[r];
+  bool merged = false;
   for (size_t t = 0; t < plan0.tables.size(); ++t) {
-    std::vector<RecordId>& members = buckets_[t][keys[t]];
-    // The newest live member is the merge partner (every live member of a
-    // bucket is in the same component, so any one works); dead tail entries
-    // are pruned on the way.
-    while (!members.empty() && !live_[members.back()]) members.pop_back();
-    if (members.empty()) {
-      if (leaf_of_[r] == kInvalidNode) {
-        forest_.MakeTree(r, /*producer=*/0, &leaf_of_[r]);
-      }
+    const auto [bucket, fresh] = buckets_[t].try_emplace(keys[t], r);
+    if (fresh) {
+      if (leaf == kInvalidNode) forest_.MakeTree(r, /*producer=*/0, &leaf);
+      continue;
+    }
+    // Both level-1 roots carry producer 0, which Merge keeps.
+    const NodeId other_root = forest_.FindRoot(level1_leaf_[bucket->second]);
+    if (leaf == kInvalidNode) {
+      leaf = forest_.AddLeaf(other_root, r);
+      merged = true;
     } else {
-      const RecordId other = members.back();
-      NodeId other_root = forest_.FindRoot(leaf_of_[other]);
-      if (forest_.Producer(other_root) != 0) {
-        // The partner sits in a refined piece, so its component may be split
-        // across several trees. The reference semantics restart the whole
-        // level-1 cluster — the arrival may bridge two pieces at a deeper
-        // hash level — so the component is merged back into one open tree.
-        other_root = ReopenComponentLocked(other);
-      }
-      if (leaf_of_[r] == kInvalidNode) {
-        leaf_of_[r] = forest_.AddLeaf(other_root, r);
-        // New member joined on level-1 evidence: the cluster must be
-        // re-verified by the next refinement pass.
-        forest_.SetProducer(other_root, 0);
-        merged_any = true;
-      } else {
-        const NodeId my_root = forest_.FindRoot(leaf_of_[r]);
-        if (my_root != other_root) {
-          forest_.SetProducer(forest_.Merge(my_root, other_root), 0);
-          merged_any = true;
-        }
+      const NodeId my_root = forest_.FindRoot(leaf);
+      if (my_root != other_root) {
+        forest_.Merge(my_root, other_root);
+        merged = true;
       }
     }
-    members.push_back(r);
   }
-  if (plan0.tables.empty() && leaf_of_[r] == kInvalidNode) {
-    forest_.MakeTree(r, 0, &leaf_of_[r]);
-  }
-  counters_.arrivals_merged += merged_any ? 1 : 0;
+  if (leaf == kInvalidNode) forest_.MakeTree(r, /*producer=*/0, &leaf);
+  return merged;
 }
 
-NodeId ResidentEngine::ReopenComponentLocked(RecordId seed) {
-  const SchemePlan& plan0 = sequence_->plan(0);
-  std::unordered_set<RecordId> visited = {seed};
-  std::vector<RecordId> stack = {seed};
-  NodeId root = forest_.FindRoot(leaf_of_[seed]);
-  std::vector<uint64_t> keys(plan0.tables.size());
-  while (!stack.empty()) {
-    const RecordId cur = stack.back();
-    stack.pop_back();
-    engine_->TableKeys(cur, plan0, keys.data());
-    for (size_t t = 0; t < plan0.tables.size(); ++t) {
-      auto it = buckets_[t].find(keys[t]);
-      if (it == buckets_[t].end()) continue;
-      for (RecordId m : it->second) {
-        if (!live_[m] || !visited.insert(m).second) continue;
-        stack.push_back(m);
-        const NodeId m_root = forest_.FindRoot(leaf_of_[m]);
-        if (m_root != root) root = forest_.Merge(root, m_root);
-      }
-    }
+void ResidentEngine::ReopenLocked(const std::vector<RecordId>& arrived) {
+  std::unordered_set<NodeId> reopened;
+  for (RecordId r : arrived) {
+    const NodeId root = forest_.FindRoot(level1_leaf_[r]);
+    if (!reopened.insert(root).second) continue;
+    forest_.ForEachLeafNode(
+        root, [&](RecordId m, NodeId leaf) { leaf_of_[m] = leaf; });
   }
-  // Merge keeps every leaf node intact, so leaf_of_ needs no reindexing;
-  // last_fn_ keeps recording the last function actually applied.
-  forest_.SetProducer(root, 0);
-  return root;
 }
 
-void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints) {
-  const SchemePlan& plan0 = sequence_->plan(0);
-  const std::unordered_set<RecordId> in_batch(removed_ints.begin(),
-                                              removed_ints.end());
-
-  // 1. The dirty region: every record reachable from a removed record
-  // through shared level-1 bucket keys, where the removed records themselves
-  // still conduct (they may be the only bridge between two live subsets
-  // whose merge evidence dies with them). Records removed by earlier batches
-  // never conduct — their components were regrouped when they left — and are
-  // pruned from the member lists as the walk touches them.
-  std::unordered_set<RecordId> visited(removed_ints.begin(),
-                                       removed_ints.end());
-  std::vector<RecordId> frontier(removed_ints.begin(), removed_ints.end());
-  std::vector<uint64_t> keys(plan0.tables.size());
-  while (!frontier.empty()) {
-    const RecordId r = frontier.back();
-    frontier.pop_back();
-    engine_->TableKeys(r, plan0, keys.data());
-    for (size_t t = 0; t < plan0.tables.size(); ++t) {
-      auto it = buckets_[t].find(keys[t]);
-      if (it == buckets_[t].end()) continue;
-      std::erase_if(it->second, [&](RecordId m) {
-        return !live_[m] && in_batch.count(m) == 0;
-      });
-      for (RecordId m : it->second) {
-        if (visited.insert(m).second) frontier.push_back(m);
-      }
+void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints,
+                                  std::vector<RecordId>* arrived) {
+  // The dirty region: every member of a level-1 tree that holds a removed
+  // record. The removed records may be the only bridge between two live
+  // subsets, so none of the region's grouping or refinement survives.
+  std::unordered_set<NodeId> dirty_roots;
+  std::vector<RecordId> dirty;
+  for (RecordId r : removed_ints) {
+    const NodeId root = forest_.FindRoot(level1_leaf_[r]);
+    if (dirty_roots.insert(root).second) {
+      forest_.ForEachLeaf(root, [&](RecordId m) { dirty.push_back(m); });
     }
   }
-  std::vector<RecordId> dirty_live;
-  for (RecordId m : visited) {
-    if (in_batch.count(m) == 0) dirty_live.push_back(m);
-  }
-
-  // 2. The removed records die: liveness, id binding, tree membership, and
-  // their bucket entries all go (their trees are dismantled with the dirty
-  // region below, so no live tree ever contains a dead record).
   for (RecordId r : removed_ints) {
     live_[r] = 0;
     int_of_.erase(ext_of_[r]);
-    leaf_of_[r] = kInvalidNode;
-    last_fn_[r] = 0;
   }
-  for (RecordId r : removed_ints) {
-    engine_->TableKeys(r, plan0, keys.data());
-    for (size_t t = 0; t < plan0.tables.size(); ++t) {
-      auto it = buckets_[t].find(keys[t]);
-      if (it == buckets_[t].end()) continue;
-      std::erase(it->second, r);
-      if (it->second.empty()) buckets_[t].erase(it);
-    }
+  // Every live record sharing a key with a dirty record is itself dirty, so
+  // erasing the region's keys leaves the other components' buckets whole.
+  // The abandoned trees stay in the forest, unreferenced.
+  const SchemePlan& plan0 = sequence_->plan(0);
+  std::vector<uint64_t> keys(plan0.tables.size());
+  for (RecordId m : dirty) {
+    engine_->TableKeys(m, plan0, keys.data());
+    for (size_t t = 0; t < keys.size(); ++t) buckets_[t].erase(keys[t]);
+    leaf_of_[m] = kInvalidNode;
+    level1_leaf_[m] = kInvalidNode;
   }
-
-  // 3. Dismantle the dirty survivors back to level 1: their old trees (and
-  // any refinement level those trees had earned) may rest on evidence routed
-  // through a removed record, so all of it is conservatively discarded. The
-  // orphaned trees simply stop being referenced — forest nodes are never
-  // freed.
-  std::sort(dirty_live.begin(), dirty_live.end());
-  for (RecordId r : dirty_live) {
-    leaf_of_[r] = kInvalidNode;
-    last_fn_[r] = 0;
-  }
-
-  // 4. Regroup the survivors by their post-removal connectivity (live
-  // records only) and rebuild each group as a fresh level-1 tree — exactly
-  // the partition a fresh engine's level-1 pass would produce, which is what
-  // keeps removal confluent with from-scratch ingestion.
-  std::unordered_set<RecordId> grouped;
-  for (RecordId seed : dirty_live) {
-    if (grouped.count(seed) != 0) continue;
-    grouped.insert(seed);
-    std::vector<RecordId> group;
-    std::vector<RecordId> stack = {seed};
-    while (!stack.empty()) {
-      const RecordId r = stack.back();
-      stack.pop_back();
-      group.push_back(r);
-      engine_->TableKeys(r, plan0, keys.data());
-      for (size_t t = 0; t < plan0.tables.size(); ++t) {
-        auto it = buckets_[t].find(keys[t]);
-        if (it == buckets_[t].end()) continue;
-        for (RecordId m : it->second) {
-          if (!live_[m] || grouped.count(m) != 0) continue;
-          // Post-removal connectivity only shrinks, so the walk stays inside
-          // the dirty region.
-          ADALSH_CHECK_EQ(leaf_of_[m], kInvalidNode);
-          grouped.insert(m);
-          stack.push_back(m);
-        }
-      }
-    }
-    std::sort(group.begin(), group.end());
-    NodeId leaf = kInvalidNode;
-    const NodeId root = forest_.MakeTree(group[0], /*producer=*/0, &leaf);
-    leaf_of_[group[0]] = leaf;
-    for (size_t i = 1; i < group.size(); ++i) {
-      leaf_of_[group[i]] = forest_.AddLeaf(root, group[i]);
-    }
+  std::sort(dirty.begin(), dirty.end());
+  for (RecordId m : dirty) {
+    if (!live_[m]) continue;
+    ArriveLocked(m);
+    arrived->push_back(m);
   }
 }
 

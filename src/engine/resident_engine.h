@@ -130,10 +130,13 @@ struct EngineCounters {
 ///     the published snapshot is byte-identical to the snapshot of a fresh
 ///     engine that ingested the final live records in one batch. Level-1
 ///     clusters are connected components of shared bucket keys (arrival-order
-///     invariant); refinement of a (member set, level) cluster is
-///     deterministic; removals dismantle every cluster whose level-1
-///     component contained a removed record back to level 1, discarding any
-///     merge evidence that may have flowed through the removed "bridge".
+///     invariant), each held as one persistent producer-0 tree of the forest
+///     that refinement never modifies; refinement of a (member set, level)
+///     cluster is deterministic; a mutation reopens every component it
+///     touched by pointing its members back at their level-1 leaves, and a
+///     removal re-arrives the survivors of every level-1 component that held
+///     a removed record, discarding any merge evidence that may have flowed
+///     through the removed "bridge".
 ///   * Snapshots: generation advances only when a refinement pass runs to
 ///     completion. An SLO-interrupted mutation keeps its records (they are
 ///     ingested, at whatever verification level they reached) but leaves the
@@ -196,7 +199,7 @@ class ResidentEngine {
       const EngineBatchOptions& opts = {});
 
   /// Removes records by external id (NotFound if any id is not live;
-  /// all-or-nothing), dismantles and rebuilds the affected level-1
+  /// all-or-nothing), regroups the survivors of the affected level-1
   /// components, then refines under the request's SLO.
   StatusOr<EngineMutationResult> Remove(std::span<const ExternalId> ids,
                                         const EngineBatchOptions& opts = {});
@@ -263,11 +266,12 @@ class ResidentEngine {
   Status ValidateIngestLocked(const std::vector<Record>& records);
 
   /// One serialized mutation: validation has already passed. Applies
-  /// removals (dismantle + rebuild), appends `adds` (arrival merges), then
-  /// refines and publishes on completion. `op` names the public entry point
-  /// ("ingest"/"remove"/"update"/"flush") for the per-op latency histograms;
-  /// `lock_wait_seconds` is the time the caller spent acquiring mu_ and is
-  /// both recorded and copied into the result.
+  /// removals (survivors re-arrive), appends `adds` (arrivals), reopens every
+  /// component either touched, then refines and publishes on completion.
+  /// `op` names the public entry point ("ingest"/"remove"/"update"/"flush")
+  /// for the per-op latency histograms; `lock_wait_seconds` is the time the
+  /// caller spent acquiring mu_ and is both recorded and copied into the
+  /// result.
   EngineMutationResult ApplyBatch(const char* op, double lock_wait_seconds,
                                   std::vector<Record> adds,
                                   std::vector<ExternalId> add_ext_ids,
@@ -282,28 +286,31 @@ class ResidentEngine {
   /// Appends per-record bookkeeping slots and grows the core caches.
   void GrowStateLocked();
 
-  /// Level-1 arrival of internal record r: hashes it with H_1 only and
-  /// merges it into the clusters it collides with in the persistent
-  /// member-list buckets, resetting a grown cluster to level 1 (its new
-  /// membership evidence is level-1 only). One strengthening keeps the
-  /// confluence guarantee: before merging into a refined (closed) piece, the
-  /// piece's whole level-1 component is reopened.
-  void ArriveLocked(RecordId r);
+  /// Level-1 arrival of internal record r (a new record, or a survivor a
+  /// removal re-arrives): hashes it with H_1 (free when cached) and joins it
+  /// to the level-1 trees of the live records sharing one of its keys — an
+  /// AddLeaf into the first, a Merge with each further one — or starts a new
+  /// producer-0 tree. Only the level-1 trees change: the component's current
+  /// refinement stays in place until ReopenLocked. Returns whether r joined
+  /// an existing tree (the `arrivals_merged` counter).
+  bool ArriveLocked(RecordId r);
 
-  /// Merges every tree of `seed`'s level-1 component back into a single
-  /// producer-0 tree and returns its root. A new arrival that touches a
-  /// component discards the component's refinement: the reference semantics
-  /// re-refine the whole level-1 cluster, and a later-arriving record may
-  /// bridge two previously split pieces at a higher hash level — evidence a
-  /// per-piece merge would never consider. Invariant maintained everywhere:
-  /// an open (producer-0) tree always contains its entire component, so this
-  /// walk runs at most once per refined component per batch.
-  NodeId ReopenComponentLocked(RecordId seed);
+  /// Reopens the level-1 component of every record in `arrived`: each
+  /// member's leaf_of_ points back at its level-1 leaf, so the next
+  /// refinement pass starts the component over from its producer-0 tree.
+  /// The reference semantics re-refine a grown or shrunk component whole — an
+  /// arrival may bridge two refined pieces at a deeper hash level. O(members)
+  /// per component; allocates no forest node.
+  void ReopenLocked(const std::vector<RecordId>& arrived);
 
-  /// Dismantles every level-1 component containing a record of
-  /// `removed_ints` and rebuilds the surviving members as fresh level-1
-  /// trees grouped by their new (post-removal) components.
-  void RemoveLocked(const std::vector<RecordId>& removed_ints);
+  /// The dirty region of a removal is the level-1 trees holding a record of
+  /// `removed_ints`. Kills the removed records, erases every bucket key a
+  /// dirty record holds (a live record sharing one is itself dirty), and
+  /// re-arrives the dirty survivors in ascending id order, which regroups
+  /// them exactly as a fresh engine's arrivals would. Appends the survivors
+  /// to `arrived` for ReopenLocked.
+  void RemoveLocked(const std::vector<RecordId>& removed_ints,
+                    std::vector<RecordId>* arrived);
 
   /// The Algorithm 1 refinement loop with canonical Largest-First selection
   /// (size desc, smallest external id asc), delegated to the shared
@@ -341,15 +348,23 @@ class ResidentEngine {
   std::optional<TransitiveHasher> hasher_;
   std::optional<PairwiseComputer> pairwise_;
 
-  /// Persistent level-1 buckets, one map per table: key -> every internal
-  /// record ever inserted with that key (dead members are skipped on read
-  /// and pruned opportunistically). Invariant: all *live* records sharing a
-  /// key are in the same level-1 component.
-  std::vector<std::unordered_map<uint64_t, std::vector<RecordId>>> buckets_;
+  /// Persistent level-1 buckets, one map per table: key -> one live record
+  /// holding it, the arrival's way into the key's level-1 tree. Only live
+  /// records' keys are present, and all live records sharing a key are in
+  /// the same level-1 tree.
+  std::vector<std::unordered_map<uint64_t, RecordId>> buckets_;
 
   // Per-internal-record state (parallel vectors, grown on append).
   std::vector<char> live_;
+  /// The record's leaf in the tree of its current cluster, at whatever level
+  /// refinement has reached.
   std::vector<NodeId> leaf_of_;
+  /// The record's leaf in its component's level-1 tree: the engine's only
+  /// record of level-1 membership. A level-1 tree's root keeps producer 0
+  /// and refinement never modifies the tree (it builds fresh ones and the
+  /// forest never frees a node), so it lists exactly the component's live
+  /// members until a removal abandons it. kInvalidNode for dead records.
+  std::vector<NodeId> level1_leaf_;
   std::vector<int> last_fn_;
   std::vector<ExternalId> ext_of_;
 

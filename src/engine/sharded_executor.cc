@@ -50,6 +50,9 @@ class ShardedMergeAccess {
   static const ParentPointerForest& Forest(const ResidentEngine& e) {
     return e.forest_;
   }
+  static uint64_t Batches(const ResidentEngine& e) {
+    return e.counters_.batches;
+  }
   static const HashEngine& Hashes(const ResidentEngine& e) {
     return *e.engine_;
   }
@@ -654,6 +657,10 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
       shard_locks.emplace_back(ShardedMergeAccess::Mutex(*shard));
     }
     result.lock_wait_seconds += wait_timer.ElapsedSeconds();
+    uint64_t batches_merged = 0;
+    for (const std::unique_ptr<ResidentEngine>& shard : shards) {
+      batches_merged += ShardedMergeAccess::Batches(*shard);
+    }
     ScopedThreadPool merge_pool(options_.engine.config.threads);
     Timer merge_timer;
     auto merged = std::make_shared<EngineSnapshot>(MergeShardStatesLocked(
@@ -669,6 +676,7 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     merged->generation = snapshot_->generation + 1;
     snapshot_ = std::move(merged);
+    batches_at_merge_ = batches_merged;
   }
 
   // Per-shard balance gauges, read after the merge released the shard locks
@@ -716,8 +724,18 @@ StatusOr<std::vector<ExternalId>> ShardedEngine::Cluster(
 }
 
 EngineCounters ShardedEngine::counters() const {
+  // The published state first: shard batch counts only grow, so the lag
+  // computed from later shard reads never underflows.
+  std::shared_ptr<const EngineSnapshot> snap;
+  uint64_t batches_at_merge = 0;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snap = snapshot_;
+    batches_at_merge = batches_at_merge_;
+  }
   EngineCounters total;
-  for (const std::unique_ptr<ResidentEngine>& shard : Shards()) {
+  const ShardSpan shards = Shards();
+  for (const std::unique_ptr<ResidentEngine>& shard : shards) {
     const EngineCounters c = shard->counters();
     total.batches += c.batches;
     total.ingested += c.ingested;
@@ -732,7 +750,11 @@ EngineCounters ShardedEngine::counters() const {
     total.total_hashes += c.total_hashes;
     total.total_similarities += c.total_similarities;
   }
-  std::shared_ptr<const EngineSnapshot> snap = Snapshot();
+  // At S>=2 the shards' own snapshots are never served: the lag counts the
+  // shard batches the last published merge has not seen.
+  if (shards.size() >= 2) {
+    total.snapshot_lag_batches = total.batches - batches_at_merge;
+  }
   total.generation = snap->generation;
   total.live_records = snap->live_records;
   return total;

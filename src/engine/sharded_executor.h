@@ -129,7 +129,10 @@ class ShardedEngine {
   StatusOr<std::vector<ExternalId>> Cluster(ExternalId id) const;
 
   /// Whole-life counters summed across shards; `generation` and
-  /// `live_records` describe the published snapshot.
+  /// `live_records` describe the published snapshot. So does
+  /// `snapshot_lag_batches`: the shard's own lag at S=1, and at S>=2 the
+  /// shard batches (`batches` units) applied since the last published merge
+  /// read the shards, 0 right after Flush().
   EngineCounters counters() const;
 
   /// One EngineCounters per shard, in shard order (empty before the first
@@ -199,6 +202,9 @@ class ShardedEngine {
   mutable std::mutex flush_mu_;
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const EngineSnapshot> snapshot_;
+  /// At S>=2, the shards' summed `batches` when the published merge read
+  /// them (under snapshot_mu_, published with snapshot_).
+  uint64_t batches_at_merge_ = 0;
 };
 
 /// One-shot batch entry point (the CLI's `--shards` path): ingests the whole

@@ -41,6 +41,7 @@ TEST(EngineEquivalenceTest, RandomizedHistoriesAreConfluentAcrossThreads) {
     GeneratedDataset generated =
         test::MakePlantedDataset(SizesForSeed(seed), seed);
     std::string reference;
+    size_t reference_buckets = 0;
     test::LiveMap first_live;
     for (int threads : kThreadCounts) {
       ResidentEngine engine(generated.rule,
@@ -53,12 +54,16 @@ TEST(EngineEquivalenceTest, RandomizedHistoriesAreConfluentAcrossThreads) {
         // The script is engine-independent and ids are assigned in batch
         // order, so every thread count must walk the identical history.
         first_live = live;
-        reference = test::ReferenceCanonical(generated.dataset,
-                                             generated.rule, live, 4);
+        reference = test::ReferenceCanonical(
+            generated.dataset, generated.rule, live, 4, &reference_buckets);
       } else {
         ASSERT_EQ(live, first_live) << "seed " << seed;
       }
       EXPECT_EQ(canonical, reference)
+          << "seed " << seed << " threads " << threads;
+      // A bucket still naming a removed record would outnumber the
+      // reference's, which holds only live keys.
+      EXPECT_EQ(engine.counters().level1_buckets, reference_buckets)
           << "seed " << seed << " threads " << threads;
     }
   }

@@ -140,11 +140,14 @@ inline LiveMap RunRandomScript(Engine* engine, const Dataset& source,
 /// ingestion order is ascending, the map (reference id -> subject id) is
 /// monotone, so relabeling preserves the canonical cluster order and the
 /// serialized snapshots of a confluent subject engine must match
-/// byte-for-byte.
+/// byte-for-byte. `level1_buckets`, when set, receives the reference's
+/// level-1 bucket count, which a subject engine must match too.
 inline std::string ReferenceCanonical(const Dataset& source,
                                       const MatchRule& rule,
-                                      const LiveMap& live, int top_k) {
+                                      const LiveMap& live, int top_k,
+                                      size_t* level1_buckets = nullptr) {
   ResidentEngine reference(rule, EngineOptions(/*threads=*/1, top_k));
+  if (level1_buckets != nullptr) *level1_buckets = 0;
   if (live.empty()) return CanonicalSnapshot(*reference.Snapshot());
   std::vector<Record> records;
   std::vector<ExternalId> subject_ids;
@@ -154,6 +157,9 @@ inline std::string ReferenceCanonical(const Dataset& source,
   }
   auto ingested = reference.Ingest(std::move(records));
   ADALSH_CHECK(ingested.ok()) << ingested.status().ToString();
+  if (level1_buckets != nullptr) {
+    *level1_buckets = reference.counters().level1_buckets;
+  }
   std::unordered_map<ExternalId, ExternalId> relabel;
   for (size_t i = 0; i < subject_ids.size(); ++i) {
     relabel[ingested.value().assigned_ids[i]] = subject_ids[i];

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -104,6 +105,68 @@ TEST(EngineTelemetryTest, TelemetryDoesNotPerturbShardedResults) {
       EXPECT_EQ(snapshot.gauges.count(prefix + "_level1_buckets"), 1u);
     }
   }
+}
+
+TEST(EngineTelemetryTest, EngineStepSpansNestInTheirBatch) {
+  // The engine's work outside refinement records one span per mutation and
+  // step: `engine_arrive`, `engine_reopen`, `engine_remove` and
+  // `engine_publish`, each on the mutating thread's lane inside that
+  // mutation's `engine_batch` span. Tracing them leaves results unchanged.
+  GeneratedDataset generated = Workload(17);
+  auto drive = [&generated](ResidentEngine* engine) {
+    std::vector<Record> records;
+    for (RecordId r = 0; r < generated.dataset.num_records(); ++r) {
+      records.push_back(generated.dataset.record(r));
+    }
+    ASSERT_TRUE(engine->Ingest(std::move(records)).ok());
+    // Both targets sit in the largest cluster, so the removal has survivors
+    // to re-arrive and the update reopens a component.
+    const std::vector<ExternalId> largest =
+        engine->Snapshot()->clusters.front();
+    ASSERT_GE(largest.size(), 3u);
+    ASSERT_TRUE(engine->Remove(std::vector<ExternalId>{largest[0]}).ok());
+    ASSERT_TRUE(
+        engine->Update(largest[1], generated.dataset.record(0)).ok());
+  };
+
+  ResidentEngine plain(generated.rule, test::EngineOptions(2, 4));
+  drive(&plain);
+  TraceRecorder trace;
+  ResidentEngine::Options options = test::EngineOptions(2, 4);
+  options.config.instrumentation.trace = &trace;
+  ResidentEngine traced(generated.rule, options);
+  drive(&traced);
+  EXPECT_EQ(test::CanonicalSnapshot(*traced.Snapshot()),
+            test::CanonicalSnapshot(*plain.Snapshot()));
+
+  const std::vector<TraceRecorder::SpanRecord> spans = trace.Spans();
+  std::vector<TraceRecorder::SpanRecord> batches;
+  for (const TraceRecorder::SpanRecord& span : spans) {
+    if (span.name == "engine_batch") batches.push_back(span);
+  }
+  ASSERT_EQ(batches.size(), 3u);
+  std::map<std::string, int> count;
+  for (const TraceRecorder::SpanRecord& span : spans) {
+    if (span.name != "engine_arrive" && span.name != "engine_reopen" &&
+        span.name != "engine_remove" && span.name != "engine_publish") {
+      continue;
+    }
+    ++count[span.name];
+    int containing = 0;
+    for (const TraceRecorder::SpanRecord& batch : batches) {
+      constexpr double kSlack = 1e-9;  // rounding of the relative stamps
+      containing +=
+          batch.lane == span.lane && batch.id < span.id &&
+          span.start_seconds >= batch.start_seconds - kSlack &&
+          span.start_seconds + span.duration_seconds <=
+              batch.start_seconds + batch.duration_seconds + kSlack;
+    }
+    EXPECT_EQ(containing, 1) << span.name << " span " << span.id;
+  }
+  EXPECT_EQ(count["engine_arrive"], 2);   // the ingest and the update
+  EXPECT_EQ(count["engine_remove"], 2);   // the remove and the update
+  EXPECT_EQ(count["engine_reopen"], 3);   // every mutation touched one
+  EXPECT_EQ(count["engine_publish"], 3);  // every pass completed
 }
 
 TEST(EngineTelemetryTest, ResidentHistogramCountsAreExact) {

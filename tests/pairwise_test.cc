@@ -9,6 +9,7 @@
 #include "test_util.h"
 #include "util/numeric.h"
 #include "util/rng.h"
+#include "util/run_controller.h"
 #include "util/thread_pool.h"
 
 namespace adalsh {
@@ -105,6 +106,33 @@ TEST(PairwiseTest, SubsetApplication) {
   for (NodeId root : roots) sizes.push_back(forest.LeafCount(root));
   std::sort(sizes.rbegin(), sizes.rend());
   EXPECT_EQ(sizes, (std::vector<size_t>{2, 2}));
+}
+
+TEST(PairwiseTest, ApplyLeavesTheRefinedTreeUnchanged) {
+  // P refines the leaves of an existing tree (the resident engine's level-1
+  // tree among them) into fresh trees: neither a completed sweep nor one a
+  // budget stops after its first stripe may modify the refined tree.
+  GeneratedDataset generated = test::MakePlantedDataset({70, 50, 30}, 13);
+  ParentPointerForest forest;
+  const NodeId root =
+      test::MakeLevel1Tree(generated.dataset.AllRecordIds(), &forest);
+  const test::TreeShape before = test::ShapeOf(forest, root);
+
+  PairwiseComputer complete(generated.dataset, generated.rule);
+  std::vector<NodeId> roots = complete.Apply(forest.Leaves(root), &forest);
+  ASSERT_FALSE(complete.last_apply_interrupted());
+  EXPECT_EQ(roots.size(), 3u);
+  EXPECT_TRUE(test::ShapeOf(forest, root) == before);
+
+  RunBudget budget;
+  budget.max_pairwise = 10;
+  RunController controller(budget);
+  PairwiseComputer stopped(generated.dataset, generated.rule, /*pool=*/nullptr,
+                           Instrumentation{}, &controller);
+  stopped.Apply(forest.Leaves(root), &forest);
+  ASSERT_TRUE(stopped.last_apply_interrupted());
+  EXPECT_GT(stopped.total_similarities(), budget.max_pairwise);
+  EXPECT_TRUE(test::ShapeOf(forest, root) == before);
 }
 
 TEST(PairwiseTest, ParallelSweepMatchesSerialOnStripeCrossingInput) {

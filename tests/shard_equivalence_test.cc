@@ -371,6 +371,39 @@ TEST(ShardEquivalenceTest, RejectedIngestWithIdsChangesNoShard) {
   }
 }
 
+TEST(ShardEquivalenceTest, SnapshotLagDescribesTheServedSnapshot) {
+  // `snapshot_lag_batches` counts the batches the served snapshot has not
+  // seen. At S=1 every completed mutation publishes, so it stays 0. At S=2
+  // the served snapshot advances only at Flush: every shard batch since the
+  // last merge is lag, and Flush clears it.
+  GeneratedDataset generated = test::MakePlantedDataset({4, 3, 2, 1}, 6);
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedEngine engine(generated.rule, ShardedOptions(shards, 1, 2));
+    for (size_t first : {0, 5}) {
+      std::vector<Record> records;
+      for (size_t r = first; r < first + 5; ++r) {
+        records.push_back(generated.dataset.record(r));
+      }
+      ASSERT_TRUE(engine.Ingest(std::move(records)).ok());
+    }
+    const EngineCounters before_flush = engine.counters();
+    if (shards == 1) {
+      EXPECT_EQ(before_flush.generation, 2u);
+      EXPECT_EQ(before_flush.snapshot_lag_batches, 0u);
+    } else {
+      EXPECT_EQ(before_flush.generation, 0u);
+      EXPECT_EQ(before_flush.live_records, 0u);
+      EXPECT_GE(before_flush.snapshot_lag_batches, 2u);
+      EXPECT_EQ(before_flush.snapshot_lag_batches, before_flush.batches);
+    }
+    ASSERT_TRUE(engine.Flush().ok());
+    EXPECT_EQ(engine.counters().snapshot_lag_batches, 0u);
+    ASSERT_TRUE(engine.Update(0, generated.dataset.record(1)).ok());
+    EXPECT_EQ(engine.counters().snapshot_lag_batches, shards == 1 ? 0u : 1u);
+  }
+}
+
 TEST(ShardEquivalenceTest, PartitionIsDeterministicAndCovering) {
   for (int shards : kShardCounts) {
     std::vector<int> seen(shards, 0);

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "clustering/parent_pointer_forest.h"
 #include "core/pairwise.h"
 #include "datagen/generated_dataset.h"
 #include "distance/rule.h"
@@ -71,6 +73,48 @@ inline std::vector<RecordId> SortedCluster(
   std::vector<RecordId> sorted = cluster;
   std::sort(sorted.begin(), sorted.end());
   return sorted;
+}
+
+/// Everything a caller can observe of the tree rooted at `root`: whether it
+/// is still a root, its producer, its leaf count and its (record, leaf node)
+/// chain. The resident engine's level-1 trees rely on refinement passes
+/// leaving all of it unchanged.
+struct TreeShape {
+  bool is_root = false;
+  int producer = 0;
+  uint32_t leaf_count = 0;
+  std::vector<std::pair<RecordId, NodeId>> chain;
+
+  bool operator==(const TreeShape&) const = default;
+};
+
+inline TreeShape ShapeOf(const ParentPointerForest& forest, NodeId root) {
+  TreeShape shape;
+  shape.is_root = forest.IsRoot(root);
+  shape.producer = forest.Producer(root);
+  shape.leaf_count = forest.LeafCount(root);
+  forest.ForEachLeafNode(root, [&](RecordId r, NodeId leaf) {
+    shape.chain.emplace_back(r, leaf);
+  });
+  return shape;
+}
+
+/// A producer-0 tree over `records` (at least two), built the way the
+/// resident engine's arrivals build a level-1 tree: each half grows by
+/// AddLeaf, then the halves Merge.
+inline NodeId MakeLevel1Tree(const std::vector<RecordId>& records,
+                             ParentPointerForest* forest) {
+  const size_t half = records.size() / 2;
+  NodeId roots[2];
+  for (size_t part = 0; part < 2; ++part) {
+    const size_t begin = part == 0 ? 0 : half;
+    const size_t end = part == 0 ? half : records.size();
+    roots[part] = forest->MakeTree(records[begin], /*producer=*/0);
+    for (size_t i = begin + 1; i < end; ++i) {
+      forest->AddLeaf(roots[part], records[i]);
+    }
+  }
+  return forest->Merge(roots[0], roots[1]);
 }
 
 }  // namespace test

@@ -14,6 +14,7 @@
 #include "core/scheme_optimizer.h"
 #include "datagen/cora_like.h"
 #include "test_util.h"
+#include "util/run_controller.h"
 #include "util/thread_pool.h"
 
 namespace adalsh {
@@ -141,6 +142,35 @@ TEST(TransitiveHasherTest, FreshTablesPerInvocation) {
   size_t first_total = 0;
   for (NodeId root : first) first_total += forest.LeafCount(root);
   EXPECT_EQ(first_total, 4u);
+}
+
+TEST(TransitiveHasherTest, ApplyLeavesTheRefinedTreeUnchanged) {
+  // The resident engine refines a component's level-1 tree by applying H_i
+  // to its leaves and keeps that tree as the component's membership record,
+  // so neither a completed nor an interrupted pass may modify it.
+  HasherFixture setup({8, 6, 3});
+  HashEngine engine(setup.generated.dataset, setup.structure, 31);
+  ParentPointerForest forest;
+  TransitiveHasher hasher(&engine, &forest,
+                          setup.generated.dataset.num_records());
+  const NodeId root =
+      test::MakeLevel1Tree(setup.generated.dataset.AllRecordIds(), &forest);
+  const test::TreeShape before = test::ShapeOf(forest, root);
+
+  std::vector<NodeId> roots =
+      hasher.Apply(forest.Leaves(root), setup.PlanForBudget(160), 1);
+  ASSERT_FALSE(hasher.last_apply_interrupted());
+  ASSERT_GE(roots.size(), 3u);
+  EXPECT_TRUE(test::ShapeOf(forest, root) == before);
+
+  RunController controller;
+  controller.Cancel();
+  hasher.set_controller(&controller);
+  roots = hasher.Apply(forest.Leaves(root), setup.PlanForBudget(320), 2);
+  hasher.set_controller(nullptr);
+  ASSERT_TRUE(hasher.last_apply_interrupted());
+  EXPECT_TRUE(roots.empty());
+  EXPECT_TRUE(test::ShapeOf(forest, root) == before);
 }
 
 TEST(TransitiveHasherTest, IncrementalReuseAcrossPlans) {

@@ -32,8 +32,10 @@ stderr_log="$scratch/deadline_smoke_stderr.txt"
 rm -f "$csv" "$report" "$budget_report" "$clusters" "$stderr_log"
 
 # Cora-like synthetic dataset, sized so the full run takes well over the
-# deadline on any machine this runs on: many mid-sized entities whose rows
-# share most words, so verification needs real pairwise work.
+# deadline: many large entities whose rows share most words, so
+# verification needs real hashing and pairwise work. About 18k rows; the run
+# without a deadline filters for 1.8-2.2 s at --threads=2 on a 4-vCPU x86
+# host, 36-43x the deadline below.
 python3 - "$csv" <<'EOF'
 import random, sys
 random.seed(7)
@@ -41,7 +43,7 @@ vocab = [f"tok{i}" for i in range(2000)]
 rows = []
 for e in range(60):
     base = random.sample(vocab, 40)
-    for r in range(random.randint(15, 30)):
+    for r in range(random.randint(200, 400)):
         words = list(base)
         for _ in range(random.randint(0, 8)):
             words[random.randrange(len(words))] = random.choice(vocab)
