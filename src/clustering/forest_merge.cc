@@ -31,16 +31,4 @@ NodeId GraftTree(const ParentPointerForest& src, NodeId src_root,
   return new_root;
 }
 
-NodeId MergeRoots(ParentPointerForest* forest, const std::vector<NodeId>& roots,
-                  int producer) {
-  ADALSH_CHECK(forest != nullptr);
-  ADALSH_CHECK(!roots.empty());
-  NodeId survivor = roots.front();
-  for (size_t i = 1; i < roots.size(); ++i) {
-    survivor = forest->Merge(survivor, roots[i]);
-  }
-  forest->SetProducer(survivor, producer);
-  return survivor;
-}
-
 }  // namespace adalsh

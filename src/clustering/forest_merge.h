@@ -7,11 +7,13 @@
 
 namespace adalsh {
 
-/// Tools for transplanting parent-pointer trees between forests — the
-/// mechanism behind the cross-shard merge (docs/sharding.md): each shard
-/// refines its own forest over its own internal record-id space, and the
-/// merge pass grafts every shard tree into one global forest over global
-/// record ids before continuing refinement where the shards left off.
+/// Transplanting parent-pointer trees between forests — how the cross-shard
+/// merge (docs/sharding.md) carries refinement over: each shard refines its
+/// own forest over its own internal record-id space, and the merge's fresh
+/// engine grafts the current pieces of every component whose records all sit
+/// on one shard into its own forest, over its own record ids. Components
+/// that span shards are not grafted; the merge reopens them from its level-1
+/// trees.
 
 /// Copies the tree rooted at `src_root` in `src` into `dst` as a fresh tree:
 /// same leaf records (each mapped through `remap`, indexed by source record
@@ -24,9 +26,9 @@ namespace adalsh {
 ///
 /// Accumulated graft accounting, filled by GraftTree when a stats sink is
 /// passed: how many trees were transplanted and how many leaves they carried.
-/// The merge pass surfaces these per Flush in the telemetry plane
-/// (docs/observability.md) — graft volume is the cross-shard merge's unit of
-/// work, the way hashes/similarities are the refine loop's.
+/// The merge surfaces these per Flush in the telemetry plane
+/// (docs/observability.md): the refinement it carried over instead of
+/// redoing.
 struct GraftStats {
   uint64_t trees = 0;
   uint64_t leaves = 0;
@@ -39,17 +41,6 @@ NodeId GraftTree(const ParentPointerForest& src, NodeId src_root,
                  ParentPointerForest* dst, const std::vector<RecordId>& remap,
                  std::vector<NodeId>* leaf_of = nullptr,
                  GraftStats* stats = nullptr);
-
-/// Merges the trees rooted at `roots` (all in `forest`, at least one) into a
-/// single tree by folding left-to-right in the given order, then stamps the
-/// surviving root with `producer`. The merge pass calls this with roots in
-/// canonical order (ascending shard, ascending shard-local discovery) and
-/// producer 0: a component split across shards may hold cross-shard merge
-/// evidence no shard ever saw, so — exactly like a reopened component in the
-/// resident engine — its refinement restarts from level 1. Returns the
-/// surviving root.
-NodeId MergeRoots(ParentPointerForest* forest, const std::vector<NodeId>& roots,
-                  int producer);
 
 }  // namespace adalsh
 

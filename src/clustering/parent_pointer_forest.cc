@@ -82,11 +82,6 @@ int ParentPointerForest::Producer(NodeId root) const {
   return node(root).producer;
 }
 
-void ParentPointerForest::SetProducer(NodeId root, int producer) {
-  ADALSH_CHECK(IsRoot(root));
-  node(root).producer = producer;
-}
-
 RecordId ParentPointerForest::RecordAt(NodeId leaf) const {
   const Node& n = node(leaf);
   ADALSH_CHECK(n.is_leaf);

@@ -70,7 +70,6 @@ class ParentPointerForest {
 
   /// Producer tag of the tree rooted at `root`.
   int Producer(NodeId root) const;
-  void SetProducer(NodeId root, int producer);
 
   /// Record stored at a leaf node.
   RecordId RecordAt(NodeId leaf) const;

@@ -6,9 +6,9 @@
 #include "clustering/candidate_order.h"
 #include "core/hash_engine.h"
 #include "core/pairwise.h"
+#include "core/refine_loop.h"
 #include "core/termination.h"
 #include "core/transitive_hash_function.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -76,22 +76,13 @@ FilterOutput LshBlocking::Run(int k) {
   // Closes out a round against the exact counter sources (see the
   // round_records invariants in filter_output.h).
   auto finish_round = [&](RoundRecord round, uint64_t hashes_before,
-                          uint64_t sims_before, double wall_seconds) {
+                          uint64_t sims_before, double wall_seconds,
+                          TraceRecorder::Span* span) {
     round.hashes_computed = engine.total_hashes_computed() - hashes_before;
     round.pairwise_similarities =
         pairwise.total_similarities() - sims_before;
     round.wall_seconds = wall_seconds;
-    ++stats.rounds;
-    if (instr.metrics != nullptr) {
-      instr.metrics->AddCounter("rounds", 1);
-      instr.metrics->RecordValue("round_cluster_size",
-                                 static_cast<double>(round.cluster_size));
-      instr.metrics->RecordValue("round_wall_seconds", round.wall_seconds);
-    }
-    stats.round_records.push_back(round);
-    if (instr.observer != nullptr) {
-      instr.observer->OnRoundEnd(stats.round_records.back());
-    }
+    RecordRound(instr, std::move(round), span, &stats);
   };
 
   // Stage 1: apply all X hash functions to every record. Skipped entirely on
@@ -118,7 +109,7 @@ FilterOutput LshBlocking::Run(int k) {
     // blocking cluster yet, so the run degrades to an empty clustering.
     round.interrupted = hasher.last_apply_interrupted();
     finish_round(std::move(round), /*hashes_before=*/0, /*sims_before=*/0,
-                 round_timer.ElapsedSeconds());
+                 round_timer.ElapsedSeconds(), &round_span);
   }
 
   std::vector<NodeId> finals;
@@ -178,7 +169,7 @@ FilterOutput LshBlocking::Run(int k) {
         stats.records_finished_by_pairwise += records.size();
       }
       finish_round(std::move(round), hashes_before, sims_before,
-                   round_timer.ElapsedSeconds());
+                   round_timer.ElapsedSeconds(), &round_span);
       if (interrupted) {
         // The cluster keeps its stage-1 level; the stuck controller ends the
         // loop at its next check and the fill below may still return it.

@@ -5,8 +5,8 @@
 
 #include "clustering/candidate_order.h"
 #include "core/pairwise.h"
+#include "core/refine_loop.h"
 #include "core/termination.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -43,36 +43,33 @@ FilterOutput PairsBaseline::Run(int k) {
   // stop; an interrupted sweep keeps the partial components found so far
   // (every applied merge is an exact certified match — see the constructor
   // comment), recorded as an interrupted round.
-  RoundRecord round;
-  round.round = 1;
-  round.action = RoundAction::kPairwise;
-  round.cluster_size = dataset_->num_records();
+  FilterOutput output;
   std::vector<NodeId> roots;
-  bool ran_round = false;
   if (!StopRequested(controller)) {
-    ran_round = true;
+    RoundRecord round;
+    round.round = 1;
+    round.action = RoundAction::kPairwise;
+    round.cluster_size = dataset_->num_records();
     Timer round_timer;
-    {
-      TraceRecorder::Span round_span(instr_.trace, "round", "round");
-      if (instr_.observer != nullptr) {
-        RoundStartInfo start;
-        start.round = 1;
-        start.cluster_size = dataset_->num_records();
-        start.producer = -1;
-        instr_.observer->OnRoundStart(start);
-      }
-      roots = pairwise.Apply(dataset_->AllRecordIds(), &forest);
+    TraceRecorder::Span round_span(instr_.trace, "round", "round");
+    if (instr_.observer != nullptr) {
+      RoundStartInfo start;
+      start.round = 1;
+      start.cluster_size = dataset_->num_records();
+      start.producer = -1;
+      instr_.observer->OnRoundStart(start);
     }
+    roots = pairwise.Apply(dataset_->AllRecordIds(), &forest);
     round.pairwise_similarities = pairwise.total_similarities();
     round.wall_seconds = round_timer.ElapsedSeconds();
     round.pairwise_seconds = round.wall_seconds;
     round.interrupted = pairwise.last_apply_interrupted();
+    RecordRound(instr_, std::move(round), &round_span, &output.stats);
   }
 
   const std::vector<NodeId> finals =
       LargestRoots(forest, roots, static_cast<size_t>(k));
 
-  FilterOutput output;
   output.clusters = MaterializeClusters(forest, finals);
   FillClusterVerification(forest, finals, &output.stats);
   output.clusters.SortBySizeDescending();
@@ -80,25 +77,12 @@ FilterOutput PairsBaseline::Run(int k) {
                                         ? controller->reason()
                                         : TerminationReason::kCompleted;
   output.stats.filtering_seconds = timer.ElapsedSeconds();
-  output.stats.rounds = ran_round ? 1 : 0;
   output.stats.pairwise_similarities = pairwise.total_similarities();
   // Pairs has no hashing functions: records_last_hashed_at stays empty and
   // every record treated by the sweep finishes under P (invariants in
   // filter_output.h). A pre-round-1 stop treated nothing.
   output.stats.records_finished_by_pairwise =
-      ran_round ? dataset_->num_records() : 0;
-  if (ran_round) {
-    output.stats.round_records.push_back(round);
-    if (instr_.observer != nullptr) {
-      instr_.observer->OnRoundEnd(output.stats.round_records.back());
-    }
-    if (instr_.metrics != nullptr) {
-      instr_.metrics->AddCounter("rounds", 1);
-      instr_.metrics->RecordValue("round_cluster_size",
-                                  static_cast<double>(round.cluster_size));
-      instr_.metrics->RecordValue("round_wall_seconds", round.wall_seconds);
-    }
-  }
+      output.stats.rounds == 1 ? dataset_->num_records() : 0;
   ReportTermination(instr_, output.stats, output.clusters.clusters.size());
   return output;
 }

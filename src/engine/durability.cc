@@ -182,7 +182,12 @@ Status DurableEngine::RecoverLocked() {
     recovery_.checkpoint_loaded = true;
     recovery_.checkpoint_seq = checkpoint->last_seq;
     replay_floor = checkpoint->last_seq;
+    // The counter must pass every live id, whatever the checkpoint claims:
+    // a fresh id that collides with a live one fails every ingest.
     next_ext_id_ = checkpoint->next_external_id;
+    for (ExternalId id : checkpoint->ids) {
+      next_ext_id_ = std::max(next_ext_id_, id + 1);
+    }
     if (!checkpoint->records.empty()) {
       prototype_ = checkpoint->records.front();
       StatusOr<EngineMutationResult> seeded = sharded_->IngestWithIds(

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "clustering/forest_merge.h"
 #include "core/refine_loop.h"
 #include "core/termination.h"
 #include "obs/metrics_registry.h"
@@ -483,13 +484,12 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
   return out_stats->termination_reason;
 }
 
-void ResidentEngine::PublishLocked(const std::vector<NodeId>& finals,
-                                   FilterStats stats) {
-  auto snap = std::make_shared<EngineSnapshot>();
-  snap->generation = ++generation_;
-  snap->live_records = int_of_.size();
-  snap->clusters.reserve(finals.size());
-  snap->verification.reserve(finals.size());
+EngineSnapshot ResidentEngine::SnapshotLocked(
+    const std::vector<NodeId>& finals, FilterStats stats) const {
+  EngineSnapshot snap;
+  snap.live_records = int_of_.size();
+  snap.clusters.reserve(finals.size());
+  snap.verification.reserve(finals.size());
   for (size_t i = 0; i < finals.size(); ++i) {
     const NodeId root = finals[i];
     std::vector<ExternalId> members;
@@ -497,11 +497,19 @@ void ResidentEngine::PublishLocked(const std::vector<NodeId>& finals,
     forest_.ForEachLeaf(root,
                         [&](RecordId r) { members.push_back(ext_of_[r]); });
     std::sort(members.begin(), members.end());
-    for (ExternalId member : members) snap->cluster_of.emplace(member, i);
-    snap->clusters.push_back(std::move(members));
-    snap->verification.push_back(VerificationLevel(forest_, root));
+    for (ExternalId member : members) snap.cluster_of.emplace(member, i);
+    snap.clusters.push_back(std::move(members));
+    snap.verification.push_back(VerificationLevel(forest_, root));
   }
-  snap->stats = std::move(stats);
+  snap.stats = std::move(stats);
+  return snap;
+}
+
+void ResidentEngine::PublishLocked(const std::vector<NodeId>& finals,
+                                   FilterStats stats) {
+  auto snap = std::make_shared<EngineSnapshot>(
+      SnapshotLocked(finals, std::move(stats)));
+  snap->generation = ++generation_;
   counters_.generation = generation_;
   batches_at_publish_ = counters_.batches;
   const Instrumentation& instr = options_.config.instrumentation;
@@ -510,6 +518,162 @@ void ResidentEngine::PublishLocked(const std::vector<NodeId>& finals,
   }
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snap);
+}
+
+ResidentEngine::MergedShards ResidentEngine::Merge(
+    const MatchRule& rule, Options options,
+    std::span<const std::unique_ptr<ResidentEngine>> shards) {
+  MergedShards merged;
+  // The global certification pause, in ascending shard order — the only
+  // multi-lock acquisition in the engine.
+  Timer wait_timer;
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards.size());
+  for (const std::unique_ptr<ResidentEngine>& shard : shards) {
+    locks.emplace_back(shard->mu_);
+  }
+  merged.lock_wait_seconds = wait_timer.ElapsedSeconds();
+  for (const std::unique_ptr<ResidentEngine>& shard : shards) {
+    merged.batches += shard->counters_.batches;
+  }
+  Timer merge_timer;
+  MetricsRegistry* metrics = options.config.instrumentation.metrics;
+  merged.snapshot = MergeLocked(rule, std::move(options), shards);
+  if (metrics != nullptr) {
+    metrics->RecordLatency("shard_merge_seconds",
+                           merge_timer.ElapsedSeconds());
+  }
+  return merged;
+}
+
+EngineSnapshot ResidentEngine::MergeLocked(
+    const MatchRule& rule, Options options,
+    std::span<const std::unique_ptr<ResidentEngine>> shards) {
+  ADALSH_CHECK(options.cost_model.has_value())
+      << "the merge prices with the cost model its shards share";
+  const Instrumentation instr = options.config.instrumentation;
+  TraceRecorder::Span span(instr.trace, "shard_merge", "engine");
+  // Phases: gather (the live records, their hashes and arrivals), graft
+  // (single-shard pieces in, the rest reopened), refine (the global pass).
+  std::optional<TraceRecorder::Span> phase_span;
+  phase_span.emplace(instr.trace, "merge_gather", "engine");
+  Timer phase_timer;
+
+  // Every live record in ascending external-id order: the internal ids a
+  // fresh engine ingesting the live set in one batch assigns.
+  struct Source {
+    ExternalId ext;
+    size_t shard;
+    RecordId local;
+  };
+  std::vector<Source> sources;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    for (const auto& [ext, local] : shards[s]->int_of_) {
+      sources.push_back({ext, s, local});
+    }
+  }
+  if (sources.empty()) return EngineSnapshot();
+  std::sort(sources.begin(), sources.end(),
+            [](const Source& a, const Source& b) { return a.ext < b.ext; });
+  const RecordId n = static_cast<RecordId>(sources.size());
+
+  // Every shard holds the identical sequence; hash values depend only on
+  // record content and seed, so adopted prefixes make the H_1 keys free.
+  // The arrivals build the global level-1 components, collisions across
+  // shards included.
+  ResidentEngine merge(rule, std::move(options));
+  merge.sequence_ = shards[sources.front().shard]->sequence_;
+  for (const Source& src : sources) {
+    merge.dataset_.AddRecord(
+        Record(shards[src.shard]->dataset_.record(src.local)), /*entity=*/0);
+  }
+  merge.InitializeLocked();
+  merge.GrowStateLocked();
+  merge.int_of_.reserve(n);
+  for (auto& table : merge.buckets_) table.reserve(n);
+  for (RecordId g = 0; g < n; ++g) {
+    const ResidentEngine& shard = *shards[sources[g].shard];
+    const RecordId local = sources[g].local;
+    merge.engine_->AdoptRecordHashes(*shard.engine_, local, g);
+    merge.live_[g] = 1;
+    merge.ext_of_[g] = sources[g].ext;
+    merge.int_of_[sources[g].ext] = g;
+    merge.ArriveLocked(g);
+    merge.last_fn_[g] = shard.last_fn_[local];
+  }
+  const double gather_seconds = phase_timer.ElapsedSeconds();
+  phase_span.reset();
+  phase_span.emplace(instr.trace, "merge_graft", "engine");
+  Timer graft_timer;
+
+  // The shard each component's records sit on, or -1 once they span two.
+  std::vector<NodeId> component(n);
+  std::unordered_map<NodeId, int> component_shard;
+  for (RecordId g = 0; g < n; ++g) {
+    component[g] = merge.forest_.FindRoot(merge.level1_leaf_[g]);
+    const int s = static_cast<int>(sources[g].shard);
+    const auto [it, fresh] = component_shard.try_emplace(component[g], s);
+    if (!fresh && it->second != s) it->second = -1;
+  }
+  // A single-shard component keeps its shard's current pieces: by
+  // confluence they are nodes of its canonical refinement tree. A component
+  // spanning shards reopens, because cross-shard evidence may bridge its
+  // pieces at any level.
+  std::vector<std::vector<RecordId>> remap(shards.size());
+  for (size_t s = 0; s < shards.size(); ++s) {
+    remap[s].resize(shards[s]->dataset_.num_records());
+  }
+  for (RecordId g = 0; g < n; ++g) remap[sources[g].shard][sources[g].local] = g;
+  std::vector<std::unordered_set<NodeId>> grafted(shards.size());
+  std::vector<RecordId> reopened;
+  GraftStats graft_stats;
+  for (RecordId g = 0; g < n; ++g) {
+    if (component_shard[component[g]] == -1) {
+      reopened.push_back(g);
+      continue;
+    }
+    const size_t s = sources[g].shard;
+    const ResidentEngine& shard = *shards[s];
+    const NodeId piece =
+        shard.forest_.FindRoot(shard.leaf_of_[sources[g].local]);
+    if (grafted[s].insert(piece).second) {
+      GraftTree(shard.forest_, piece, &merge.forest_, remap[s],
+                &merge.leaf_of_, &graft_stats);
+    }
+  }
+  merge.ReopenLocked(reopened);
+  const size_t cross_shard = static_cast<size_t>(std::count_if(
+      component_shard.begin(), component_shard.end(),
+      [](const auto& entry) { return entry.second == -1; }));
+  span.AddArg("records", static_cast<double>(n));
+  span.AddArg("components", static_cast<double>(component_shard.size()));
+  span.AddArg("cross_shard_components", static_cast<double>(cross_shard));
+  span.AddArg("grafted_trees", static_cast<double>(graft_stats.trees));
+  if (instr.metrics != nullptr) {
+    instr.metrics->AddCounter("shard_merges", 1);
+    instr.metrics->AddCounter("shard_merge_cross_components", cross_shard);
+    instr.metrics->AddCounter("shard_merge_grafted_trees", graft_stats.trees);
+    instr.metrics->AddCounter("shard_merge_grafted_leaves",
+                              graft_stats.leaves);
+  }
+  const double graft_seconds = graft_timer.ElapsedSeconds();
+  phase_span.reset();
+  phase_span.emplace(instr.trace, "merge_refine", "engine");
+  Timer refine_timer;
+
+  std::vector<NodeId> finals;
+  FilterStats stats;
+  const TerminationReason reason =
+      merge.RefineLocked(EngineBatchOptions{}, &finals, &stats);
+  ADALSH_CHECK(reason == TerminationReason::kCompleted);
+  const double refine_seconds = refine_timer.ElapsedSeconds();
+  phase_span.reset();
+  if (instr.metrics != nullptr) {
+    instr.metrics->RecordLatency("shard_merge_gather_seconds", gather_seconds);
+    instr.metrics->RecordLatency("shard_merge_graft_seconds", graft_seconds);
+    instr.metrics->RecordLatency("shard_merge_refine_seconds", refine_seconds);
+  }
+  return merge.SnapshotLocked(finals, std::move(stats));
 }
 
 std::shared_ptr<const EngineSnapshot> ResidentEngine::Snapshot() const {

@@ -145,10 +145,15 @@ struct EngineCounters {
 ///     reused across batches — internal record ids are content-immutable, so
 ///     nothing is ever invalidated; re-refining after an arrival only pays
 ///     for hash levels not yet computed.
+///   * Shards: the sharded engine's cross-shard merge is this class too
+///     (Merge): a fresh engine whose arrivals, reopen, refinement pass and
+///     snapshot builder are the ones every mutation uses, fed the shards'
+///     live records, hashes and single-shard refinement pieces.
 ///
 /// Threading: mutations are serialized internally (mu_); queries (TopK,
 /// Cluster, Snapshot) never take the mutation lock and are safe from any
-/// thread at any time. counters() may block behind an in-flight mutation.
+/// thread at any time. counters() may block behind an in-flight mutation,
+/// and every shard's mutations block behind a Merge reading it.
 class ResidentEngine {
  public:
   struct Options {
@@ -258,6 +263,27 @@ class ResidentEngine {
 
   int top_k() const { return options_.top_k; }
 
+  /// What Merge certified: the global snapshot (generation 0; the caller
+  /// numbers it), the shards' summed `batches` when the merge read them, and
+  /// the time spent acquiring their locks.
+  struct MergedShards {
+    EngineSnapshot snapshot;
+    uint64_t batches = 0;
+    double lock_wait_seconds = 0;
+  };
+
+  /// The cross-shard merge (docs/sharding.md): takes every shard's mutation
+  /// lock in ascending shard order and certifies the global top-k of their
+  /// live records with a fresh engine built from `options`, which must pin
+  /// the cost model the shards share. The fresh engine arrives the live
+  /// records in ascending external-id order with hash prefixes and last
+  /// functions adopted from their shards, keeps the shard's current pieces
+  /// of every component whose records all sit on one shard, reopens every
+  /// other component, and refines with no SLO. Shard state is only read.
+  static MergedShards Merge(
+      const MatchRule& rule, Options options,
+      std::span<const std::unique_ptr<ResidentEngine>> shards);
+
  private:
   /// Shared Ingest/IngestWithIds validation: schema check against the
   /// prototype and, on the first non-empty batch, the fallible sequence
@@ -321,17 +347,23 @@ class ResidentEngine {
                                  std::vector<NodeId>* finals,
                                  FilterStats* stats);
 
-  /// Builds and publishes a new snapshot from certified roots.
+  /// The snapshot of certified roots, unnumbered (generation 0): members
+  /// sorted, clusters in the given canonical order, verification levels read
+  /// off the forest.
+  EngineSnapshot SnapshotLocked(const std::vector<NodeId>& finals,
+                                FilterStats stats) const;
+
+  /// Numbers and publishes SnapshotLocked's snapshot of certified roots.
   void PublishLocked(const std::vector<NodeId>& finals, FilterStats stats);
+
+  /// Merge's work once every shard lock is held.
+  static EngineSnapshot MergeLocked(
+      const MatchRule& rule, Options options,
+      std::span<const std::unique_ptr<ResidentEngine>> shards);
 
   /// Effective SLO of one mutation: explicit options win, else the ambient
   /// config budget/controller.
   EngineBatchOptions EffectiveOptions(const EngineBatchOptions& opts) const;
-
-  /// The cross-shard merge (engine/sharded_executor.cc) reads shard-engine
-  /// internals — live records, forests, hash caches, producers — under all
-  /// shard locks to build the canonical global result (docs/sharding.md).
-  friend class ShardedMergeAccess;
 
   MatchRule rule_;
   Options options_;

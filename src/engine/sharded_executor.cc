@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
-#include <numeric>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "clustering/forest_merge.h"
-#include "core/refine_loop.h"
 #include "core/termination.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
@@ -25,38 +21,6 @@ int ShardOfExternalId(ExternalId id, int shards) {
   if (shards == 1) return 0;
   return static_cast<int>(SplitMix64(id) % static_cast<uint64_t>(shards));
 }
-
-/// Friend-door into ResidentEngine for the merge pass: read-only access to a
-/// shard's live set, forest and hash caches, taken under the shard's
-/// mutation lock (docs/sharding.md). Nothing here mutates shard state — the
-/// merge assembles its own global dataset/forest/caches.
-class ShardedMergeAccess {
- public:
-  static std::mutex& Mutex(ResidentEngine& e) { return e.mu_; }
-  static bool Initialized(const ResidentEngine& e) { return e.initialized_; }
-  static const Dataset& Data(const ResidentEngine& e) { return e.dataset_; }
-  static const std::vector<char>& Live(const ResidentEngine& e) {
-    return e.live_;
-  }
-  static const std::vector<ExternalId>& ExtOf(const ResidentEngine& e) {
-    return e.ext_of_;
-  }
-  static const std::vector<NodeId>& LeafOf(const ResidentEngine& e) {
-    return e.leaf_of_;
-  }
-  static const std::vector<int>& LastFn(const ResidentEngine& e) {
-    return e.last_fn_;
-  }
-  static const ParentPointerForest& Forest(const ResidentEngine& e) {
-    return e.forest_;
-  }
-  static uint64_t Batches(const ResidentEngine& e) {
-    return e.counters_.batches;
-  }
-  static const HashEngine& Hashes(const ResidentEngine& e) {
-    return *e.engine_;
-  }
-};
 
 namespace {
 
@@ -99,260 +63,6 @@ void FoldShardResult(const EngineMutationResult& shard,
   if (shard.refinement != TerminationReason::kCompleted) {
     result->refinement = shard.refinement;
   }
-}
-
-/// The canonical cross-shard merge (docs/sharding.md). Caller holds every
-/// shard's mutation lock; shard state is read-only throughout.
-///
-/// Records are gathered from all shards and renumbered by ascending external
-/// id — exactly the internal-id order of a fresh engine ingesting the live
-/// set in one batch, which is the reference the byte-identity contract names.
-/// Level-1 bucket keys (recomputed for free from adopted hash prefixes)
-/// yield the global components; shard trees are grafted in canonical order
-/// (ascending shard, ascending shard-local discovery); components whose
-/// trees came from more than one shard are collapsed back to one open
-/// level-1 tree — cross-shard evidence may bridge their pieces at any deeper
-/// level, the same argument that reopens a component on arrival — while
-/// single-shard components keep their pieces, each a node of the component's
-/// deterministic refinement tree. The shared refinement loop then certifies
-/// the global top-k.
-EngineSnapshot MergeShardStatesLocked(
-    const MatchRule& rule, const ResidentEngine::Options& tmpl,
-    CostModel cost_model,
-    std::span<const std::unique_ptr<ResidentEngine>> shards,
-    ThreadPool* pool) {
-  const Instrumentation& instr = tmpl.config.instrumentation;
-  TraceRecorder::Span span(instr.trace, "shard_merge", "engine");
-  EngineSnapshot snap;
-
-  // Phase accounting: gather (steps 1-3: collect records, adopt hashes,
-  // global level-1 union-find), graft (steps 4-5: transplant shard trees,
-  // collapse cross-shard components), refine (step 6: the global loop).
-  // Spans live in optionals so each closes exactly at its phase boundary
-  // without restructuring the step-numbered flow below.
-  std::optional<TraceRecorder::Span> phase_span;
-  Timer phase_timer;
-  phase_span.emplace(instr.trace, "merge_gather", "engine");
-
-  // 1. Gather every live record: (external id, owning shard, shard-local
-  // internal id, last function applied).
-  struct Src {
-    ExternalId ext;
-    int shard;
-    RecordId local;
-    int last_fn;
-  };
-  std::vector<Src> srcs;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    const ResidentEngine& e = *shards[s];
-    if (!ShardedMergeAccess::Initialized(e)) continue;
-    const std::vector<char>& live = ShardedMergeAccess::Live(e);
-    const std::vector<ExternalId>& ext_of = ShardedMergeAccess::ExtOf(e);
-    const std::vector<int>& last_fn = ShardedMergeAccess::LastFn(e);
-    for (size_t r = 0; r < live.size(); ++r) {
-      if (!live[r]) continue;
-      srcs.push_back({ext_of[r], static_cast<int>(s),
-                      static_cast<RecordId>(r), last_fn[r]});
-    }
-  }
-  std::sort(srcs.begin(), srcs.end(),
-            [](const Src& a, const Src& b) { return a.ext < b.ext; });
-  const size_t n = srcs.size();
-  snap.live_records = n;
-  if (n == 0) return snap;
-
-  // 2. Global dataset in ascending-external-id order, with each record's
-  // hash prefixes adopted from its shard — the merge never recomputes a
-  // hash the shards already paid for.
-  Dataset global("sharded-merge");
-  for (const Src& src : srcs) {
-    global.AddRecord(Record(ShardedMergeAccess::Data(*shards[src.shard])
-                                .record(src.local)),
-                     /*entity=*/0);
-  }
-  StatusOr<FunctionSequence> built =
-      FunctionSequence::Build(rule, global.record(0), tmpl.config.sequence);
-  ADALSH_CHECK(built.ok()) << built.status().ToString();
-  const FunctionSequence sequence = std::move(built).value();
-  HashEngine engine(global, sequence.structure(), tmpl.config.seed);
-  for (size_t g = 0; g < n; ++g) {
-    engine.AdoptRecordHashes(ShardedMergeAccess::Hashes(*shards[srcs[g].shard]),
-                             srcs[g].local, static_cast<RecordId>(g));
-  }
-
-  // 3. Global level-1 components: union records whose bucket keys collide
-  // in any table — including collisions across shards, which no shard ever
-  // saw. Keys come straight off the adopted prefixes (every live record was
-  // hashed through plan 0 on arrival in its shard).
-  const SchemePlan& plan0 = sequence.plan(0);
-  std::vector<RecordId> uf(n);
-  std::iota(uf.begin(), uf.end(), 0);
-  auto find = [&](RecordId x) {
-    while (uf[x] != x) {
-      uf[x] = uf[uf[x]];
-      x = uf[x];
-    }
-    return x;
-  };
-  {
-    const size_t num_tables = plan0.tables.size();
-    std::vector<uint64_t> keys(n * num_tables);  // table-major
-    for (size_t g = 0; g < n; ++g) {
-      engine.TableKeys(static_cast<RecordId>(g), plan0, keys.data() + g, n);
-    }
-    for (size_t t = 0; t < num_tables; ++t) {
-      std::unordered_map<uint64_t, RecordId> first_with_key;
-      first_with_key.reserve(n);
-      for (size_t g = 0; g < n; ++g) {
-        auto [it, inserted] = first_with_key.emplace(keys[t * n + g], g);
-        if (inserted) continue;
-        RecordId a = find(it->second);
-        RecordId b = find(static_cast<RecordId>(g));
-        if (a != b) uf[std::max(a, b)] = std::min(a, b);
-      }
-    }
-  }
-  const double gather_seconds = phase_timer.ElapsedSeconds();
-  phase_span.reset();
-  phase_span.emplace(instr.trace, "merge_graft", "engine");
-  Timer graft_timer;
-  GraftStats graft_stats;
-
-  // 4. Graft every shard tree into the global forest in canonical order
-  // (ascending shard, ascending shard-local record id), grouping the
-  // grafted roots by global component.
-  ParentPointerForest forest;
-  std::vector<NodeId> leaf_of(n, kInvalidNode);
-  std::vector<int> last_fn(n, 0);
-  std::vector<uint64_t> order_key(n, 0);
-  std::vector<std::vector<RecordId>> remap(shards.size());
-  for (size_t g = 0; g < n; ++g) {
-    last_fn[g] = srcs[g].last_fn;
-    order_key[g] = srcs[g].ext;
-    std::vector<RecordId>& shard_map = remap[srcs[g].shard];
-    if (shard_map.size() <= static_cast<size_t>(srcs[g].local)) {
-      shard_map.resize(srcs[g].local + 1, 0);
-    }
-    shard_map[srcs[g].local] = static_cast<RecordId>(g);
-  }
-  struct Component {
-    std::vector<NodeId> roots;  // grafted, in canonical graft order
-    int first_shard = -1;
-    bool multi_shard = false;
-  };
-  std::unordered_map<RecordId, Component> components;
-  std::vector<RecordId> component_order;  // first-touch order
-  for (size_t s = 0; s < shards.size(); ++s) {
-    const ResidentEngine& e = *shards[s];
-    if (!ShardedMergeAccess::Initialized(e)) continue;
-    const std::vector<char>& live = ShardedMergeAccess::Live(e);
-    const std::vector<NodeId>& shard_leaf_of = ShardedMergeAccess::LeafOf(e);
-    const ParentPointerForest& shard_forest = ShardedMergeAccess::Forest(e);
-    std::unordered_set<NodeId> seen;
-    for (size_t r = 0; r < live.size(); ++r) {
-      if (!live[r]) continue;
-      const NodeId shard_root = shard_forest.FindRoot(shard_leaf_of[r]);
-      if (!seen.insert(shard_root).second) continue;
-      const NodeId grafted = GraftTree(shard_forest, shard_root, &forest,
-                                       remap[s], &leaf_of, &graft_stats);
-      // A tree never spans level-1 components, so any leaf names the
-      // component; `r` is one of its leaves.
-      const RecordId comp = find(remap[s][r]);
-      auto [it, inserted] = components.emplace(comp, Component{});
-      if (inserted) component_order.push_back(comp);
-      Component& info = it->second;
-      if (info.first_shard == -1) {
-        info.first_shard = static_cast<int>(s);
-      } else if (info.first_shard != static_cast<int>(s)) {
-        info.multi_shard = true;
-      }
-      info.roots.push_back(grafted);
-    }
-  }
-
-  // 5. Initial roots: multi-shard components collapse to one open tree;
-  // single-shard components keep their (already canonical) pieces.
-  std::vector<NodeId> roots;
-  size_t reopened = 0;
-  for (RecordId comp : component_order) {
-    Component& info = components[comp];
-    if (info.multi_shard) {
-      roots.push_back(MergeRoots(&forest, info.roots, /*producer=*/0));
-      ++reopened;
-    } else {
-      roots.insert(roots.end(), info.roots.begin(), info.roots.end());
-    }
-  }
-  span.AddArg("records", static_cast<double>(n));
-  span.AddArg("components", static_cast<double>(component_order.size()));
-  span.AddArg("cross_shard_components", static_cast<double>(reopened));
-  span.AddArg("grafted_trees", static_cast<double>(graft_stats.trees));
-  if (instr.metrics != nullptr) {
-    instr.metrics->AddCounter("shard_merges", 1);
-    instr.metrics->AddCounter("shard_merge_cross_components", reopened);
-    instr.metrics->AddCounter("shard_merge_grafted_trees", graft_stats.trees);
-    instr.metrics->AddCounter("shard_merge_grafted_leaves",
-                              graft_stats.leaves);
-  }
-  const double graft_seconds = graft_timer.ElapsedSeconds();
-  phase_span.reset();
-  phase_span.emplace(instr.trace, "merge_refine", "engine");
-  Timer refine_timer;
-
-  // 6. Continue the canonical refinement loop to the global top-k, over
-  // merge-local hasher/pairwise arenas (the tiled PairwiseComputer sweeps
-  // any cross-shard pairs the reopened components surface).
-  cost_model.set_pairwise_noise_factor(tmpl.config.pairwise_noise_factor);
-  TransitiveHasher hasher(&engine, &forest, n, pool, instr);
-  PairwiseComputer pairwise(global, rule, pool, instr);
-  RefineLoopDeps deps;
-  deps.config = &tmpl.config;
-  deps.sequence = &sequence;
-  deps.cost_model = &cost_model;
-  deps.engine = &engine;
-  deps.hasher = &hasher;
-  deps.pairwise = &pairwise;
-  deps.forest = &forest;
-  deps.last_fn = &last_fn;
-  deps.order_key = &order_key;
-  deps.leaf_of = &leaf_of;
-  std::vector<NodeId> finals;
-  FilterStats stats;
-  RunRefineLoop(deps, tmpl.top_k, roots, /*controller=*/nullptr, &finals,
-                &stats);
-  ADALSH_CHECK(stats.termination_reason == TerminationReason::kCompleted);
-  stats.records_last_hashed_at.assign(sequence.size(), 0);
-  for (size_t g = 0; g < n; ++g) {
-    if (last_fn[g] == kLastFunctionPairwise) {
-      ++stats.records_finished_by_pairwise;
-    } else {
-      ++stats.records_last_hashed_at[last_fn[g]];
-    }
-  }
-  ReportTermination(instr, stats, finals.size());
-  const double refine_seconds = refine_timer.ElapsedSeconds();
-  phase_span.reset();
-  if (instr.metrics != nullptr) {
-    instr.metrics->RecordLatency("shard_merge_gather_seconds", gather_seconds);
-    instr.metrics->RecordLatency("shard_merge_graft_seconds", graft_seconds);
-    instr.metrics->RecordLatency("shard_merge_refine_seconds", refine_seconds);
-  }
-
-  // 7. Canonical snapshot, exactly as ResidentEngine publishes one.
-  snap.clusters.reserve(finals.size());
-  snap.verification.reserve(finals.size());
-  for (size_t i = 0; i < finals.size(); ++i) {
-    std::vector<ExternalId> members;
-    members.reserve(forest.LeafCount(finals[i]));
-    forest.ForEachLeaf(finals[i],
-                       [&](RecordId g) { members.push_back(order_key[g]); });
-    std::sort(members.begin(), members.end());
-    for (ExternalId member : members) snap.cluster_of.emplace(member, i);
-    snap.clusters.push_back(std::move(members));
-    snap.verification.push_back(VerificationLevel(forest, finals[i]));
-  }
-  snap.stats = std::move(stats);
-  return snap;
 }
 
 }  // namespace
@@ -646,37 +356,19 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
   }
 
   if (shards.size() >= 2) {
-    // The global certification pause: hold every shard's mutation lock (in
-    // ascending shard order — the only multi-lock acquisition in the
-    // engine) while the merge reads shard state and certifies the global
-    // top-k.
-    Timer wait_timer;
-    std::vector<std::unique_lock<std::mutex>> shard_locks;
-    shard_locks.reserve(shards.size());
-    for (const std::unique_ptr<ResidentEngine>& shard : shards) {
-      shard_locks.emplace_back(ShardedMergeAccess::Mutex(*shard));
-    }
-    result.lock_wait_seconds += wait_timer.ElapsedSeconds();
-    uint64_t batches_merged = 0;
-    for (const std::unique_ptr<ResidentEngine>& shard : shards) {
-      batches_merged += ShardedMergeAccess::Batches(*shard);
-    }
-    ScopedThreadPool merge_pool(options_.engine.config.threads);
-    Timer merge_timer;
-    auto merged = std::make_shared<EngineSnapshot>(MergeShardStatesLocked(
-        rule_, options_.engine, *shared_cost_model_, shards,
-        merge_pool.get()));
-    const double merge_seconds = merge_timer.ElapsedSeconds();
-    shard_locks.clear();
-    if (instr.metrics != nullptr) {
-      instr.metrics->RecordLatency("shard_merge_seconds", merge_seconds);
-    }
+    ResidentEngine::Options merge_options = options_.engine;
+    merge_options.cost_model = shared_cost_model_;
+    ResidentEngine::MergedShards merged =
+        ResidentEngine::Merge(rule_, std::move(merge_options), shards);
+    result.lock_wait_seconds += merged.lock_wait_seconds;
     // The merge pass, not the shard flushes, certified what is published.
-    result.stats = merged->stats;
+    result.stats = merged.snapshot.stats;
+    auto snapshot =
+        std::make_shared<EngineSnapshot>(std::move(merged.snapshot));
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    merged->generation = snapshot_->generation + 1;
-    snapshot_ = std::move(merged);
-    batches_at_merge_ = batches_merged;
+    snapshot->generation = snapshot_->generation + 1;
+    snapshot_ = std::move(snapshot);
+    batches_at_merge_ = merged.batches;
   }
 
   // Per-shard balance gauges, read after the merge released the shard locks

@@ -22,6 +22,11 @@ void EncodeRecord(const Record& record, BinaryWriter* writer) {
 StatusOr<Record> DecodeRecord(BinaryReader* reader) {
   auto num_fields = reader->GetU32();
   if (!num_fields.ok()) return num_fields.status();
+  // Every field takes at least its kind (u8) and size (u32): a count the
+  // remaining bytes cannot hold is corruption, not a reason to reserve.
+  if (reader->remaining() / 5 < *num_fields) {
+    return Status::OutOfRange("field count overruns payload");
+  }
   std::vector<Field> fields;
   fields.reserve(*num_fields);
   for (uint32_t f = 0; f < *num_fields; ++f) {

@@ -12,6 +12,7 @@
 #include "core/pairs_baseline.h"
 #include "engine/resident_engine.h"
 #include "engine_harness.h"
+#include "obs/metrics_registry.h"
 #include "test_util.h"
 
 namespace adalsh {
@@ -170,6 +171,60 @@ TEST(ObserverTest, PairsBaselineSequenceMatchesStats) {
   ASSERT_EQ(observer.batches.size(), 1u);
   EXPECT_EQ(observer.batches[0].similarities,
             output.stats.pairwise_similarities);
+}
+
+TEST(ObserverTest, EveryMethodFillsTheRoundHistograms) {
+  // One round recorder for every method: each round reaches the
+  // `round_seconds` histogram and exactly one of `round_hash_seconds` and
+  // `round_pairwise_seconds`, by the action it took.
+  GeneratedDataset generated = test::MakePlantedDataset({20, 10, 4, 1}, 23);
+  auto expect_round_histograms = [](const MetricsRegistry& registry,
+                                    const FilterStats& stats) {
+    const MetricsSnapshot snapshot = registry.Snapshot();
+    auto count = [&snapshot](const char* name) -> uint64_t {
+      auto it = snapshot.histograms.find(name);
+      return it == snapshot.histograms.end() ? 0 : it->second.count();
+    };
+    uint64_t hash_rounds = 0;
+    for (const RoundRecord& round : stats.round_records) {
+      if (round.action == RoundAction::kHash) ++hash_rounds;
+    }
+    ASSERT_GT(stats.rounds, 0u);
+    EXPECT_EQ(count("round_seconds"), stats.rounds);
+    EXPECT_EQ(count("round_hash_seconds"), hash_rounds);
+    EXPECT_EQ(count("round_pairwise_seconds"), stats.rounds - hash_rounds);
+  };
+  {
+    SCOPED_TRACE("adaLSH");
+    MetricsRegistry registry;
+    AdaptiveLshConfig config;
+    config.sequence.max_budget = 640;
+    config.calibration_samples = 30;
+    config.seed = 3;
+    config.instrumentation.metrics = &registry;
+    AdaptiveLsh adalsh(generated.dataset, generated.rule, config);
+    expect_round_histograms(registry, adalsh.Run(3).stats);
+  }
+  for (bool apply_pairwise : {true, false}) {
+    SCOPED_TRACE(apply_pairwise ? "LSH-X" : "LSH-X-nP");
+    MetricsRegistry registry;
+    LshBlockingConfig config;
+    config.num_hashes = 320;
+    config.seed = 3;
+    config.apply_pairwise = apply_pairwise;
+    config.instrumentation.metrics = &registry;
+    LshBlocking blocking(generated.dataset, generated.rule, config);
+    expect_round_histograms(registry, blocking.Run(3).stats);
+  }
+  {
+    SCOPED_TRACE("Pairs");
+    MetricsRegistry registry;
+    Instrumentation instr;
+    instr.metrics = &registry;
+    PairsBaseline pairs(generated.dataset, generated.rule, /*threads=*/1,
+                        instr);
+    expect_round_histograms(registry, pairs.Run(3).stats);
+  }
 }
 
 TEST(ObserverTest, ResidentEngineSequenceMatchesStats) {

@@ -88,13 +88,6 @@ TEST(ForestTest, ProducerTagSurvivesMerge) {
   EXPECT_EQ(forest.Producer(forest.Merge(a, b)), 3);
 }
 
-TEST(ForestTest, SetProducer) {
-  ParentPointerForest forest;
-  NodeId root = forest.MakeTree(1, 0);
-  forest.SetProducer(root, kProducerPairwise);
-  EXPECT_EQ(forest.Producer(root), kProducerPairwise);
-}
-
 TEST(ForestDeathTest, MergeWithSelfAborts) {
   ParentPointerForest forest;
   NodeId root = forest.MakeTree(1, 0);

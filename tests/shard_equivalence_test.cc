@@ -19,6 +19,7 @@
 #include "engine/resident_engine.h"
 #include "engine/sharded_executor.h"
 #include "engine_harness.h"
+#include "obs/metrics_registry.h"
 #include "test_util.h"
 
 namespace adalsh {
@@ -401,6 +402,66 @@ TEST(ShardEquivalenceTest, SnapshotLagDescribesTheServedSnapshot) {
     EXPECT_EQ(engine.counters().snapshot_lag_batches, 0u);
     ASSERT_TRUE(engine.Update(0, generated.dataset.record(1)).ok());
     EXPECT_EQ(engine.counters().snapshot_lag_batches, shards == 1 ? 0u : 1u);
+  }
+}
+
+TEST(ShardEquivalenceTest, MergeKeepsSingleShardComponentsAndReopensTheRest) {
+  // A merge that reopened every component would change no output, so the
+  // rule is pinned by the merge's work. With every planted entity whole on
+  // one shard, each component keeps the refinement its shard already did:
+  // the merge runs no round. One more record of the largest entity on
+  // another shard makes exactly that component span shards and reopen.
+  GeneratedDataset generated = test::MakePlantedDataset(
+      {40, 30, 20, 14, 9, 6, 3, 1, 1, 1}, /*seed=*/5);
+  const Dataset& dataset = generated.dataset;
+  for (int shards : {2, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    MetricsRegistry registry;
+    ShardedEngine::Options options = ShardedOptions(shards, 2, /*top_k=*/3);
+    options.engine.config.instrumentation.metrics = &registry;
+    ShardedEngine engine(generated.rule, options);
+    auto cross_shard_components = [&registry]() -> uint64_t {
+      const MetricsSnapshot snapshot = registry.Snapshot();
+      auto it = snapshot.counters.find("shard_merge_cross_components");
+      return it == snapshot.counters.end() ? 0 : it->second;
+    };
+    // The next unused id that routes to `shard`; ids stay ascending.
+    ExternalId next_id = 0;
+    auto id_on_shard = [&next_id, shards](int shard) {
+      while (ShardOfExternalId(next_id, shards) != shard) ++next_id;
+      return next_id++;
+    };
+
+    test::LiveMap live;
+    std::vector<Record> records;
+    std::vector<ExternalId> ids;
+    for (RecordId r = 0; r < dataset.num_records(); ++r) {
+      const EntityId entity = dataset.entity_assignment()[r];
+      const ExternalId id = id_on_shard(static_cast<int>(entity % shards));
+      records.push_back(dataset.record(r));
+      ids.push_back(id);
+      live[id] = r;
+    }
+    ASSERT_TRUE(engine.IngestWithIds(std::move(records), ids).ok());
+    auto whole = engine.Flush();
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+    EXPECT_EQ(whole.value().stats.rounds, 0u);
+    EXPECT_EQ(whole.value().stats.hashes_computed, 0u);
+    EXPECT_EQ(cross_shard_components(), 0u);
+    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()),
+              test::ReferenceCanonical(dataset, generated.rule, live, 3));
+
+    // Entity 0, the largest, sits on shard 0; a copy of its first record
+    // goes to shard 1.
+    const ExternalId extra = id_on_shard(1);
+    ASSERT_TRUE(engine.IngestWithIds({dataset.record(0)}, {extra}).ok());
+    live[extra] = 0;
+    auto spanning = engine.Flush();
+    ASSERT_TRUE(spanning.ok()) << spanning.status().ToString();
+    EXPECT_GT(spanning.value().stats.rounds, 0u);
+    EXPECT_EQ(cross_shard_components(), 1u);
+    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()),
+              test::ReferenceCanonical(dataset, generated.rule, live, 3));
   }
 }
 

@@ -286,6 +286,42 @@ TEST(WalRecoveryTest, ReopenedSessionsContinueIdAndSeqSpaces) {
   EXPECT_TRUE(cluster.ok());
 }
 
+TEST(WalRecoveryTest, IdCounterPassesTheCheckpointsLiveIds) {
+  // A checkpoint whose id counter lags its live ids (0, 1 and 2 live,
+  // next_external_id 0) must not hand out a live id: the first ingest gets
+  // id 3, and its frame replays cleanly on the next open.
+  GeneratedDataset generated = test::MakePlantedDataset({2, 1, 1}, 29);
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    TempDir dir;
+    CheckpointData data;
+    data.last_seq = 4;
+    data.next_external_id = 0;
+    data.shards = static_cast<uint32_t>(shards);
+    for (ExternalId id = 0; id < 3; ++id) {
+      data.ids.push_back(id);
+      data.records.push_back(generated.dataset.record(id));
+    }
+    ASSERT_TRUE(WriteCheckpoint(dir.path(), data).ok());
+    {
+      auto engine = DurableEngine::Open(
+          generated.rule, DurableOptions(shards, 1, 3, dir.path()));
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      auto ingested = engine.value()->Ingest(Slice(generated.dataset, 3, 1));
+      ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+      EXPECT_EQ(ingested.value().assigned_ids, std::vector<ExternalId>{3});
+    }
+    auto engine = DurableEngine::Open(generated.rule,
+                                      DurableOptions(shards, 1, 3, dir.path()));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const DurabilityStats stats = engine.value()->durability_stats();
+    EXPECT_EQ(stats.frames_replayed, 1u) << StatsDebug(stats);
+    EXPECT_EQ(stats.replay_apply_failures, 0u) << StatsDebug(stats);
+    ASSERT_TRUE(engine.value()->Flush().ok());
+    EXPECT_EQ(engine.value()->counters().live_records, 4u);
+  }
+}
+
 TEST(WalRecoveryTest, GarbageTailIsTruncatedWithoutLosingMutations) {
   TempDir dir;
   GeneratedDataset generated = test::MakePlantedDataset(SizesForSeed(4), 4);

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "io/binary_codec.h"
 #include "io/checkpoint.h"
 #include "io/wal.h"
 #include "record/record.h"
@@ -63,6 +64,29 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   EXPECT_TRUE(static_cast<bool>(out)) << path;
+}
+
+/// `payload` behind a valid length and CRC32C header, so only the payload's
+/// own checks can reject the frame.
+std::string WithFrameHeader(const std::string& payload) {
+  std::string bytes;
+  uint32_t length = static_cast<uint32_t>(payload.size());
+  uint32_t crc = Crc32c(payload.data(), payload.size());
+  bytes.append(reinterpret_cast<const char*>(&length), 4);
+  bytes.append(reinterpret_cast<const char*>(&crc), 4);
+  bytes += payload;
+  return bytes;
+}
+
+/// A CRC-valid update frame whose record claims 0xFFFFFFFF fields.
+std::string HugeFieldCountUpdateFrame(uint64_t seq) {
+  BinaryWriter payload;
+  payload.PutU8(static_cast<uint8_t>(WalFrameType::kUpdate));
+  payload.PutU64(seq);
+  payload.PutU64(/*generation=*/0);
+  payload.PutU64(/*external_id=*/12);
+  payload.PutU32(0xFFFFFFFFu);  // the record's field count, and no fields
+  return WithFrameHeader(payload.Take());
 }
 
 TEST(Crc32cTest, StandardCheckVectors) {
@@ -220,29 +244,32 @@ TEST(WalFrameTest, DecodeRejectsTruncationAndCorruption) {
 
 TEST(WalFrameTest, DecodeRejectsUnknownTypeAndTrailingBytes) {
   // Hand-build payloads with valid CRCs so only the semantic checks fire.
-  auto with_header = [](std::string payload) {
-    std::string bytes;
-    uint32_t length = static_cast<uint32_t>(payload.size());
-    uint32_t crc = Crc32c(payload.data(), payload.size());
-    bytes.append(reinterpret_cast<const char*>(&length), 4);
-    bytes.append(reinterpret_cast<const char*>(&crc), 4);
-    bytes += payload;
-    return bytes;
-  };
   WalFrame out;
   size_t consumed = 0;
 
   std::string unknown_type(1, '\x09');
   unknown_type.append(16, '\0');  // seq + generation
   EXPECT_FALSE(
-      DecodeWalFrame(with_header(unknown_type), 0, &out, &consumed).ok());
+      DecodeWalFrame(WithFrameHeader(unknown_type), 0, &out, &consumed).ok());
 
   WalFrame flush;
   flush.type = WalFrameType::kFlush;
   flush.seq = 1;
   std::string valid = EncodeWalFrame(flush);
   std::string trailing = valid.substr(8) + std::string(3, '\0');
-  EXPECT_FALSE(DecodeWalFrame(with_header(trailing), 0, &out, &consumed).ok());
+  EXPECT_FALSE(
+      DecodeWalFrame(WithFrameHeader(trailing), 0, &out, &consumed).ok());
+}
+
+TEST(WalFrameTest, DecodeRejectsFieldCountPastThePayload) {
+  // A record's field count is checked against the bytes left before
+  // anything is reserved for it: 0xFFFFFFFF fields is corruption.
+  WalFrame out;
+  size_t consumed = 0;
+  Status decoded =
+      DecodeWalFrame(HugeFieldCountUpdateFrame(9), 0, &out, &consumed);
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.code(), StatusCode::kOutOfRange);
 }
 
 TEST(MutationLogTest, AppendReadRoundTrip) {
@@ -337,6 +364,19 @@ TEST(MutationLogTest, BitFlipEndsValidPrefixAtDamagedFrame) {
     EXPECT_EQ(read.value().frames.size(), victim);
     EXPECT_EQ(read.value().valid_bytes, frame_start);
   }
+}
+
+TEST(MutationLogTest, HostileFieldCountEndsValidPrefix) {
+  TempDir dir;
+  const std::string path = dir.file("wal-0.log");
+  const std::string valid = EncodeWalFrame(CorpusFrames()[2]);
+  WriteFileBytes(path, valid + HugeFieldCountUpdateFrame(10));
+  auto read = ReadMutationLog(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.value().frames.size(), 1u);
+  EXPECT_EQ(read.value().frames[0].seq, CorpusFrames()[2].seq);
+  EXPECT_EQ(read.value().valid_bytes, valid.size());
+  EXPECT_TRUE(read.value().truncated);
 }
 
 TEST(MutationLogTest, OpenTruncatesDiscardedTailAndAppendsCleanly) {
@@ -581,6 +621,38 @@ TEST(CheckpointTest, NewestValidWinsAndDamagedFallsBack) {
   EXPECT_EQ(fallback.value().last_seq, 5u);
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_NE(warnings[0].find("CRC mismatch"), std::string::npos);
+}
+
+TEST(CheckpointTest, HostileFieldCountIsSkippedWithWarning) {
+  // The newest checkpoint passes its CRC, but its one record claims
+  // 0xFFFFFFFF fields: the loader skips it and falls back to seq 5.
+  TempDir dir;
+  ASSERT_TRUE(WriteCheckpoint(dir.path(), MakeCheckpoint(5, 2)).ok());
+  auto newest = WriteCheckpoint(dir.path(), MakeCheckpoint(9, 1));
+  ASSERT_TRUE(newest.ok());
+  BinaryWriter body;
+  body.PutU64(/*last_seq=*/9);
+  body.PutU64(/*next_external_id=*/109);
+  body.PutU64(/*generation=*/9);
+  body.PutU32(/*shards=*/4);
+  body.PutU8(/*has_cost_model=*/0);
+  body.PutF64(0);
+  body.PutF64(0);
+  body.PutU64(/*n=*/1);
+  body.PutU64(/*external_id=*/0);
+  body.PutU32(0xFFFFFFFFu);  // the record's field count, and no fields
+  const std::string body_bytes = body.Take();
+  BinaryWriter trailer;
+  trailer.PutU32(Crc32c(body_bytes.data(), body_bytes.size()));
+  WriteFileBytes(newest.value(), "ADLSHCP1" + body_bytes + trailer.Take());
+
+  std::vector<std::string> warnings;
+  auto loaded = LoadNewestCheckpoint(dir.path(), &warnings);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().last_seq, 5u);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("field count"), std::string::npos)
+      << warnings[0];
 }
 
 TEST(CheckpointTest, PruneRemovesSupersededAndOrphanedTmp) {

@@ -23,15 +23,18 @@
 #
 # docs/engine.md requires the TSan run for any change to the resident engine
 # (snapshot publication and the query read path run concurrently with
-# mutations):
+# mutations; the cross-shard merge, ResidentEngine::Merge, takes every
+# shard's lock and reads its state while writers queue on those locks):
 #
-#   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence'
+#   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence|shard_equivalence'
 #
 # docs/sharding.md requires the TSan run for any change to the sharded
-# executor or the cross-shard merge (shard locks are taken in bulk at Flush
-# while per-shard mutations and global queries proceed concurrently; the
-# first ingest builds the shards while readers and other writers race it —
-# ShardEquivalenceTest.FirstIngestRacesWithReaders in shard_equivalence):
+# executor (engine/sharded_executor.cc) or the cross-shard merge
+# (ResidentEngine::Merge in engine/resident_engine.cc): shard locks are taken
+# in bulk at Flush while per-shard mutations and global queries proceed
+# concurrently, and the first ingest builds the shards while readers and
+# other writers race it — ShardEquivalenceTest.FirstIngestRacesWithReaders
+# in shard_equivalence:
 #
 #   tools/run_sanitized_tests.sh thread -R 'shard_equivalence|shard_parity'
 #
