@@ -4,6 +4,8 @@
 //   * minhash / hyperplane: per-hash throughput of MinHash (token sets of
 //     varying size) and random hyperplanes (dense vectors of varying
 //     dimension) — the cost_i units the Definition 3 cost model calibrates;
+//     the hyperplane rows also time HashCache::Ensure, where the sign bits
+//     are packed into the cache;
 //   * engine: the full Cora-like hash hot path (engine + caches) across
 //     worker-thread counts, the incremental work pattern of a sequence step,
 //     with a metrics-registry snapshot proving the counter deltas match the
@@ -33,6 +35,7 @@
 #include "core/transitive_hash_function.h"
 #include "datagen/cora_like.h"
 #include "lsh/composite_scheme.h"
+#include "lsh/hash_cache.h"
 #include "lsh/hash_family.h"
 #include "lsh/minhash.h"
 #include "lsh/random_hyperplane.h"
@@ -103,24 +106,68 @@ uint64_t HashChecksum(HashFamily* family, const Record& record, size_t count) {
   return sum;
 }
 
+// The largest prefix MeasureEnsureHashesPerSecond grows a record to.
+constexpr size_t kEnsurePrefix = 2560;
+
+// Grows record 0's cached prefix through HashCache::Ensure in the function
+// sequence's doubling steps (20, 40, ..., 2560 hashes; the first step ends
+// inside a hyperplane block), clearing it after each sweep, until
+// `min_seconds` of wall clock accumulated; returns hashes per second. Unlike
+// MeasureHashesPerSecond the number includes packing the sign bits into the
+// cache's words.
+double MeasureEnsureHashesPerSecond(HashCache* cache, const Record& record,
+                                    double min_seconds) {
+  cache->Prepare(kEnsurePrefix);
+  uint64_t hashes = 0;
+  Timer timer;
+  do {
+    cache->Clear(0);
+    for (size_t count = 20; count <= kEnsurePrefix; count *= 2) {
+      cache->Ensure(record, 0, count);
+    }
+    hashes += kEnsurePrefix;
+  } while (timer.ElapsedSeconds() < min_seconds);
+  return static_cast<double>(hashes) / timer.ElapsedSeconds();
+}
+
+// Folds one freshly ensured prefix's bucket key, the cache-path analogue of
+// HashChecksum.
+uint64_t EnsureChecksum(HashCache* cache, const Record& record) {
+  cache->Clear(0);
+  cache->Ensure(record, 0, 20);
+  cache->Ensure(record, 0, 256);
+  return cache->CombineRange(0, 0, 256, 0);
+}
+
 // Per-SIMD-level rates for one family/record workload, emitted as a "simd"
-// array next to the auto-dispatch rate. Asserts level equivalence first.
+// array next to the auto-dispatch rate; with a `cache` over the same family,
+// each level also reports its HashCache::Ensure rate. Asserts level
+// equivalence first.
 void AppendPerLevelRates(HashFamily* family, const Record& record,
-                         double min_seconds, bench::JsonWriter* json) {
+                         double min_seconds, bench::JsonWriter* json,
+                         HashCache* cache = nullptr) {
   const uint64_t reference = HashChecksum(family, record, 256);
+  const uint64_t cache_reference =
+      cache == nullptr ? 0 : EnsureChecksum(cache, record);
   json->Key("simd").BeginArray();
   for (SimdLevel level : SupportedSimdLevels()) {
     int previous = SetSimdPin(static_cast<int>(level));
     ADALSH_CHECK_EQ(HashChecksum(family, record, 256), reference)
         << "hash outputs diverged on level " << SimdLevelName(level);
     double rate = MeasureHashesPerSecond(family, record, min_seconds, 4096);
-    SetSimdPin(previous);
     json->BeginObject()
         .Key("level")
         .String(SimdLevelName(level))
         .Key("hashes_per_second")
-        .Double(rate)
-        .EndObject();
+        .Double(rate);
+    if (cache != nullptr) {
+      ADALSH_CHECK_EQ(EnsureChecksum(cache, record), cache_reference)
+          << "cached hashes diverged on level " << SimdLevelName(level);
+      json->Key("ensure_hashes_per_second")
+          .Double(MeasureEnsureHashesPerSecond(cache, record, min_seconds));
+    }
+    SetSimdPin(previous);
+    json->EndObject();
   }
   json->EndArray();
 }
@@ -168,19 +215,25 @@ int Main(int argc, char** argv) {
   }
   json.EndArray();
 
-  // --- Random-hyperplane throughput by vector dimension. ---
+  // --- Random-hyperplane throughput by vector dimension, through HashRange
+  // and through HashCache::Ensure (which packs the sign bits). ---
   json.Key("hyperplane").BeginArray();
   for (size_t dim : {size_t{64}, size_t{512}}) {
     Record record = DenseRecordOfDim(dim, 2);
     RandomHyperplaneFamily family(0, dim, 42);
+    HashCache cache(std::make_unique<RandomHyperplaneFamily>(0, dim, 42), 1);
     double rate =
         MeasureHashesPerSecond(&family, record, family_seconds, 4096);
+    double ensure_rate =
+        MeasureEnsureHashesPerSecond(&cache, record, family_seconds);
     json.BeginObject()
         .Key("dim")
         .Uint(dim)
         .Key("hashes_per_second")
-        .Double(rate);
-    AppendPerLevelRates(&family, record, family_seconds, &json);
+        .Double(rate)
+        .Key("ensure_hashes_per_second")
+        .Double(ensure_rate);
+    AppendPerLevelRates(&family, record, family_seconds, &json, &cache);
     json.EndObject();
   }
   json.EndArray();

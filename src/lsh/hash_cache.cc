@@ -42,25 +42,28 @@ void HashCache::Ensure(const Record& record, RecordId r, size_t count) {
   ADALSH_CHECK_LT(r, computed_.size());
   size_t have = computed_[r];
   if (have >= count) return;
-  // Per-thread scratch, not a member: Ensure runs concurrently for distinct
-  // records, and only this buffer would be shared between them.
-  thread_local std::vector<uint64_t> scratch;
-  scratch.resize(count - have);
-  family_->HashRange(record, have, count, scratch.data());
-  total_computed_.fetch_add(count - have, std::memory_order_relaxed);
   if (binary_) {
-    std::vector<uint64_t>& blocks = bits_[r];
-    blocks.resize((count + 63) / 64, 0);
-    for (size_t j = have; j < count; ++j) {
-      if (scratch[j - have] & 1) blocks[j / 64] |= uint64_t{1} << (j % 64);
+    // The values up to the end of the block holding index have - 1 were
+    // packed with it: only what lies past them is evaluated.
+    const size_t packed = family_->PackEnd(have);
+    if (count > packed) {
+      std::vector<uint64_t>& words = bits_[r];
+      words.resize((family_->PackEnd(count) + 63) / 64, 0);
+      family_->PackRange(record, packed, count, words.data());
     }
   } else {
+    // Per-thread scratch, not a member: Ensure runs concurrently for
+    // distinct records, and only this buffer would be shared between them.
+    thread_local std::vector<uint64_t> scratch;
+    scratch.resize(count - have);
+    family_->HashRange(record, have, count, scratch.data());
     std::vector<uint32_t>& vals = values_[r];
     vals.resize(count);
     for (size_t j = have; j < count; ++j) {
       vals[j] = static_cast<uint32_t>(SplitMix64(scratch[j - have]));
     }
   }
+  total_computed_.fetch_add(count - have, std::memory_order_relaxed);
   computed_[r] = count;
 }
 

@@ -26,7 +26,12 @@ namespace adalsh {
 /// Storage is compressed: binary families (random hyperplanes) pack one bit
 /// per value; wide families (MinHash) keep 32 mixed bits per value, which
 /// preserves equality semantics with 2^-32 per-function false-collision
-/// probability — negligible next to the LSH scheme's own design error.
+/// probability — negligible next to the LSH scheme's own design error. A
+/// binary family that evaluates blocks of indices (HashFamily::pack_block(),
+/// 8 for random hyperplanes) packs the whole block holding a prefix's last
+/// index, and a later Ensure starts after that block; the values past the
+/// prefix are true values no fold reads, and total_hashes_computed() counts
+/// only the prefix.
 ///
 /// Concurrency contract (docs/threading.md): distinct records are independent
 /// slots — Ensure/CombineRange/FoldRange for different RecordIds may run on

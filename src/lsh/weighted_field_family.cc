@@ -1,5 +1,6 @@
 #include "lsh/weighted_field_family.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "lsh/minhash.h"
@@ -23,10 +24,10 @@ WeightedFieldFamily::WeightedFieldFamily(
   }
   ADALSH_CHECK(std::abs(total - 1.0) < 1e-9) << "weights must sum to 1";
   cumulative_weights_.back() = 1.0;  // guard against rounding
-  all_binary_ = true;
-  for (const auto& family : families_) {
-    if (!family->is_binary()) all_binary_ = false;
-  }
+  for (const auto& family : families_) binary_.push_back(family->is_binary());
+  const auto binaries = std::count(binary_.begin(), binary_.end(), true);
+  all_binary_ = binaries == static_cast<ptrdiff_t>(binary_.size());
+  any_binary_ = binaries > 0;
 }
 
 size_t WeightedFieldFamily::FieldPickForIndex(size_t j) const {
@@ -40,18 +41,46 @@ size_t WeightedFieldFamily::FieldPickForIndex(size_t j) const {
 
 void WeightedFieldFamily::HashRange(const Record& record, size_t begin,
                                     size_t end, uint64_t* out) {
+  // Index j uses the picked family's function j; sibling families are
+  // independently seeded so index reuse is harmless. A wide family (MinHash)
+  // pays per index and is called as each index comes. A binary one (random
+  // hyperplanes) evaluates whole blocks of 8 indices, so its picks are
+  // collected and hashed in one HashIndices call. Per thread: Ensure runs
+  // concurrently for distinct records.
+  //
+  // The field pick is mixed into non-binary values so that, in the
+  // astronomically unlikely event two fields' functions collide numerically,
+  // records still only match when the *same* field produced the value.
+  // (Binary values are compared per-position within a table key, where the
+  // pick is already fixed by the index, and must stay 0/1 for packing.)
+  thread_local std::vector<std::vector<size_t>> deferred;
+  if (any_binary_) {
+    deferred.resize(families_.size());
+    for (std::vector<size_t>& indices : deferred) indices.clear();
+  }
   for (size_t j = begin; j < end; ++j) {
-    size_t pick = FieldPickForIndex(j);
-    // Delegate to the picked family's function with the same index; sibling
-    // families are independently seeded so index reuse is harmless.
+    const size_t pick = FieldPickForIndex(j);
+    if (binary_[pick]) {
+      deferred[pick].push_back(j);
+      continue;
+    }
+    // A wide family's values make the whole family wide: always mixed.
     families_[pick]->HashRange(record, j, j + 1, &out[j - begin]);
-    if (all_binary_) continue;
-    // Mix the field pick into non-binary values so that, in the astronomically
-    // unlikely event two fields' functions collide numerically, records still
-    // only match when the *same* field produced the value. (Binary values are
-    // compared per-position within a table key, where the pick is already
-    // fixed by the index, and must stay 0/1 for packing.)
     out[j - begin] = SplitMix64(out[j - begin] ^ DeriveSeed(seed_, pick));
+  }
+  if (!any_binary_) return;
+  thread_local std::vector<uint64_t> values;
+  for (size_t pick = 0; pick < families_.size(); ++pick) {
+    const std::vector<size_t>& indices = deferred[pick];
+    if (indices.empty()) continue;
+    values.resize(indices.size());
+    families_[pick]->HashIndices(record, indices.data(), indices.size(),
+                                 values.data());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      out[indices[i] - begin] =
+          all_binary_ ? values[i]
+                      : SplitMix64(values[i] ^ DeriveSeed(seed_, pick));
+    }
   }
 }
 

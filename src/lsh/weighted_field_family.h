@@ -42,7 +42,9 @@ class WeightedFieldFamily : public HashFamily {
   std::vector<std::unique_ptr<HashFamily>> families_;
   std::vector<double> cumulative_weights_;
   uint64_t seed_;
+  std::vector<bool> binary_;  // per family
   bool all_binary_;
+  bool any_binary_;
 };
 
 /// Builds the canonical family for a leaf-like rule component: the field's

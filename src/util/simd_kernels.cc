@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -23,6 +24,15 @@ namespace {
 // Dot product: canonical 16-lane spec (see simd_kernels.h).
 // ---------------------------------------------------------------------------
 
+/// The fixed reduction tree over one row's 16 canonical lanes.
+inline double ReduceDotLanes(const double* lanes) {
+  double q0 = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  double q1 = (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]);
+  double q2 = (lanes[8] + lanes[9]) + (lanes[10] + lanes[11]);
+  double q3 = (lanes[12] + lanes[13]) + (lanes[14] + lanes[15]);
+  return (q0 + q1) + (q2 + q3);
+}
+
 /// Scalar tail + fixed-tree reduction shared by every path. `i` is the first
 /// element the vector main loop did not consume (a multiple of kDotLanes);
 /// tail element i+k lands in lane k, exactly as the main loop would place it.
@@ -31,11 +41,7 @@ double FinishDot(double* lanes, const float* a, const float* b, size_t size,
   for (size_t k = 0; i < size; ++i, ++k) {
     lanes[k] += static_cast<double>(a[i]) * b[i];
   }
-  double q0 = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  double q1 = (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]);
-  double q2 = (lanes[8] + lanes[9]) + (lanes[10] + lanes[11]);
-  double q3 = (lanes[12] + lanes[13]) + (lanes[14] + lanes[15]);
-  return (q0 + q1) + (q2 + q3);
+  return ReduceDotLanes(lanes);
 }
 
 double DotScalar(const float* a, const float* b, size_t size) {
@@ -49,20 +55,32 @@ double DotScalar(const float* a, const float* b, size_t size) {
   return FinishDot(lanes, a, b, size, i);
 }
 
-void DotScalarX2(const float* a0, const float* a1, const float* b, size_t size,
-                 double* out0, double* out1) {
-  double lanes0[kDotLanes] = {0.0};
-  double lanes1[kDotLanes] = {0.0};
-  size_t i = 0;
-  for (; i + kDotLanes <= size; i += kDotLanes) {
-    for (size_t k = 0; k < kDotLanes; ++k) {
-      const double bk = static_cast<double>(b[i + k]);
-      lanes0[k] += static_cast<double>(a0[i + k]) * bk;
-      lanes1[k] += static_cast<double>(a1[i + k]) * bk;
+// ---------------------------------------------------------------------------
+// Block sign kernel: kDotBlock rows per block, dim-major (simd_kernels.h).
+// Element d of every row feeds that row's lane d mod 16, so the main-loop /
+// tail split of the one-row kernel is the same lane placement. The shared
+// right-hand side arrives widened to double (exact) by DotSignBlocksAt.
+// ---------------------------------------------------------------------------
+
+/// The semantic spec: each row's 16 lanes in a column of `lanes`.
+void SignBlocksScalar(const float* blocks, size_t num_blocks, const double* x,
+                      size_t size, uint8_t* masks) {
+  for (size_t b = 0; b < num_blocks; ++b, blocks += kDotBlock * size) {
+    double lanes[kDotLanes][kDotBlock] = {};
+    for (size_t d = 0; d < size; ++d) {
+      for (size_t t = 0; t < kDotBlock; ++t) {
+        lanes[d % kDotLanes][t] +=
+            static_cast<double>(blocks[d * kDotBlock + t]) * x[d];
+      }
     }
+    uint8_t mask = 0;
+    for (size_t t = 0; t < kDotBlock; ++t) {
+      double row[kDotLanes];
+      for (size_t k = 0; k < kDotLanes; ++k) row[k] = lanes[k][t];
+      if (ReduceDotLanes(row) >= 0.0) mask |= uint8_t{1} << t;
+    }
+    masks[b] = mask;
   }
-  *out0 = FinishDot(lanes0, a0, b, size, i);
-  *out1 = FinishDot(lanes1, a1, b, size, i);
 }
 
 #ifdef ADALSH_X86
@@ -122,83 +140,101 @@ __attribute__((target("avx512f,avx512dq"))) double DotAvx512(const float* a,
   return FinishDot(lanes, a, b, size, i);
 }
 
-__attribute__((target("avx2"))) void DotAvx2X2(const float* a0,
-                                               const float* a1, const float* b,
-                                               size_t size, double* out0,
-                                               double* out1) {
-  // Four 256-bit accumulators per row; the shared operand is loaded and
-  // converted once per 16-element step and feeds both rows.
-  __m256d r0q0 = _mm256_setzero_pd(), r0q1 = _mm256_setzero_pd();
-  __m256d r0q2 = _mm256_setzero_pd(), r0q3 = _mm256_setzero_pd();
-  __m256d r1q0 = _mm256_setzero_pd(), r1q1 = _mm256_setzero_pd();
-  __m256d r1q2 = _mm256_setzero_pd(), r1q3 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + kDotLanes <= size; i += kDotLanes) {
-    __m256d b0 = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-    __m256d b1 = _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4));
-    __m256d b2 = _mm256_cvtps_pd(_mm_loadu_ps(b + i + 8));
-    __m256d b3 = _mm256_cvtps_pd(_mm_loadu_ps(b + i + 12));
-    r0q0 = _mm256_add_pd(r0q0, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a0 + i)), b0));
-    r0q1 = _mm256_add_pd(r0q1, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a0 + i + 4)), b1));
-    r0q2 = _mm256_add_pd(r0q2, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a0 + i + 8)), b2));
-    r0q3 = _mm256_add_pd(r0q3, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a0 + i + 12)), b3));
-    r1q0 = _mm256_add_pd(r1q0, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a1 + i)), b0));
-    r1q1 = _mm256_add_pd(r1q1, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a1 + i + 4)), b1));
-    r1q2 = _mm256_add_pd(r1q2, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a1 + i + 8)), b2));
-    r1q3 = _mm256_add_pd(r1q3, _mm256_mul_pd(
-        _mm256_cvtps_pd(_mm_loadu_ps(a1 + i + 12)), b3));
+// Block kernels: acc[k] holds canonical lane k for every row of the block
+// (or half-block). The k loops are fully unrolled so each acc[k] stays in a
+// register; the tail adds element d + k into lane k exactly as the main loop
+// would, and the reduction is ReduceDotLanes' tree, one vector add per node.
+
+__attribute__((target("avx512f,avx512dq"))) void SignBlocksAvx512(
+    const float* blocks, size_t num_blocks, const double* x, size_t size,
+    uint8_t* masks) {
+  for (size_t b = 0; b < num_blocks; ++b, blocks += kDotBlock * size) {
+    __m512d acc[kDotLanes];
+#pragma GCC unroll 16
+    for (size_t k = 0; k < kDotLanes; ++k) acc[k] = _mm512_setzero_pd();
+    size_t d = 0;
+    for (; d + kDotLanes <= size; d += kDotLanes) {
+#pragma GCC unroll 16
+      for (size_t k = 0; k < kDotLanes; ++k) {
+        __m512d n =
+            _mm512_cvtps_pd(_mm256_loadu_ps(blocks + (d + k) * kDotBlock));
+        acc[k] = _mm512_add_pd(acc[k],
+                               _mm512_mul_pd(n, _mm512_set1_pd(x[d + k])));
+      }
+    }
+#pragma GCC unroll 16
+    for (size_t k = 0; k < kDotLanes; ++k) {
+      if (d + k < size) {
+        __m512d n =
+            _mm512_cvtps_pd(_mm256_loadu_ps(blocks + (d + k) * kDotBlock));
+        acc[k] = _mm512_add_pd(acc[k],
+                               _mm512_mul_pd(n, _mm512_set1_pd(x[d + k])));
+      }
+    }
+    __m512d q0 = _mm512_add_pd(_mm512_add_pd(acc[0], acc[1]),
+                               _mm512_add_pd(acc[2], acc[3]));
+    __m512d q1 = _mm512_add_pd(_mm512_add_pd(acc[4], acc[5]),
+                               _mm512_add_pd(acc[6], acc[7]));
+    __m512d q2 = _mm512_add_pd(_mm512_add_pd(acc[8], acc[9]),
+                               _mm512_add_pd(acc[10], acc[11]));
+    __m512d q3 = _mm512_add_pd(_mm512_add_pd(acc[12], acc[13]),
+                               _mm512_add_pd(acc[14], acc[15]));
+    __m512d dot = _mm512_add_pd(_mm512_add_pd(q0, q1), _mm512_add_pd(q2, q3));
+    // Ordered compare: a NaN dot gives 0, as `dot >= 0.0` does.
+    masks[b] = static_cast<uint8_t>(
+        _mm512_cmp_pd_mask(dot, _mm512_setzero_pd(), _CMP_GE_OQ));
   }
-  // Both rows are stored before the vzeroupper: row 1's accumulators are
-  // still live in registers until then.
-  alignas(kSimdAlign) double lanes0[kDotLanes];
-  alignas(kSimdAlign) double lanes1[kDotLanes];
-  _mm256_store_pd(lanes0 + 0, r0q0);
-  _mm256_store_pd(lanes0 + 4, r0q1);
-  _mm256_store_pd(lanes0 + 8, r0q2);
-  _mm256_store_pd(lanes0 + 12, r0q3);
-  _mm256_store_pd(lanes1 + 0, r1q0);
-  _mm256_store_pd(lanes1 + 4, r1q1);
-  _mm256_store_pd(lanes1 + 8, r1q2);
-  _mm256_store_pd(lanes1 + 12, r1q3);
-  _mm256_zeroupper();  // FinishDot is baseline SSE code
-  *out0 = FinishDot(lanes0, a0, b, size, i);
-  *out1 = FinishDot(lanes1, a1, b, size, i);
+  _mm256_zeroupper();  // the caller is baseline SSE code
 }
 
-__attribute__((target("avx512f,avx512dq"))) void DotAvx512X2(
-    const float* a0, const float* a1, const float* b, size_t size,
-    double* out0, double* out1) {
-  __m512d r0lo = _mm512_setzero_pd(), r0hi = _mm512_setzero_pd();
-  __m512d r1lo = _mm512_setzero_pd(), r1hi = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + kDotLanes <= size; i += kDotLanes) {
-    __m512d blo = _mm512_cvtps_pd(_mm256_loadu_ps(b + i));
-    __m512d bhi = _mm512_cvtps_pd(_mm256_loadu_ps(b + i + 8));
-    r0lo = _mm512_add_pd(r0lo, _mm512_mul_pd(
-        _mm512_cvtps_pd(_mm256_loadu_ps(a0 + i)), blo));
-    r0hi = _mm512_add_pd(r0hi, _mm512_mul_pd(
-        _mm512_cvtps_pd(_mm256_loadu_ps(a0 + i + 8)), bhi));
-    r1lo = _mm512_add_pd(r1lo, _mm512_mul_pd(
-        _mm512_cvtps_pd(_mm256_loadu_ps(a1 + i)), blo));
-    r1hi = _mm512_add_pd(r1hi, _mm512_mul_pd(
-        _mm512_cvtps_pd(_mm256_loadu_ps(a1 + i + 8)), bhi));
+__attribute__((target("avx2"))) void SignBlocksAvx2(const float* blocks,
+                                                    size_t num_blocks,
+                                                    const double* x,
+                                                    size_t size,
+                                                    uint8_t* masks) {
+  // Sixteen lanes of all 8 rows would take 32 YMM accumulators; AVX2 has 16
+  // registers, so the block runs as two 4-row halves.
+  for (size_t b = 0; b < num_blocks; ++b, blocks += kDotBlock * size) {
+    int mask = 0;
+    for (size_t half = 0; half < kDotBlock; half += 4) {
+      const float* rows = blocks + half;
+      __m256d acc[kDotLanes];
+#pragma GCC unroll 16
+      for (size_t k = 0; k < kDotLanes; ++k) acc[k] = _mm256_setzero_pd();
+      size_t d = 0;
+      for (; d + kDotLanes <= size; d += kDotLanes) {
+#pragma GCC unroll 16
+        for (size_t k = 0; k < kDotLanes; ++k) {
+          __m256d n = _mm256_cvtps_pd(_mm_loadu_ps(rows + (d + k) * kDotBlock));
+          acc[k] = _mm256_add_pd(acc[k],
+                                 _mm256_mul_pd(n, _mm256_set1_pd(x[d + k])));
+        }
+      }
+#pragma GCC unroll 16
+      for (size_t k = 0; k < kDotLanes; ++k) {
+        if (d + k < size) {
+          __m256d n = _mm256_cvtps_pd(_mm_loadu_ps(rows + (d + k) * kDotBlock));
+          acc[k] = _mm256_add_pd(acc[k],
+                                 _mm256_mul_pd(n, _mm256_set1_pd(x[d + k])));
+        }
+      }
+      __m256d q0 = _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]),
+                                 _mm256_add_pd(acc[2], acc[3]));
+      __m256d q1 = _mm256_add_pd(_mm256_add_pd(acc[4], acc[5]),
+                                 _mm256_add_pd(acc[6], acc[7]));
+      __m256d q2 = _mm256_add_pd(_mm256_add_pd(acc[8], acc[9]),
+                                 _mm256_add_pd(acc[10], acc[11]));
+      __m256d q3 = _mm256_add_pd(_mm256_add_pd(acc[12], acc[13]),
+                                 _mm256_add_pd(acc[14], acc[15]));
+      __m256d dot =
+          _mm256_add_pd(_mm256_add_pd(q0, q1), _mm256_add_pd(q2, q3));
+      mask |= _mm256_movemask_pd(
+                  _mm256_cmp_pd(dot, _mm256_setzero_pd(), _CMP_GE_OQ))
+              << half;
+    }
+    masks[b] = static_cast<uint8_t>(mask);
   }
-  alignas(kSimdAlign) double lanes0[kDotLanes];
-  alignas(kSimdAlign) double lanes1[kDotLanes];
-  _mm512_store_pd(lanes0 + 0, r0lo);
-  _mm512_store_pd(lanes0 + 8, r0hi);
-  _mm512_store_pd(lanes1 + 0, r1lo);
-  _mm512_store_pd(lanes1 + 8, r1hi);
-  _mm256_zeroupper();  // see DotAvx2X2
-  *out0 = FinishDot(lanes0, a0, b, size, i);
-  *out1 = FinishDot(lanes1, a1, b, size, i);
+  _mm256_zeroupper();  // the caller is baseline SSE code
 }
 
 #endif  // ADALSH_X86
@@ -224,26 +260,49 @@ double DotNeon(const float* a, const float* b, size_t size) {
   return FinishDot(lanes, a, b, size, i);
 }
 
-void DotNeonX2(const float* a0, const float* a1, const float* b, size_t size,
-               double* out0, double* out1) {
-  float64x2_t acc0[8], acc1[8];
-  for (auto& v : acc0) v = vdupq_n_f64(0.0);
-  for (auto& v : acc1) v = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + kDotLanes <= size; i += kDotLanes) {
-    for (size_t g = 0; g < 8; ++g) {
-      float64x2_t bd = vcvt_f64_f32(vld1_f32(b + i + 2 * g));
-      acc0[g] = vaddq_f64(
-          acc0[g], vmulq_f64(vcvt_f64_f32(vld1_f32(a0 + i + 2 * g)), bd));
-      acc1[g] = vaddq_f64(
-          acc1[g], vmulq_f64(vcvt_f64_f32(vld1_f32(a1 + i + 2 * g)), bd));
+void SignBlocksNeon(const float* blocks, size_t num_blocks, const double* x,
+                    size_t size, uint8_t* masks) {
+  // The block as four 2-row groups: 16 lanes of two rows fill 16 of the 32
+  // 128-bit registers.
+  for (size_t b = 0; b < num_blocks; ++b, blocks += kDotBlock * size) {
+    unsigned mask = 0;
+    for (size_t group = 0; group < kDotBlock; group += 2) {
+      const float* rows = blocks + group;
+      float64x2_t acc[kDotLanes];
+#pragma GCC unroll 16
+      for (size_t k = 0; k < kDotLanes; ++k) acc[k] = vdupq_n_f64(0.0);
+      size_t d = 0;
+      for (; d + kDotLanes <= size; d += kDotLanes) {
+#pragma GCC unroll 16
+        for (size_t k = 0; k < kDotLanes; ++k) {
+          float64x2_t n = vcvt_f64_f32(vld1_f32(rows + (d + k) * kDotBlock));
+          acc[k] = vaddq_f64(acc[k], vmulq_f64(n, vdupq_n_f64(x[d + k])));
+        }
+      }
+#pragma GCC unroll 16
+      for (size_t k = 0; k < kDotLanes; ++k) {
+        if (d + k < size) {
+          float64x2_t n = vcvt_f64_f32(vld1_f32(rows + (d + k) * kDotBlock));
+          acc[k] = vaddq_f64(acc[k], vmulq_f64(n, vdupq_n_f64(x[d + k])));
+        }
+      }
+      float64x2_t q0 = vaddq_f64(vaddq_f64(acc[0], acc[1]),
+                                 vaddq_f64(acc[2], acc[3]));
+      float64x2_t q1 = vaddq_f64(vaddq_f64(acc[4], acc[5]),
+                                 vaddq_f64(acc[6], acc[7]));
+      float64x2_t q2 = vaddq_f64(vaddq_f64(acc[8], acc[9]),
+                                 vaddq_f64(acc[10], acc[11]));
+      float64x2_t q3 = vaddq_f64(vaddq_f64(acc[12], acc[13]),
+                                 vaddq_f64(acc[14], acc[15]));
+      float64x2_t dot = vaddq_f64(vaddq_f64(q0, q1), vaddq_f64(q2, q3));
+      // All-ones where dot >= 0; false for NaN.
+      uint64x2_t ge = vcgeq_f64(dot, vdupq_n_f64(0.0));
+      mask |= static_cast<unsigned>((vgetq_lane_u64(ge, 0) & 1) |
+                                    ((vgetq_lane_u64(ge, 1) & 1) << 1))
+              << group;
     }
+    masks[b] = static_cast<uint8_t>(mask);
   }
-  alignas(kSimdAlign) double lanes[kDotLanes];
-  for (size_t g = 0; g < 8; ++g) vst1q_f64(lanes + 2 * g, acc0[g]);
-  *out0 = FinishDot(lanes, a0, b, size, i);
-  for (size_t g = 0; g < 8; ++g) vst1q_f64(lanes + 2 * g, acc1[g]);
-  *out1 = FinishDot(lanes, a1, b, size, i);
 }
 
 #endif  // ADALSH_NEON
@@ -379,25 +438,28 @@ double DotProductF32(const float* a, const float* b, size_t size) {
   return DotProductF32At(ActiveDotLevel(), a, b, size);
 }
 
-void DotProductF32x2At(SimdLevel level, const float* a0, const float* a1,
-                       const float* b, size_t size, double* out0,
-                       double* out1) {
+void DotSignBlocksAt(SimdLevel level, const float* blocks, size_t num_blocks,
+                     const float* x, size_t size, uint8_t* masks) {
+  // Widen the shared right-hand side once per call (exact), not once per
+  // block; per thread, since hashing runs concurrently for distinct records.
+  thread_local std::vector<double> wide;
+  wide.assign(x, x + size);
   switch (level) {
 #ifdef ADALSH_X86
     case SimdLevel::kAvx2:
-      DotAvx2X2(a0, a1, b, size, out0, out1);
+      SignBlocksAvx2(blocks, num_blocks, wide.data(), size, masks);
       return;
     case SimdLevel::kAvx512:
-      DotAvx512X2(a0, a1, b, size, out0, out1);
+      SignBlocksAvx512(blocks, num_blocks, wide.data(), size, masks);
       return;
 #endif
 #ifdef ADALSH_NEON
     case SimdLevel::kNeon:
-      DotNeonX2(a0, a1, b, size, out0, out1);
+      SignBlocksNeon(blocks, num_blocks, wide.data(), size, masks);
       return;
 #endif
     case SimdLevel::kScalar:
-      DotScalarX2(a0, a1, b, size, out0, out1);
+      SignBlocksScalar(blocks, num_blocks, wide.data(), size, masks);
       return;
     default:
       ADALSH_CHECK(false) << "SIMD level '" << SimdLevelName(level)
@@ -405,9 +467,9 @@ void DotProductF32x2At(SimdLevel level, const float* a0, const float* a1,
   }
 }
 
-void DotProductF32x2(const float* a0, const float* a1, const float* b,
-                     size_t size, double* out0, double* out1) {
-  DotProductF32x2At(ActiveDotLevel(), a0, a1, b, size, out0, out1);
+void DotSignBlocks(const float* blocks, size_t num_blocks, const float* x,
+                   size_t size, uint8_t* masks) {
+  DotSignBlocksAt(ActiveDotLevel(), blocks, num_blocks, x, size, masks);
 }
 
 uint64_t MinHashTokensAt(SimdLevel level, const uint64_t* tokens, size_t size,

@@ -1,5 +1,5 @@
 // Differential certification of the SIMD dispatch layer (docs/simd.md): on
-// every supported level, the two hot kernels must return bit-identical
+// every supported level, the hot kernels must return bit-identical
 // results to the scalar reference — for randomized inputs and for the edge
 // shapes that break naive vectorization (sizes off the vector width, zeros,
 // denormals, empty sets). The scalar kernel is the semantic spec; the
@@ -110,56 +110,123 @@ TEST(SimdKernelsTest, DotProductIndependentOfAlignment) {
   }
 }
 
-TEST(SimdKernelsTest, TwoRowDotMatchesTwoSingleRowCalls) {
-  // The batched hyperplane kernel's contract: per-row canonical lane state,
-  // so each output is bit-identical to an independent one-row call at the
-  // same level — and through it to the scalar reference.
-  Rng rng(DeriveSeed(14, 0xd072));
-  for (size_t size : kDotSizes) {
-    for (int trial = 0; trial < 4; ++trial) {
-      std::vector<float> a0 = RandomFloats(size, &rng, 3.0f);
-      std::vector<float> a1 = RandomFloats(size, &rng, 3.0f);
-      std::vector<float> b = RandomFloats(size, &rng, 3.0f);
-      const double ref0 =
-          simd::DotProductF32At(SimdLevel::kScalar, a0.data(), b.data(), size);
-      const double ref1 =
-          simd::DotProductF32At(SimdLevel::kScalar, a1.data(), b.data(), size);
-      for (SimdLevel level : SupportedSimdLevels()) {
-        double out0 = 0.0, out1 = 0.0;
-        simd::DotProductF32x2At(level, a0.data(), a1.data(), b.data(), size,
-                                &out0, &out1);
-        ExpectSameBits(ref0, out0, "dot-x2-row0", level, size);
-        ExpectSameBits(ref1, out1, "dot-x2-row1", level, size);
-      }
+// Dimensions around the block kernel's lane structure: sub-lane, one off
+// either side of one and four 16-lane steps, and large.
+const size_t kBlockDims[] = {1, 7, 8, 15, 16, 17, 63, 64, 65, 100, 512};
+
+// Lays kDotBlock * num_blocks rows of `dim` floats out in the block layout
+// (row t of block b, component d at (b * dim + d) * kDotBlock + t), starting
+// `offset` floats into the returned buffer.
+std::vector<float> ToBlocks(const std::vector<std::vector<float>>& rows,
+                            size_t dim, size_t offset) {
+  std::vector<float> blocks(offset + rows.size() * dim);
+  for (size_t j = 0; j < rows.size(); ++j) {
+    for (size_t d = 0; d < dim; ++d) {
+      blocks[offset + ((j / simd::kDotBlock) * dim + d) * simd::kDotBlock +
+             j % simd::kDotBlock] = rows[j][d];
+    }
+  }
+  return blocks;
+}
+
+// Every bit of every supported level's masks must be the sign of the scalar
+// one-row dot product: DotProductF32At(kScalar, row, x) >= 0.
+void ExpectBlockSignsMatchScalar(const std::vector<std::vector<float>>& rows,
+                                 const std::vector<float>& x, size_t offset) {
+  const size_t dim = x.size();
+  const size_t num_blocks = rows.size() / simd::kDotBlock;
+  const std::vector<float> blocks = ToBlocks(rows, dim, offset);
+  for (SimdLevel level : SupportedSimdLevels()) {
+    std::vector<uint8_t> masks(num_blocks, 0xA5);
+    simd::DotSignBlocksAt(level, blocks.data() + offset, num_blocks, x.data(),
+                          dim, masks.data());
+    for (size_t j = 0; j < rows.size(); ++j) {
+      const double dot = simd::DotProductF32At(SimdLevel::kScalar,
+                                               rows[j].data(), x.data(), dim);
+      const int expected = dot >= 0.0 ? 1 : 0;
+      const int actual =
+          (masks[j / simd::kDotBlock] >> (j % simd::kDotBlock)) & 1;
+      EXPECT_EQ(expected, actual)
+          << "row " << j << " on level " << SimdLevelName(level) << " at dim "
+          << dim << ": scalar dot " << dot;
     }
   }
 }
 
-TEST(SimdKernelsTest, TwoRowDotEdgeValues) {
-  const float denormal = std::numeric_limits<float>::denorm_min();
-  const std::vector<std::vector<float>> patterns = {
-      {},
-      {0.0f},
-      {-0.0f, 0.0f, -0.0f},
-      {denormal, -denormal, denormal * 7.0f},
-      {1e30f, 1.0f, -1e30f, 1.0f},
-      std::vector<float>(100, 1e-40f),
-  };
-  for (const std::vector<float>& a : patterns) {
-    for (const std::vector<float>& b : patterns) {
-      if (a.size() != b.size()) continue;
-      const double ref0 = simd::DotProductF32At(SimdLevel::kScalar, a.data(),
-                                                b.data(), a.size());
-      const double ref1 = simd::DotProductF32At(SimdLevel::kScalar, b.data(),
-                                                b.data(), b.size());
-      for (SimdLevel level : SupportedSimdLevels()) {
-        double out0 = 0.0, out1 = 0.0;
-        simd::DotProductF32x2At(level, a.data(), b.data(), b.data(), a.size(),
-                                &out0, &out1);
-        ExpectSameBits(ref0, out0, "dot-x2-edge-row0", level, a.size());
-        ExpectSameBits(ref1, out1, "dot-x2-edge-row1", level, a.size());
+TEST(SimdKernelsTest, BlockSignsMatchScalarDotOnRandomVectors) {
+  Rng rng(DeriveSeed(14, 0xb10c));
+  for (size_t dim : kBlockDims) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::vector<float>> rows;
+      for (size_t j = 0; j < 3 * simd::kDotBlock; ++j) {
+        rows.push_back(RandomFloats(dim, &rng, 3.0f));
       }
+      const std::vector<float> x = RandomFloats(dim, &rng, 3.0f);
+      // The kernels take unaligned blocks (a block is 8 * dim floats).
+      ExpectBlockSignsMatchScalar(rows, x, /*offset=*/trial);
     }
+  }
+}
+
+TEST(SimdKernelsTest, BlockSignsEdgeValues) {
+  // Each row is one edge pattern repeated over the dimension; x runs through
+  // patterns of its own. Signed zeros, subnormals, dots that cancel to
+  // exactly zero (which must give 1), and NaN and infinities (a NaN dot
+  // gives 0; inf - inf in the reduction is a NaN too).
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> row_patterns = {
+      {0.0f},
+      {-0.0f},
+      {denormal, -denormal},
+      {-denormal * 3.0f},
+      {1.0f, -1.0f},             // cancels against an all-equal x
+      {1e30f, 1.0f, -1e30f, -1.0f},
+      {nan},
+      {inf},
+      {-inf, 1.0f},
+      {inf, -inf},
+      {1e-40f, -2e-40f, 1e-40f},
+  };
+  const std::vector<std::vector<float>> x_patterns = {
+      {1.0f}, {-1.0f}, {0.0f}, {-0.0f, 0.0f}, {denormal}, {inf}, {nan, 1.0f},
+      {2.0f, 3.0f, -5.0f},
+  };
+  for (size_t dim : kBlockDims) {
+    for (const std::vector<float>& x_pattern : x_patterns) {
+      std::vector<float> x(dim);
+      for (size_t d = 0; d < dim; ++d) x[d] = x_pattern[d % x_pattern.size()];
+      std::vector<std::vector<float>> rows;
+      for (size_t j = 0; j < 2 * simd::kDotBlock; ++j) {
+        const std::vector<float>& pattern =
+            row_patterns[j % row_patterns.size()];
+        std::vector<float> row(dim);
+        for (size_t d = 0; d < dim; ++d) row[d] = pattern[d % pattern.size()];
+        rows.push_back(std::move(row));
+      }
+      ExpectBlockSignsMatchScalar(rows, x, /*offset=*/0);
+    }
+  }
+}
+
+TEST(SimdKernelsTest, BlockSignOfExactZeroIsOne) {
+  // Pin the tie rule directly: rows whose dot with x is exactly +0 or -0.
+  const size_t dim = 17;
+  std::vector<float> x(dim, 1.0f);
+  std::vector<std::vector<float>> rows(simd::kDotBlock,
+                                       std::vector<float>(dim, 0.0f));
+  rows[1][0] = 2.0f;
+  rows[1][16] = -2.0f;  // lane 0 twice: 2 + (-2) = 0
+  rows[2][3] = 0.5f;
+  rows[2][4] = -0.5f;   // two lanes that cancel in the tree
+  rows[3][5] = -0.0f;
+  rows[4][0] = -1.0f;   // the one negative dot
+  const std::vector<float> blocks = ToBlocks(rows, dim, 0);
+  for (SimdLevel level : SupportedSimdLevels()) {
+    uint8_t mask = 0;
+    simd::DotSignBlocksAt(level, blocks.data(), 1, x.data(), dim, &mask);
+    EXPECT_EQ(mask, 0xEF) << SimdLevelName(level);
   }
 }
 

@@ -37,7 +37,8 @@
 // --cost-model pins the jump-to-P unit costs for --method=adalsh instead of
 // wall-clock calibration, making the run's round schedule — and therefore
 // its output — reproducible across machines, thread counts, and SIMD
-// levels (the same knob serve mode has always had).
+// levels (the same knob serve mode has always had). Both costs must be
+// finite and > 0, in either mode.
 //
 // --trace-out writes a Chrome trace_event JSON of the run (open in
 // chrome://tracing or https://ui.perfetto.dev): one span per round / hash
@@ -141,6 +142,7 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <condition_variable>
 #include <fstream>
@@ -194,6 +196,27 @@ Status ApplySimdFlag(const std::string& name) {
   if (!pin.ok()) return pin.status();
   SetSimdPin(*pin);
   return Status::Ok();
+}
+
+/// Checks a --cost-model value: empty (calibrate), or two unit costs that
+/// are both finite and > 0. A NaN, infinite, zero or negative cost makes
+/// every jump-to-P decision meaningless, and serve with --data-dir would
+/// write the model to its WAL and checkpoint. Returns "" when it is valid.
+std::string CheckCostModelFlag(const std::vector<double>& cost_model) {
+  if (cost_model.empty()) return "";
+  if (cost_model.size() != 2) {
+    return "--cost-model takes two comma-separated unit costs "
+           "(cost-per-hash,cost-per-pair)";
+  }
+  for (double cost : cost_model) {
+    if (!std::isfinite(cost) || cost <= 0.0) {
+      std::ostringstream message;
+      message << "--cost-model unit costs must be finite and > 0 (got "
+              << cost << ")";
+      return message.str();
+    }
+  }
+  return "";
 }
 
 /// `adalsh_cli simd-level` — prints the dispatch state as `key value` lines:
@@ -314,9 +337,8 @@ int RunServe(int argc, char** argv) {
   if (watchdog_min_samples < 1) {
     return Fail("--watchdog-min-samples must be >= 1");
   }
-  if (!cost_model.empty() && cost_model.size() != 2) {
-    return Fail("--cost-model takes two comma-separated unit costs "
-                "(cost-per-hash,cost-per-pair)");
+  if (std::string error = CheckCostModelFlag(cost_model); !error.empty()) {
+    return Fail(error);
   }
   if (checkpoint_every_n < 0) return Fail("--checkpoint-every-n must be >= 0");
   if (max_line_bytes < 1) return Fail("--max-line-bytes must be >= 1");
@@ -751,9 +773,8 @@ int main(int argc, char** argv) {
 
   Status simd_status = ApplySimdFlag(simd);
   if (!simd_status.ok()) return Fail(simd_status.ToString());
-  if (!cost_model.empty() && cost_model.size() != 2) {
-    return Fail("--cost-model takes two comma-separated unit costs "
-                "(cost-per-hash,cost-per-pair)");
+  if (std::string error = CheckCostModelFlag(cost_model); !error.empty()) {
+    return Fail(error);
   }
   if (k < 1) return Fail("--k must be >= 1");
   if (bk < k) return Fail("--bk must be >= --k");

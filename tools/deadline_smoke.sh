@@ -9,7 +9,9 @@
 #     a cluster_verification entry per returned cluster, and per-round
 #     counters that still sum exactly to the totals (interrupted rounds
 #     included);
-#   * a second run with --max-pairwise trips the budget path the same way.
+#   * a second run with --max-pairwise (and a pinned cost model that jumps
+#     to P) trips the budget path the same way, with similarities computed
+#     before the trip.
 #
 # Wired into ctest as `deadline_smoke` (mirrors tools/trace_smoke.sh).
 #
@@ -94,11 +96,14 @@ if [[ ! -s "$clusters" ]]; then
 fi
 check_report "$report" deadline
 
-# --- Budget run: a pairwise allowance the calibration alone can't respect
-# staying under for long. ---
+# --- Budget run: a pairwise allowance the run overshoots once it reaches
+# P. The cost model is pinned with hashes 100x the price of a pair, so the
+# run jumps to P after a few rounds whatever this host's speed; a
+# wall-clock calibration can price P so high that the run hashes to the end
+# and never trips the budget. ---
 "$cli" --input="$csv" --columns=entity,text --rule="leaf(0;0.5)" \
-       --k=5 --threads=2 --max-pairwise=2000 --stats-json="$budget_report" \
-       > /dev/null 2> "$stderr_log"
+       --k=5 --threads=2 --max-pairwise=2000 --cost-model=1e-7,1e-9 \
+       --stats-json="$budget_report" > /dev/null 2> "$stderr_log"
 
 if ! grep -q "terminated early (budget_exhausted)" "$stderr_log"; then
   echo "FAIL: stderr does not announce the budget termination" >&2
@@ -106,5 +111,11 @@ if ! grep -q "terminated early (budget_exhausted)" "$stderr_log"; then
   exit 1
 fi
 check_report "$budget_report" budget_exhausted
+# The trip is the pairwise budget's own: P ran before it.
+python3 - "$budget_report" <<'EOF'
+import json, sys
+totals = json.load(open(sys.argv[1]))["totals"]
+assert totals["pairwise_similarities"] > 0, totals
+EOF
 
 echo "deadline_smoke OK: $report $budget_report"

@@ -8,9 +8,10 @@
 # byte-for-byte, at the default shape and with an explicit --shards=1, each
 # at 1 and 8 worker threads. The session pins the cost model and seed, so
 # the transcript is reproducible at any thread count. A refused --shards=0,
-# a second session checking that the (wall-clock-bearing, so not
-# byte-diffable) `stats` report carries the engine-report schema, and a
-# third checking the protocol's integer edge cases follow.
+# refused --cost-model values (not finite, or not > 0), a second session
+# checking that the (wall-clock-bearing, so not byte-diffable) `stats`
+# report carries the engine-report schema, and a third checking the
+# protocol's integer edge cases follow.
 #
 # Wired into ctest as `engine_smoke` (mirrors tools/trace_smoke.sh).
 #
@@ -94,6 +95,26 @@ if ! grep -q -- '--shards must be >= 1' "$scratch/s0.err"; then
   echo "FAIL: serve --shards=0 did not explain its refusal" >&2
   exit 1
 fi
+
+# A cost model that is not two finite costs > 0 is refused before the data
+# dir is touched, so it never reaches a WAL or checkpoint.
+for bad in nan,1e-6 -1,1e-6 0,0 1e-8,inf; do
+  rm -rf "$scratch/bad_model_dir"
+  rc=0
+  printf 'quit\n' | "${serve[@]}" --cost-model="$bad" \
+      --data-dir="$scratch/bad_model_dir" > /dev/null \
+      2> "$scratch/cost_model.err" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q -- '--cost-model' "$scratch/cost_model.err"
+  then
+    echo "FAIL: serve --cost-model=$bad gave exit $rc, want a refusal" >&2
+    cat "$scratch/cost_model.err" >&2
+    exit 1
+  fi
+  if [[ -n "$(ls -A "$scratch/bad_model_dir" 2> /dev/null)" ]]; then
+    echo "FAIL: serve --cost-model=$bad wrote to its data dir" >&2
+    exit 1
+  fi
+done
 
 # `stats` embeds wall-clock seconds, so it is checked by shape, not bytes.
 stats=$(printf 'add a b c\ncommit\nstats\nquit\n' | "${serve[@]}")

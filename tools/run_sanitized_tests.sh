@@ -112,7 +112,7 @@ fi
 # state worth a TSan pass): rerun the suites that drive the vector kernels
 # with dispatch pinned to scalar and to the widest supported level.
 if [[ "${sanitizer}" != "thread" ]]; then
-  simd_suites='simd_kernels|simd_equivalence|cosine|rule_evaluator|hash_family|hash_cache|hash_engine|simd_parity'
+  simd_suites='simd_kernels|simd_equivalence|cosine|rule_evaluator|hash_family|hash_cache|hyperplane_blocks|hash_engine|simd_parity'
   for level in scalar native; do
     echo "=== ADALSH_SIMD=${level}: kernel suites under ${sanitizer} ==="
     ADALSH_SIMD="${level}" \

@@ -6,7 +6,8 @@
 # S=1/threads=1 reference. The batch filter (--shards=0, AdaptiveLsh::Run)
 # drives the same round loop with record ids as the tie-break key, so its
 # CSV must match the reference too, at threads 1 and 8. Also checks that
-# --shards rejects non-adalsh methods and negative counts.
+# --shards rejects non-adalsh methods and negative counts, and that
+# --cost-model rejects costs that are not finite and > 0.
 #
 # Wired into ctest as `shard_parity` (mirrors tools/simd_parity_smoke.sh).
 #
@@ -79,5 +80,20 @@ if "$cli" "${common[@]}" --shards=-1 > /dev/null 2>&1; then
   echo "FAIL: --shards=-1 was accepted" >&2
   exit 1
 fi
+
+# --cost-model takes two finite unit costs > 0; anything else is refused
+# with exit 1 and a message naming the flag (a later flag overrides the
+# pinned one in ${common[@]}).
+for bad in nan,1e-6 -1,1e-6 0,0 1e-8,inf; do
+  rc=0
+  "$cli" "${common[@]}" --cost-model="$bad" > /dev/null \
+         2> "$scratch/cost_model.err" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q -- '--cost-model' "$scratch/cost_model.err"
+  then
+    echo "FAIL: --cost-model=$bad gave exit $rc, want a refusal (exit 1)" >&2
+    cat "$scratch/cost_model.err" >&2
+    exit 1
+  fi
+done
 
 echo "shard_parity OK: batch == S=1 == S=4 at 1 and 8 threads"
