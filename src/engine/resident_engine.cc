@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "clustering/forest_merge.h"
 #include "core/refine_loop.h"
 #include "core/termination.h"
 #include "obs/metrics_registry.h"
@@ -553,11 +552,11 @@ EngineSnapshot ResidentEngine::MergeLocked(
       << "the merge prices with the cost model its shards share";
   const Instrumentation instr = options.config.instrumentation;
   TraceRecorder::Span span(instr.trace, "shard_merge", "engine");
-  // Phases: gather (the live records, their hashes and arrivals), graft
-  // (single-shard pieces in, the rest reopened), refine (the global pass).
+  // Phases: gather (the live records, their hashes and arrivals) and refine
+  // (every component reopened, the global pass and its snapshot).
   std::optional<TraceRecorder::Span> phase_span;
   phase_span.emplace(instr.trace, "merge_gather", "engine");
-  Timer phase_timer;
+  Timer gather_timer;
 
   // Every live record in ascending external-id order: the internal ids a
   // fresh engine ingesting the live set in one batch assigns.
@@ -591,6 +590,7 @@ EngineSnapshot ResidentEngine::MergeLocked(
   merge.GrowStateLocked();
   merge.int_of_.reserve(n);
   for (auto& table : merge.buckets_) table.reserve(n);
+  std::vector<RecordId> arrived(n);
   for (RecordId g = 0; g < n; ++g) {
     const ResidentEngine& shard = *shards[sources[g].shard];
     const RecordId local = sources[g].local;
@@ -600,80 +600,32 @@ EngineSnapshot ResidentEngine::MergeLocked(
     merge.int_of_[sources[g].ext] = g;
     merge.ArriveLocked(g);
     merge.last_fn_[g] = shard.last_fn_[local];
+    arrived[g] = g;
   }
-  const double gather_seconds = phase_timer.ElapsedSeconds();
-  phase_span.reset();
-  phase_span.emplace(instr.trace, "merge_graft", "engine");
-  Timer graft_timer;
-
-  // The shard each component's records sit on, or -1 once they span two.
-  std::vector<NodeId> component(n);
-  std::unordered_map<NodeId, int> component_shard;
-  for (RecordId g = 0; g < n; ++g) {
-    component[g] = merge.forest_.FindRoot(merge.level1_leaf_[g]);
-    const int s = static_cast<int>(sources[g].shard);
-    const auto [it, fresh] = component_shard.try_emplace(component[g], s);
-    if (!fresh && it->second != s) it->second = -1;
-  }
-  // A single-shard component keeps its shard's current pieces: by
-  // confluence they are nodes of its canonical refinement tree. A component
-  // spanning shards reopens, because cross-shard evidence may bridge its
-  // pieces at any level.
-  std::vector<std::vector<RecordId>> remap(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
-    remap[s].resize(shards[s]->dataset_.num_records());
-  }
-  for (RecordId g = 0; g < n; ++g) remap[sources[g].shard][sources[g].local] = g;
-  std::vector<std::unordered_set<NodeId>> grafted(shards.size());
-  std::vector<RecordId> reopened;
-  GraftStats graft_stats;
-  for (RecordId g = 0; g < n; ++g) {
-    if (component_shard[component[g]] == -1) {
-      reopened.push_back(g);
-      continue;
-    }
-    const size_t s = sources[g].shard;
-    const ResidentEngine& shard = *shards[s];
-    const NodeId piece =
-        shard.forest_.FindRoot(shard.leaf_of_[sources[g].local]);
-    if (grafted[s].insert(piece).second) {
-      GraftTree(shard.forest_, piece, &merge.forest_, remap[s],
-                &merge.leaf_of_, &graft_stats);
-    }
-  }
-  merge.ReopenLocked(reopened);
-  const size_t cross_shard = static_cast<size_t>(std::count_if(
-      component_shard.begin(), component_shard.end(),
-      [](const auto& entry) { return entry.second == -1; }));
   span.AddArg("records", static_cast<double>(n));
-  span.AddArg("components", static_cast<double>(component_shard.size()));
-  span.AddArg("cross_shard_components", static_cast<double>(cross_shard));
-  span.AddArg("grafted_trees", static_cast<double>(graft_stats.trees));
-  if (instr.metrics != nullptr) {
-    instr.metrics->AddCounter("shard_merges", 1);
-    instr.metrics->AddCounter("shard_merge_cross_components", cross_shard);
-    instr.metrics->AddCounter("shard_merge_grafted_trees", graft_stats.trees);
-    instr.metrics->AddCounter("shard_merge_grafted_leaves",
-                              graft_stats.leaves);
-  }
-  const double graft_seconds = graft_timer.ElapsedSeconds();
+  if (instr.metrics != nullptr) instr.metrics->AddCounter("shard_merges", 1);
+  const double gather_seconds = gather_timer.ElapsedSeconds();
   phase_span.reset();
   phase_span.emplace(instr.trace, "merge_refine", "engine");
   Timer refine_timer;
 
+  // Every component restarts from its level-1 tree, as in a one-batch
+  // ingest of the live set: the pass runs that ingest's rounds and P sweeps
+  // and reaches its snapshot, paying only for hashes no shard computed.
+  merge.ReopenLocked(arrived);
   std::vector<NodeId> finals;
   FilterStats stats;
   const TerminationReason reason =
       merge.RefineLocked(EngineBatchOptions{}, &finals, &stats);
   ADALSH_CHECK(reason == TerminationReason::kCompleted);
+  EngineSnapshot snapshot = merge.SnapshotLocked(finals, std::move(stats));
   const double refine_seconds = refine_timer.ElapsedSeconds();
   phase_span.reset();
   if (instr.metrics != nullptr) {
     instr.metrics->RecordLatency("shard_merge_gather_seconds", gather_seconds);
-    instr.metrics->RecordLatency("shard_merge_graft_seconds", graft_seconds);
     instr.metrics->RecordLatency("shard_merge_refine_seconds", refine_seconds);
   }
-  return merge.SnapshotLocked(finals, std::move(stats));
+  return snapshot;
 }
 
 std::shared_ptr<const EngineSnapshot> ResidentEngine::Snapshot() const {

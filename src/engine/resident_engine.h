@@ -148,7 +148,8 @@ struct EngineCounters {
 ///   * Shards: the sharded engine's cross-shard merge is this class too
 ///     (Merge): a fresh engine whose arrivals, reopen, refinement pass and
 ///     snapshot builder are the ones every mutation uses, fed the shards'
-///     live records, hashes and single-shard refinement pieces.
+///     live records and hashes. It does what a one-batch ingest of the live
+///     set does, minus the hashes the shards already computed.
 ///
 /// Threading: mutations are serialized internally (mu_); queries (TopK,
 /// Cluster, Snapshot) never take the mutation lock and are safe from any
@@ -277,9 +278,10 @@ class ResidentEngine {
   /// live records with a fresh engine built from `options`, which must pin
   /// the cost model the shards share. The fresh engine arrives the live
   /// records in ascending external-id order with hash prefixes and last
-  /// functions adopted from their shards, keeps the shard's current pieces
-  /// of every component whose records all sit on one shard, reopens every
-  /// other component, and refines with no SLO. Shard state is only read.
+  /// functions adopted from their shards, reopens every component and
+  /// refines with no SLO: the rounds, P sweeps and snapshot of a one-batch
+  /// ingest of the live set. Shards are only read, and only for their live
+  /// records, hash prefixes and last functions.
   static MergedShards Merge(
       const MatchRule& rule, Options options,
       std::span<const std::unique_ptr<ResidentEngine>> shards);

@@ -17,11 +17,12 @@ namespace adalsh {
 /// are partitioned across S shard engines by a deterministic hash of their
 /// external id, each shard runs the full adaptive round loop over its own
 /// HashCache/FeatureCache arenas and its own mutation lock, and a canonical
-/// cross-shard merge reconciles the shard forests into the global certified
-/// top-k. The contract is the repo's standing discipline: the canonical
-/// result (live set, cluster memberships, verification levels) is
-/// byte-identical for any shard count at any thread count, provided every
-/// configuration shares one cost model (shard_equivalence_test).
+/// cross-shard merge certifies the global top-k of the shards' live records
+/// as a one-batch ingest of them would. The contract is the repo's standing
+/// discipline: the canonical result (live set, cluster memberships,
+/// verification levels) is byte-identical for any shard count at any thread
+/// count, provided every configuration shares one cost model
+/// (shard_equivalence_test).
 
 /// The partition function: SplitMix64 of the external id, mod `shards`.
 /// Content-independent and stable across the engine's lifetime, so a record
@@ -45,7 +46,10 @@ int ShardOfExternalId(ExternalId id, int shards);
 /// only when Flush() runs the cross-shard merge (per-shard refinement alone
 /// cannot certify a global top-k, because a component split across shards
 /// may hold cross-shard merge evidence no shard ever saw): mutate freely,
-/// Flush() to publish.
+/// Flush() to publish. The merge reopens every component and reads each
+/// shard's live records, hash prefixes and last functions, never its forest,
+/// so shard refinement reaches the published snapshot only through the
+/// hashes the merge adopts.
 ///
 /// Threading: Ingest/Remove/Update are safe from any thread; a single call
 /// that spans multiple shards applies per shard (see each method). Flush()

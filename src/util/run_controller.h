@@ -42,7 +42,8 @@ struct RunBudget {
     return deadline_ms <= 0.0 && max_pairwise == 0 && max_hashes == 0;
   }
 
-  /// InvalidArgument on non-finite/negative limits.
+  /// InvalidArgument on a non-finite deadline. A negative deadline is valid
+  /// and, like 0, disables the deadline.
   Status Validate() const;
 };
 

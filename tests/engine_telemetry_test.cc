@@ -90,7 +90,7 @@ TEST(EngineTelemetryTest, TelemetryDoesNotPerturbShardedResults) {
     EXPECT_EQ(snapshot.histograms.at("shard_flush_seconds").count(), 1u);
     for (const char* name :
          {"shard_merge_seconds", "shard_merge_gather_seconds",
-          "shard_merge_graft_seconds", "shard_merge_refine_seconds"}) {
+          "shard_merge_refine_seconds"}) {
       if (shards == 1) {
         EXPECT_EQ(snapshot.histograms.count(name), 0u) << name;
         continue;

@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cost_model.h"
+#include "core/filter_output.h"
 #include "engine/resident_engine.h"
 #include "engine/sharded_executor.h"
 #include "engine_harness.h"
-#include "obs/metrics_registry.h"
+#include "obs/events.h"
 #include "test_util.h"
 
 namespace adalsh {
@@ -405,26 +407,67 @@ TEST(ShardEquivalenceTest, SnapshotLagDescribesTheServedSnapshot) {
   }
 }
 
-TEST(ShardEquivalenceTest, MergeKeepsSingleShardComponentsAndReopensTheRest) {
-  // A merge that reopened every component would change no output, so the
-  // rule is pinned by the merge's work. With every planted entity whole on
-  // one shard, each component keeps the refinement its shard already did:
-  // the merge runs no round. One more record of the largest entity on
-  // another shard makes exactly that component span shards and reopen.
+/// The work of one refinement pass, in order: its totals, then each round's
+/// action, function index and cluster size.
+std::string PassWork(const FilterStats& stats) {
+  std::string out = "rounds=" + std::to_string(stats.rounds) +
+                    " similarities=" +
+                    std::to_string(stats.pairwise_similarities) + "\n";
+  for (const RoundRecord& round : stats.round_records) {
+    out += round.action == RoundAction::kPairwise ? "P" : "H";
+    out += " fn=" + std::to_string(round.function_index) +
+           " size=" + std::to_string(round.cluster_size) + "\n";
+  }
+  return out;
+}
+
+/// Flushes `engine` and checks its merge against the one-batch reference: a
+/// fresh ResidentEngine with the same options that ingests the live set
+/// under the same ids in one batch. Both must run the same rounds on the
+/// same clusters, the same P sweeps, and publish the same snapshot; only
+/// the hashes the merge adopts from its shards are not recomputed.
+/// `pairwise_rounds`, when set, gains the merge's P rounds.
+void ExpectMergeIsTheOneBatchReference(ShardedEngine* engine,
+                                       const MatchRule& rule,
+                                       const ResidentEngine::Options& options,
+                                       const Dataset& source,
+                                       const test::LiveMap& live,
+                                       size_t* pairwise_rounds = nullptr) {
+  auto flushed = engine->Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  ResidentEngine reference(rule, options);
+  std::vector<Record> records;
+  std::vector<ExternalId> ids;
+  for (const auto& [id, index] : live) {  // std::map: ascending ids
+    records.push_back(source.record(index));
+    ids.push_back(id);
+  }
+  auto ingested = reference.IngestWithIds(std::move(records), ids);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  const FilterStats& merged = flushed.value().stats;
+  EXPECT_EQ(PassWork(merged), PassWork(ingested.value().stats));
+  EXPECT_EQ(test::CanonicalSnapshot(*engine->Snapshot()),
+            test::CanonicalSnapshot(*reference.Snapshot()));
+  if (pairwise_rounds != nullptr) {
+    for (const RoundRecord& round : merged.round_records) {
+      if (round.action == RoundAction::kPairwise) ++*pairwise_rounds;
+    }
+  }
+}
+
+TEST(ShardEquivalenceTest, MergeIsTheOneBatchReference) {
+  // The merge reopens every component, so it is a one-batch ingest of the
+  // live set, however the records are spread over the shards. With every
+  // planted entity whole on one shard the shards have already refined each
+  // component, and the merge still runs the reference's rounds.
   GeneratedDataset generated = test::MakePlantedDataset(
       {40, 30, 20, 14, 9, 6, 3, 1, 1, 1}, /*seed=*/5);
   const Dataset& dataset = generated.dataset;
   for (int shards : {2, 4}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    MetricsRegistry registry;
-    ShardedEngine::Options options = ShardedOptions(shards, 2, /*top_k=*/3);
-    options.engine.config.instrumentation.metrics = &registry;
+    const ShardedEngine::Options options =
+        ShardedOptions(shards, 2, /*top_k=*/3);
     ShardedEngine engine(generated.rule, options);
-    auto cross_shard_components = [&registry]() -> uint64_t {
-      const MetricsSnapshot snapshot = registry.Snapshot();
-      auto it = snapshot.counters.find("shard_merge_cross_components");
-      return it == snapshot.counters.end() ? 0 : it->second;
-    };
     // The next unused id that routes to `shard`; ids stay ascending.
     ExternalId next_id = 0;
     auto id_on_shard = [&next_id, shards](int shard) {
@@ -443,26 +486,41 @@ TEST(ShardEquivalenceTest, MergeKeepsSingleShardComponentsAndReopensTheRest) {
       live[id] = r;
     }
     ASSERT_TRUE(engine.IngestWithIds(std::move(records), ids).ok());
-    auto whole = engine.Flush();
-    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
-    EXPECT_EQ(whole.value().stats.rounds, 0u);
-    EXPECT_EQ(whole.value().stats.hashes_computed, 0u);
-    EXPECT_EQ(cross_shard_components(), 0u);
-    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()),
-              test::ReferenceCanonical(dataset, generated.rule, live, 3));
+    ExpectMergeIsTheOneBatchReference(&engine, generated.rule, options.engine,
+                                      dataset, live);
+    if (HasFatalFailure()) return;
 
     // Entity 0, the largest, sits on shard 0; a copy of its first record
     // goes to shard 1.
     const ExternalId extra = id_on_shard(1);
     ASSERT_TRUE(engine.IngestWithIds({dataset.record(0)}, {extra}).ok());
     live[extra] = 0;
-    auto spanning = engine.Flush();
-    ASSERT_TRUE(spanning.ok()) << spanning.status().ToString();
-    EXPECT_GT(spanning.value().stats.rounds, 0u);
-    EXPECT_EQ(cross_shard_components(), 1u);
-    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()),
-              test::ReferenceCanonical(dataset, generated.rule, live, 3));
+    ExpectMergeIsTheOneBatchReference(&engine, generated.rule, options.engine,
+                                      dataset, live);
+    if (HasFatalFailure()) return;
   }
+
+  // Randomized histories over hash-routed ids, under a cost model that makes
+  // P cheap, so the merge's P sweeps are compared too.
+  size_t pairwise_rounds = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    GeneratedDataset random =
+        test::MakePlantedDataset(SizesForSeed(seed), seed);
+    for (int shards : {2, 4}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " shards " +
+                   std::to_string(shards));
+      ShardedEngine::Options options = ShardedOptions(shards, 2, /*top_k=*/4);
+      options.engine.cost_model = CostModel(1e-6, 1e-9);
+      ShardedEngine engine(random.rule, options);
+      const test::LiveMap live =
+          test::RunRandomScript(&engine, random.dataset, seed);
+      ExpectMergeIsTheOneBatchReference(&engine, random.rule, options.engine,
+                                        random.dataset, live,
+                                        &pairwise_rounds);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(pairwise_rounds, 0u);
 }
 
 TEST(ShardEquivalenceTest, PartitionIsDeterministicAndCovering) {

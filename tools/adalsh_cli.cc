@@ -52,8 +52,10 @@
 // (docs/robustness.md): when one fires, the run stops at the next
 // cooperative check and returns the best-effort clusters found so far, with
 // the termination reason printed and carried in the --stats-json report.
-// --cancel-after-ms demonstrates cooperative cancellation: a helper thread
-// calls RunController::Cancel() after the given wall-clock time.
+// Each is >= 0, where 0 (the default) means no limit; a negative value is
+// refused, in serve mode too. --cancel-after-ms demonstrates cooperative
+// cancellation: a helper thread calls RunController::Cancel() after the
+// given wall-clock time.
 //
 // Columns (one token per CSV column):
 //   label    record display label        entity   ground-truth key
@@ -219,6 +221,18 @@ std::string CheckCostModelFlag(const std::vector<double>& cost_model) {
   return "";
 }
 
+/// Checks the anytime limits: each must be >= 0, where 0 means no limit.
+/// RunBudget reads a deadline <= 0 as none, and a negative count cast to
+/// uint64_t reads as 2^64-1, so a negative value would silently lift the
+/// limit it asks for. Returns "" when all three are valid.
+std::string CheckBudgetFlags(double deadline_ms, int64_t max_pairwise,
+                             int64_t max_hashes) {
+  if (deadline_ms < 0.0) return "--deadline-ms must be >= 0 (0 = none)";
+  if (max_pairwise < 0) return "--max-pairwise must be >= 0 (0 = none)";
+  if (max_hashes < 0) return "--max-hashes must be >= 0 (0 = none)";
+  return "";
+}
+
 /// `adalsh_cli simd-level` — prints the dispatch state as `key value` lines:
 /// the widest level this machine supports (detected), every runnable level
 /// (supported), and the level the kernels dispatch to (dot, minhash — the
@@ -300,9 +314,8 @@ int RunServe(int argc, char** argv) {
   int threads = static_cast<int>(flags.GetInt("threads", 0));
   std::vector<double> cost_model = flags.GetDoubleList("cost-model", {});
   double deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-  uint64_t max_pairwise =
-      static_cast<uint64_t>(flags.GetInt("max-pairwise", 0));
-  uint64_t max_hashes = static_cast<uint64_t>(flags.GetInt("max-hashes", 0));
+  int64_t max_pairwise = flags.GetInt("max-pairwise", 0);
+  int64_t max_hashes = flags.GetInt("max-hashes", 0);
   std::string simd = flags.GetString("simd", "");
   int shards = static_cast<int>(flags.GetInt("shards", 1));
   std::string trace_path = flags.GetString("trace-out", "");
@@ -338,6 +351,11 @@ int RunServe(int argc, char** argv) {
     return Fail("--watchdog-min-samples must be >= 1");
   }
   if (std::string error = CheckCostModelFlag(cost_model); !error.empty()) {
+    return Fail(error);
+  }
+  if (std::string error =
+          CheckBudgetFlags(deadline_ms, max_pairwise, max_hashes);
+      !error.empty()) {
     return Fail(error);
   }
   if (checkpoint_every_n < 0) return Fail("--checkpoint-every-n must be >= 0");
@@ -380,8 +398,8 @@ int RunServe(int argc, char** argv) {
   options.config.seed = seed;
   options.config.threads = threads;
   options.config.budget.deadline_ms = deadline_ms;
-  options.config.budget.max_pairwise = max_pairwise;
-  options.config.budget.max_hashes = max_hashes;
+  options.config.budget.max_pairwise = static_cast<uint64_t>(max_pairwise);
+  options.config.budget.max_hashes = static_cast<uint64_t>(max_hashes);
   Status budget_valid = options.config.budget.Validate();
   if (!budget_valid.ok()) return Fail(budget_valid.ToString());
   if (!cost_model.empty()) {
@@ -762,9 +780,8 @@ int main(int argc, char** argv) {
   std::string trace_path = flags.GetString("trace-out", "");
   std::string stats_json_path = flags.GetString("stats-json", "");
   double deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-  uint64_t max_pairwise =
-      static_cast<uint64_t>(flags.GetInt("max-pairwise", 0));
-  uint64_t max_hashes = static_cast<uint64_t>(flags.GetInt("max-hashes", 0));
+  int64_t max_pairwise = flags.GetInt("max-pairwise", 0);
+  int64_t max_hashes = flags.GetInt("max-hashes", 0);
   double cancel_after_ms = flags.GetDouble("cancel-after-ms", 0.0);
   std::string simd = flags.GetString("simd", "");
   std::vector<double> cost_model = flags.GetDoubleList("cost-model", {});
@@ -774,6 +791,11 @@ int main(int argc, char** argv) {
   Status simd_status = ApplySimdFlag(simd);
   if (!simd_status.ok()) return Fail(simd_status.ToString());
   if (std::string error = CheckCostModelFlag(cost_model); !error.empty()) {
+    return Fail(error);
+  }
+  if (std::string error =
+          CheckBudgetFlags(deadline_ms, max_pairwise, max_hashes);
+      !error.empty()) {
     return Fail(error);
   }
   if (k < 1) return Fail("--k must be >= 1");
@@ -787,8 +809,8 @@ int main(int argc, char** argv) {
 
   RunBudget budget;
   budget.deadline_ms = deadline_ms;
-  budget.max_pairwise = max_pairwise;
-  budget.max_hashes = max_hashes;
+  budget.max_pairwise = static_cast<uint64_t>(max_pairwise);
+  budget.max_hashes = static_cast<uint64_t>(max_hashes);
   Status budget_valid = budget.Validate();
   if (!budget_valid.ok()) return Fail(budget_valid.ToString());
   if (cancel_after_ms < 0.0) return Fail("--cancel-after-ms must be >= 0");

@@ -8,7 +8,8 @@
 # byte-for-byte, at the default shape and with an explicit --shards=1, each
 # at 1 and 8 worker threads. The session pins the cost model and seed, so
 # the transcript is reproducible at any thread count. A refused --shards=0,
-# refused --cost-model values (not finite, or not > 0), a second session
+# refused --cost-model values (not finite, or not > 0), refused negative
+# --deadline-ms / --max-pairwise / --max-hashes limits, a second session
 # checking that the (wall-clock-bearing, so not byte-diffable) `stats`
 # report carries the engine-report schema, and a third checking the
 # protocol's integer edge cases follow.
@@ -112,6 +113,25 @@ for bad in nan,1e-6 -1,1e-6 0,0 1e-8,inf; do
   fi
   if [[ -n "$(ls -A "$scratch/bad_model_dir" 2> /dev/null)" ]]; then
     echo "FAIL: serve --cost-model=$bad wrote to its data dir" >&2
+    exit 1
+  fi
+done
+
+# A negative anytime limit is refused the same way (0 means no limit): it
+# would otherwise lift the limit it asks for.
+for bad in --deadline-ms=-5 --max-pairwise=-1 --max-hashes=-1; do
+  rm -rf "$scratch/bad_limit_dir"
+  rc=0
+  printf 'quit\n' | "${serve[@]}" "$bad" \
+      --data-dir="$scratch/bad_limit_dir" > /dev/null \
+      2> "$scratch/limit.err" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q -- "${bad%%=*}" "$scratch/limit.err"; then
+    echo "FAIL: serve $bad gave exit $rc, want a refusal" >&2
+    cat "$scratch/limit.err" >&2
+    exit 1
+  fi
+  if [[ -n "$(ls -A "$scratch/bad_limit_dir" 2> /dev/null)" ]]; then
+    echo "FAIL: serve $bad wrote to its data dir" >&2
     exit 1
   fi
 done

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Smoke test for the sharded execution contract (docs/sharding.md): the
 # shard count must be invisible in output. Runs adalsh_cli --method=adalsh
-# through the sharded executor at S in {1,4} x threads in {1,8} with the
+# through the sharded executor at S in {1,2,4} x threads in {1,8} with the
 # cost model pinned, and byte-diffs the emitted cluster CSVs against the
-# S=1/threads=1 reference. The batch filter (--shards=0, AdaptiveLsh::Run)
-# drives the same round loop with record ids as the tie-break key, so its
-# CSV must match the reference too, at threads 1 and 8. Also checks that
-# --shards rejects non-adalsh methods and negative counts, and that
-# --cost-model rejects costs that are not finite and > 0.
+# S=1/threads=1 reference (S=2 is the narrowest cross-shard merge). The
+# batch filter (--shards=0, AdaptiveLsh::Run) drives the same round loop
+# with record ids as the tie-break key, so its CSV must match the reference
+# too, at threads 1 and 8. Also checks that --shards rejects non-adalsh
+# methods and negative counts, that --cost-model rejects costs that are not
+# finite and > 0, and that --deadline-ms, --max-pairwise and --max-hashes
+# reject negative limits before the input is loaded.
 #
 # Wired into ctest as `shard_parity` (mirrors tools/simd_parity_smoke.sh).
 #
@@ -58,7 +60,7 @@ reference="$scratch/shard_parity_clusters_s1_t1.csv"
 "$cli" "${common[@]}" --shards=1 --threads=1 --output="$reference" \
        2> /dev/null
 
-for shards in 0 1 4; do
+for shards in 0 1 2 4; do
   for threads in 1 8; do
     out="$scratch/shard_parity_clusters_s${shards}_t${threads}.csv"
     "$cli" "${common[@]}" --shards="$shards" --threads="$threads" \
@@ -96,4 +98,17 @@ for bad in nan,1e-6 -1,1e-6 0,0 1e-8,inf; do
   fi
 done
 
-echo "shard_parity OK: batch == S=1 == S=4 at 1 and 8 threads"
+# A negative anytime limit is refused with exit 1 and a message naming the
+# flag, before the input is loaded; 0 keeps meaning "no limit".
+for bad in --deadline-ms=-5 --max-pairwise=-1 --max-hashes=-1; do
+  rc=0
+  "$cli" "${common[@]}" "$bad" > /dev/null 2> "$scratch/limit.err" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q -- "${bad%%=*}" "$scratch/limit.err" ||
+     grep -q '^loaded ' "$scratch/limit.err"; then
+    echo "FAIL: $bad gave exit $rc, want a refusal before loading" >&2
+    cat "$scratch/limit.err" >&2
+    exit 1
+  fi
+done
+
+echo "shard_parity OK: batch == S=1 == S=2 == S=4 at 1 and 8 threads"
