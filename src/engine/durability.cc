@@ -6,7 +6,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <unordered_set>
 #include <utility>
@@ -20,28 +19,22 @@ namespace adalsh {
 
 namespace {
 
-std::string WalPath(const std::string& dir, int shard) {
-  return dir + "/wal-" + std::to_string(shard) + ".log";
-}
+std::string WalPath(const std::string& dir) { return dir + "/wal-0.log"; }
 
-// Parses "wal-<digits>.log" into the shard index; false otherwise.
-bool ParseWalFileName(const std::string& name, int* shard) {
+// True for "wal-<digits>.log" other than "wal-0.log": a log of the retired
+// per-shard layout. Compares characters only; the digits are never parsed.
+bool IsRetiredShardLog(const std::string& name) {
   constexpr char kPrefix[] = "wal-";
   constexpr char kSuffix[] = ".log";
   constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
   constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
-  if (name.size() <= kPrefixLen + kSuffixLen ||
+  if (name == "wal-0.log" || name.size() <= kPrefixLen + kSuffixLen ||
       name.compare(0, kPrefixLen, kPrefix) != 0 ||
       name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) != 0) {
     return false;
   }
-  int value = 0;
-  for (size_t i = kPrefixLen; i < name.size() - kSuffixLen; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + (name[i] - '0');
-  }
-  *shard = value;
-  return true;
+  return std::all_of(name.begin() + kPrefixLen, name.end() - kSuffixLen,
+                     [](char c) { return c >= '0' && c <= '9'; });
 }
 
 }  // namespace
@@ -54,9 +47,7 @@ DurableEngine::~DurableEngine() {
   // nothing in the page cache. Failures are ignored — the process is going
   // away and the sync policy already told the caller what can be lost.
   if (degraded_ || options_.sync == WalSyncPolicy::kNone) return;
-  for (const std::unique_ptr<MutationLog>& log : logs_) {
-    if (log != nullptr) (void)log->Sync();
-  }
+  if (log_ != nullptr) (void)log_->Sync();
 }
 
 StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(MatchRule rule,
@@ -84,59 +75,50 @@ Status DurableEngine::RecoverLocked() {
   std::vector<std::string>& warnings = recovery_.recovery_warnings;
   Timer replay_timer;
 
-  // 1. Stale-layout guard: a wal file for a shard index this configuration
-  // does not have means the directory was written with more shards — the
-  // id->shard routing changed and per-shard logs no longer line up.
+  // 1. Layout guard: only the retired per-shard layout wrote logs besides
+  // wal-0.log. A non-empty one holds mutations this engine would never
+  // replay; an empty one is what a checkpoint left behind.
   if (DIR* d = ::opendir(dir.c_str())) {
     while (dirent* entry = ::readdir(d)) {
-      int shard = 0;
-      if (ParseWalFileName(entry->d_name, &shard) && shard >= options_.shards) {
-        const std::string name(entry->d_name);  // d_name dies with closedir
+      const std::string name(entry->d_name);  // d_name dies with closedir
+      struct stat st {};
+      if (IsRetiredShardLog(name) &&
+          ::stat((dir + "/" + name).c_str(), &st) == 0 && st.st_size > 0) {
         ::closedir(d);
         return Status::FailedPrecondition(
-            "stale shard layout: " + dir + " holds " + name +
-            " but this engine has only " +
-            std::to_string(options_.shards) + " log(s); reopen with the "
-            "shard count that wrote the directory");
+            dir + " holds " + name + ", a non-empty per-shard log of an "
+            "older build; write a checkpoint with that build, then reopen");
       }
     }
     ::closedir(d);
   }
 
-  // 2. Newest valid checkpoint, if any. A checkpoint written under a
-  // different shard count is the same stale-layout error as above. One that
-  // records shards=0 predates the single-engine shape's fold into S=1 and
-  // has the S=1 layout (one wal-0.log, one-part frames), so it reads as 1.
+  // 2. Newest valid checkpoint, if any. Its recorded shard count is never
+  // read: the live set reopens at any shard count.
   std::optional<CheckpointData> checkpoint;
   {
     StatusOr<CheckpointData> loaded = LoadNewestCheckpoint(dir, &warnings);
     if (loaded.ok()) {
-      if (std::max<int>(1, loaded->shards) != options_.shards) {
-        return Status::FailedPrecondition(
-            "stale shard layout: checkpoint in " + dir + " was written with "
-            "shards=" + std::to_string(loaded->shards) + ", engine opened "
-            "with shards=" + std::to_string(options_.shards));
-      }
       checkpoint = *std::move(loaded);
     } else if (loaded.status().code() != StatusCode::kNotFound) {
       return loaded.status();
     }
   }
 
-  // 3. Valid frame prefix of every shard log; torn/corrupt tails are
-  // reported and truncated, never fatal (docs/durability.md).
-  std::vector<std::vector<WalFrame>> log_frames(options_.shards);
-  for (int s = 0; s < options_.shards; ++s) {
-    StatusOr<WalReadResult> read = ReadMutationLog(WalPath(dir, s));
-    if (!read.ok()) {
-      if (read.status().code() == StatusCode::kNotFound) continue;
+  // 3. Valid frame prefix of the log; a torn/corrupt tail is reported and
+  // truncated, never fatal (docs/durability.md).
+  std::vector<WalFrame> frames;
+  {
+    StatusOr<WalReadResult> read = ReadMutationLog(WalPath(dir));
+    if (read.ok()) {
+      if (read->truncated) {
+        recovery_.log_truncated = true;
+        warnings.push_back(read->warning);
+      }
+      frames = std::move(read->frames);
+    } else if (read.status().code() != StatusCode::kNotFound) {
       return read.status();
     }
-    if (read->truncated) {
-      recovery_.log_truncated = true;
-      warnings.push_back(read->warning);
-    }
-    log_frames[s] = std::move(read->frames);
   }
 
   // 4. Pin the cost model before the engine exists: explicit option >
@@ -149,16 +131,11 @@ Status DurableEngine::RecoverLocked() {
       engine_options.cost_model.emplace(checkpoint->cost_per_hash,
                                         checkpoint->cost_per_pair);
     } else {
-      uint64_t best_seq = 0;
-      for (const std::vector<WalFrame>& frames : log_frames) {
-        for (const WalFrame& frame : frames) {
-          if (frame.type != WalFrameType::kCostModel) continue;
-          if (best_seq == 0 || frame.seq < best_seq) {
-            best_seq = frame.seq;
-            engine_options.cost_model.emplace(frame.cost_per_hash,
-                                              frame.cost_per_pair);
-          }
-        }
+      for (const WalFrame& frame : frames) {
+        if (frame.type != WalFrameType::kCostModel) continue;
+        engine_options.cost_model.emplace(frame.cost_per_hash,
+                                          frame.cost_per_pair);
+        break;
       }
     }
     if (engine_options.cost_model.has_value()) {
@@ -199,114 +176,62 @@ Status DurableEngine::RecoverLocked() {
     }
   }
 
-  // 6. Group replayable frames by seq. Within one log, appends are in seq
-  // order; across logs the global counter interleaves, so a sorted map
-  // rebuilds the original mutation order.
-  struct SeqGroup {
-    std::vector<WalFrame> frames;
-  };
-  std::map<uint64_t, SeqGroup> groups;
-  // Per-log (seq, on-disk bytes) of every valid frame, captured before the
-  // frames are moved into the groups — step 8 needs the sizes to compute
-  // committed offsets, and a moved-from frame re-encodes to the wrong bytes.
-  std::vector<std::vector<std::pair<uint64_t, size_t>>> extents(
-      options_.shards);
-  for (int s = 0; s < options_.shards; ++s) {
-    for (WalFrame& frame : log_frames[s]) {
-      extents[s].emplace_back(frame.seq, EncodeWalFrame(frame).size());
-      if (frame.seq <= replay_floor) continue;  // superseded by checkpoint
-      groups[frame.seq].frames.push_back(std::move(frame));
-    }
-  }
-
-  // 7. Replay the longest consecutive, complete prefix. A missing seq or a
-  // mutation with fewer sub-frames than it logged (`parts`) means its tail
-  // was lost — everything at and after that point is discarded, which is
-  // exactly the sync policy's loss window, never a torn state.
+  // 6. Replay the log frame by frame; the sharded engine routes every id
+  // to its shard. Frames the checkpoint folded up are skipped. A seq gap,
+  // or a frame that logged more than one part (the retired per-shard
+  // layout's split, whose other parts are not here), ends the replayable
+  // prefix: it and everything after are discarded, which is exactly the
+  // sync policy's loss window, never a torn state.
   uint64_t last_applied_seq = replay_floor;
-  bool stopped = false;
-  for (const auto& [seq, group] : groups) {
-    if (stopped || seq != last_applied_seq + 1) {
-      if (!stopped) {
-        warnings.push_back("seq gap after " +
-                           std::to_string(last_applied_seq) +
-                           "; discarding the remaining frames");
-        stopped = true;
-      }
-      ++recovery_.frames_discarded;
-      continue;
+  // Bytes of the retained frames: re-encoding is byte-deterministic, so the
+  // sum is the exact offset step 7 reopens the log at.
+  uint64_t committed = 0;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    WalFrame& frame = frames[i];
+    if (frame.seq > replay_floor &&
+        (frame.seq != last_applied_seq + 1 || frame.parts != 1)) {
+      const std::string why =
+          frame.parts != 1
+              ? "it has " + std::to_string(frame.parts) + " parts"
+              : "seq gap after " + std::to_string(last_applied_seq);
+      warnings.push_back("frame seq " + std::to_string(frame.seq) + ": " +
+                         why + "; discarding it and everything after");
+      recovery_.frames_discarded = frames.size() - i;
+      break;
     }
-    const uint32_t parts = group.frames.front().parts;
-    if (group.frames.size() != parts) {
-      warnings.push_back(
-          "mutation seq " + std::to_string(seq) + " has " +
-          std::to_string(group.frames.size()) + " of " +
-          std::to_string(parts) +
-          " sub-frames (unsynced tail); discarding it and everything after");
-      stopped = true;
-      ++recovery_.frames_discarded;
-      continue;
-    }
+    committed += EncodeWalFrame(frame).size();
+    if (frame.seq <= replay_floor) continue;  // superseded by the checkpoint
 
     if (auto injected = FaultStatusPoint(FaultSite::kRecoveryReplay)) {
       return Status::FailedPrecondition("recovery replay: " +
                                         injected->ToString());
     }
 
-    const WalFrame& first = group.frames.front();
     Status applied = Status::Ok();
-    switch (first.type) {
+    switch (frame.type) {
       case WalFrameType::kIngest: {
-        // Re-join the sub-batches: the original batch assigned strictly
-        // increasing ids, so sorting the union by id restores it.
-        std::vector<std::pair<uint64_t, const Record*>> merged;
-        for (const WalFrame& frame : group.frames) {
-          for (size_t i = 0; i < frame.ids.size(); ++i) {
-            merged.emplace_back(frame.ids[i], &frame.records[i]);
-          }
+        for (ExternalId id : frame.ids) {
+          next_ext_id_ = std::max(next_ext_id_, id + 1);
         }
-        std::sort(merged.begin(), merged.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first < b.first;
-                  });
-        std::vector<Record> records;
-        std::vector<ExternalId> ids;
-        records.reserve(merged.size());
-        ids.reserve(merged.size());
-        for (const auto& [id, record] : merged) {
-          ids.push_back(id);
-          records.push_back(*record);
+        if (!prototype_.has_value() && !frame.records.empty()) {
+          prototype_ = frame.records.front();
         }
-        if (!prototype_.has_value() && !records.empty()) {
-          prototype_ = records.front();
-        }
-        next_ext_id_ = std::max(next_ext_id_, ids.back() + 1);
-        StatusOr<EngineMutationResult> result =
-            sharded_->IngestWithIds(std::move(records), std::move(ids));
-        applied = result.ok() ? Status::Ok() : result.status();
+        applied = sharded_
+                      ->IngestWithIds(std::move(frame.records),
+                                      std::move(frame.ids))
+                      .status();
         break;
       }
-      case WalFrameType::kRemove: {
-        std::vector<ExternalId> ids;
-        for (const WalFrame& frame : group.frames) {
-          ids.insert(ids.end(), frame.ids.begin(), frame.ids.end());
-        }
-        std::sort(ids.begin(), ids.end());
-        StatusOr<EngineMutationResult> result = sharded_->Remove(ids);
-        applied = result.ok() ? Status::Ok() : result.status();
+      case WalFrameType::kRemove:
+        applied = sharded_->Remove(frame.ids).status();
         break;
-      }
-      case WalFrameType::kUpdate: {
-        StatusOr<EngineMutationResult> result =
-            sharded_->Update(first.ids[0], Record(first.records[0]));
-        applied = result.ok() ? Status::Ok() : result.status();
+      case WalFrameType::kUpdate:
+        applied = sharded_->Update(frame.ids[0], std::move(frame.records[0]))
+                      .status();
         break;
-      }
-      case WalFrameType::kFlush: {
-        StatusOr<EngineMutationResult> result = sharded_->Flush();
-        applied = result.ok() ? Status::Ok() : result.status();
+      case WalFrameType::kFlush:
+        applied = sharded_->Flush().status();
         break;
-      }
       case WalFrameType::kCostModel:
         break;  // consumed in step 4, before the engine existed
     }
@@ -315,30 +240,21 @@ Status DurableEngine::RecoverLocked() {
       // raced in the original run) is skipped: the live set still converges
       // because the apply conditions are the same function of state.
       ++recovery_.replay_apply_failures;
-      warnings.push_back("replay of seq " + std::to_string(seq) +
+      warnings.push_back("replay of seq " + std::to_string(frame.seq) +
                          " applied non-ok: " + applied.ToString());
     }
-    if (first.type != WalFrameType::kCostModel) ++recovery_.frames_replayed;
-    last_applied_seq = seq;
+    if (frame.type != WalFrameType::kCostModel) ++recovery_.frames_replayed;
+    last_applied_seq = frame.seq;
   }
   next_seq_ = last_applied_seq + 1;
 
-  // 8. Reopen the logs for appending, committed through the last applied
-  // seq: re-encoding is byte-deterministic, so summing encoded sizes of the
-  // retained frames gives the exact file offset. Anything after (torn bytes
-  // or discarded ghost frames) is physically truncated — a ghost frame's
-  // seq would otherwise collide with a future mutation's.
-  for (int s = 0; s < options_.shards; ++s) {
-    uint64_t committed = 0;
-    for (const auto& [seq, bytes] : extents[s]) {
-      if (seq > last_applied_seq) break;
-      committed += bytes;
-    }
-    StatusOr<std::unique_ptr<MutationLog>> log =
-        MutationLog::Open(WalPath(dir, s), options_.sync, committed);
-    if (!log.ok()) return log.status();
-    logs_.push_back(std::move(log).value());
-  }
+  // 7. Reopen the log for appending at the retained prefix. Anything after
+  // (torn bytes or discarded frames) is physically truncated — a discarded
+  // frame's seq would otherwise collide with a future mutation's.
+  StatusOr<std::unique_ptr<MutationLog>> log =
+      MutationLog::Open(WalPath(dir), options_.sync, committed);
+  if (!log.ok()) return log.status();
+  log_ = std::move(log).value();
 
   MetricsRegistry* metrics = options_.engine.config.instrumentation.metrics;
   if (metrics != nullptr) {
@@ -356,19 +272,16 @@ Status DurableEngine::CheckWritableLocked() const {
       "(wal_degraded); queries keep serving, mutations are rejected");
 }
 
-Status DurableEngine::AppendFramesLocked(WalFrame frame,
-                                         const std::vector<int>& shards) {
+Status DurableEngine::AppendFrameLocked(const WalFrame& frame) {
   MetricsRegistry* metrics = options_.engine.config.instrumentation.metrics;
   Timer append_timer;
-  for (int s : shards) {
-    Status appended = logs_[s]->Append(frame);
-    if (!appended.ok()) {
-      degraded_ = true;
-      ReportMetricsLocked();
-      return Status::FailedPrecondition(
-          "WAL append failed permanently (" + appended.ToString() +
-          "); engine degraded to read-only");
-    }
+  Status appended = log_->Append(frame);
+  if (!appended.ok()) {
+    degraded_ = true;
+    ReportMetricsLocked();
+    return Status::FailedPrecondition("WAL append failed permanently (" +
+                                      appended.ToString() +
+                                      "); engine degraded to read-only");
   }
   if (metrics != nullptr) {
     metrics->RecordLatency("wal_append_seconds", append_timer.ElapsedSeconds());
@@ -384,11 +297,9 @@ void DurableEngine::MaybeLogCostModelLocked() {
   frame.type = WalFrameType::kCostModel;
   frame.seq = next_seq_++;
   frame.generation = Snapshot()->generation;
-  frame.parts = static_cast<uint32_t>(options_.shards);
   frame.cost_per_hash = model->cost_per_hash();
   frame.cost_per_pair = model->cost_per_pair();
-  Status appended = AppendFramesLocked(std::move(frame), AllLogs());
-  if (appended.ok()) cost_model_logged_ = true;
+  if (AppendFrameLocked(frame).ok()) cost_model_logged_ = true;
 }
 
 void DurableEngine::MaybeCheckpointLocked() {
@@ -410,16 +321,14 @@ Status DurableEngine::CheckpointLocked() {
   // Barrier: everything the checkpoint folds up must be at least as durable
   // as the log claims before the log is superseded and truncated.
   if (options_.sync != WalSyncPolicy::kNone) {
-    for (const std::unique_ptr<MutationLog>& log : logs_) {
-      Status synced = log->Sync();
-      if (!synced.ok()) {
-        degraded_ = true;
-        ReportMetricsLocked();
-        ++checkpoint_failures_;
-        return Status::FailedPrecondition(
-            "WAL sync failed permanently before checkpoint (" +
-            synced.ToString() + "); engine degraded to read-only");
-      }
+    Status synced = log_->Sync();
+    if (!synced.ok()) {
+      degraded_ = true;
+      ReportMetricsLocked();
+      ++checkpoint_failures_;
+      return Status::FailedPrecondition(
+          "WAL sync failed permanently before checkpoint (" +
+          synced.ToString() + "); engine degraded to read-only");
     }
   }
 
@@ -427,7 +336,7 @@ Status DurableEngine::CheckpointLocked() {
   data.last_seq = next_seq_ - 1;
   data.next_external_id = next_ext_id_;
   data.generation = Snapshot()->generation;
-  data.shards = static_cast<uint32_t>(options_.shards);
+  data.shards = static_cast<uint32_t>(options_.shards);  // written, never read
   std::optional<CostModel> model = sharded_->cost_model();
   if (model.has_value()) {
     data.has_cost_model = true;
@@ -452,12 +361,10 @@ Status DurableEngine::CheckpointLocked() {
   // The checkpoint now supersedes every logged frame; truncating after the
   // rename means a crash in between only leaves already-superseded frames
   // that replay skips by seq.
-  for (const std::unique_ptr<MutationLog>& log : logs_) {
-    Status truncated = log->Truncate();
-    if (!truncated.ok()) {
-      ++checkpoint_failures_;
-      return truncated;
-    }
+  Status truncated = log_->Truncate();
+  if (!truncated.ok()) {
+    ++checkpoint_failures_;
+    return truncated;
   }
   PruneCheckpoints(options_.data_dir, data.last_seq);
   ++checkpoints_written_;
@@ -493,37 +400,20 @@ StatusOr<EngineMutationResult> DurableEngine::Ingest(
     if (!schema.ok()) return schema;
   }
 
-  std::vector<ExternalId> ids(records.size());
-  for (size_t i = 0; i < records.size(); ++i) ids[i] = next_ext_id_ + i;
-  std::vector<std::vector<size_t>> by_shard(options_.shards);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    by_shard[ShardOfExternalId(ids[i], options_.shards)].push_back(i);
-  }
-  std::vector<int> involved;
-  for (int s = 0; s < options_.shards; ++s) {
-    if (!by_shard[s].empty()) involved.push_back(s);
-  }
+  WalFrame frame;
+  frame.type = WalFrameType::kIngest;
+  frame.seq = next_seq_++;
+  frame.generation = Snapshot()->generation;
+  frame.ids.resize(records.size());
+  std::iota(frame.ids.begin(), frame.ids.end(), next_ext_id_);
+  frame.records = std::move(records);
+  Status appended = AppendFrameLocked(frame);
+  if (!appended.ok()) return appended;
 
-  const uint64_t seq = next_seq_++;
-  const uint64_t generation = Snapshot()->generation;
-  for (int s : involved) {
-    WalFrame frame;
-    frame.type = WalFrameType::kIngest;
-    frame.seq = seq;
-    frame.generation = generation;
-    frame.parts = static_cast<uint32_t>(involved.size());
-    for (size_t i : by_shard[s]) {
-      frame.ids.push_back(ids[i]);
-      frame.records.push_back(Record(records[i]));
-    }
-    Status appended = AppendFramesLocked(std::move(frame), {s});
-    if (!appended.ok()) return appended;
-  }
-
-  next_ext_id_ = ids.back() + 1;
-  if (!prototype_.has_value()) prototype_ = records.front();
-  StatusOr<EngineMutationResult> result =
-      sharded_->IngestWithIds(std::move(records), std::move(ids), opts);
+  next_ext_id_ = frame.ids.back() + 1;
+  if (!prototype_.has_value()) prototype_ = frame.records.front();
+  StatusOr<EngineMutationResult> result = sharded_->IngestWithIds(
+      std::move(frame.records), std::move(frame.ids), opts);
   if (result.ok()) {
     MaybeLogCostModelLocked();
     ++mutations_since_checkpoint_;
@@ -552,26 +442,13 @@ StatusOr<EngineMutationResult> DurableEngine::Remove(
     }
   }
   if (!ids.empty()) {
-    std::vector<std::vector<uint64_t>> by_shard(options_.shards);
-    for (ExternalId id : ids) {
-      by_shard[ShardOfExternalId(id, options_.shards)].push_back(id);
-    }
-    std::vector<int> involved;
-    for (int s = 0; s < options_.shards; ++s) {
-      if (!by_shard[s].empty()) involved.push_back(s);
-    }
-    const uint64_t seq = next_seq_++;
-    const uint64_t generation = Snapshot()->generation;
-    for (int s : involved) {
-      WalFrame frame;
-      frame.type = WalFrameType::kRemove;
-      frame.seq = seq;
-      frame.generation = generation;
-      frame.parts = static_cast<uint32_t>(involved.size());
-      frame.ids = std::move(by_shard[s]);
-      Status appended = AppendFramesLocked(std::move(frame), {s});
-      if (!appended.ok()) return appended;
-    }
+    WalFrame frame;
+    frame.type = WalFrameType::kRemove;
+    frame.seq = next_seq_++;
+    frame.generation = Snapshot()->generation;
+    frame.ids.assign(ids.begin(), ids.end());
+    Status appended = AppendFrameLocked(frame);
+    if (!appended.ok()) return appended;
   }
   StatusOr<EngineMutationResult> result = sharded_->Remove(ids, opts);
   if (result.ok() && !ids.empty()) {
@@ -600,12 +477,11 @@ StatusOr<EngineMutationResult> DurableEngine::Update(
   frame.seq = next_seq_++;
   frame.generation = Snapshot()->generation;
   frame.ids.push_back(id);
-  frame.records.push_back(Record(record));
-  Status appended = AppendFramesLocked(
-      std::move(frame), {ShardOfExternalId(id, options_.shards)});
+  frame.records.push_back(std::move(record));
+  Status appended = AppendFrameLocked(frame);
   if (!appended.ok()) return appended;
   StatusOr<EngineMutationResult> result =
-      sharded_->Update(id, std::move(record), opts);
+      sharded_->Update(id, std::move(frame.records[0]), opts);
   if (result.ok()) {
     ++mutations_since_checkpoint_;
     MaybeCheckpointLocked();
@@ -623,8 +499,7 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
   frame.type = WalFrameType::kFlush;
   frame.seq = next_seq_++;
   frame.generation = Snapshot()->generation;
-  frame.parts = static_cast<uint32_t>(options_.shards);
-  Status appended = AppendFramesLocked(std::move(frame), AllLogs());
+  Status appended = AppendFrameLocked(frame);
   if (!appended.ok()) return appended;
 
   // Flush is the sync=batch barrier: everything appended since the last
@@ -632,15 +507,13 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
   if (options_.sync == WalSyncPolicy::kBatch) {
     MetricsRegistry* metrics = options_.engine.config.instrumentation.metrics;
     Timer sync_timer;
-    for (const std::unique_ptr<MutationLog>& log : logs_) {
-      Status synced = log->Sync();
-      if (!synced.ok()) {
-        degraded_ = true;
-        ReportMetricsLocked();
-        return Status::FailedPrecondition(
-            "WAL sync failed permanently (" + synced.ToString() +
-            "); engine degraded to read-only");
-      }
+    Status synced = log_->Sync();
+    if (!synced.ok()) {
+      degraded_ = true;
+      ReportMetricsLocked();
+      return Status::FailedPrecondition("WAL sync failed permanently (" +
+                                        synced.ToString() +
+                                        "); engine degraded to read-only");
     }
     if (metrics != nullptr) {
       metrics->RecordLatency("wal_fsync_seconds", sync_timer.ElapsedSeconds());
@@ -654,12 +527,6 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
   }
   ReportMetricsLocked();
   return result;
-}
-
-std::vector<int> DurableEngine::AllLogs() const {
-  std::vector<int> all(options_.shards);
-  std::iota(all.begin(), all.end(), 0);
-  return all;
 }
 
 std::shared_ptr<const EngineSnapshot> DurableEngine::Snapshot() const {
@@ -684,14 +551,12 @@ std::vector<EngineCounters> DurableEngine::shard_counters() const {
 DurabilityStats DurableEngine::durability_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   DurabilityStats stats = recovery_;
-  for (const std::unique_ptr<MutationLog>& log : logs_) {
-    const WalWriterStats& w = log->stats();
-    stats.wal_frames_appended += w.frames_appended;
-    stats.wal_bytes_appended += w.bytes_appended;
-    stats.wal_syncs += w.syncs;
-    stats.wal_append_retries += w.append_retries;
-    stats.wal_sync_retries += w.sync_retries;
-  }
+  const WalWriterStats& w = log_->stats();
+  stats.wal_frames_appended = w.frames_appended;
+  stats.wal_bytes_appended = w.bytes_appended;
+  stats.wal_syncs = w.syncs;
+  stats.wal_append_retries = w.append_retries;
+  stats.wal_sync_retries = w.sync_retries;
   stats.checkpoints_written = checkpoints_written_;
   stats.checkpoint_failures = checkpoint_failures_;
   stats.wal_degraded = degraded_;
@@ -706,24 +571,15 @@ bool DurableEngine::degraded() const {
 void DurableEngine::ReportMetricsLocked() {
   MetricsRegistry* metrics = options_.engine.config.instrumentation.metrics;
   if (metrics == nullptr) return;
-  WalWriterStats totals;
-  for (const std::unique_ptr<MutationLog>& log : logs_) {
-    const WalWriterStats& w = log->stats();
-    totals.frames_appended += w.frames_appended;
-    totals.bytes_appended += w.bytes_appended;
-    totals.syncs += w.syncs;
-    totals.append_retries += w.append_retries;
-    totals.sync_retries += w.sync_retries;
-  }
+  const WalWriterStats& w = log_->stats();
   metrics->SetGauge("wal_frames_appended",
-                    static_cast<double>(totals.frames_appended));
+                    static_cast<double>(w.frames_appended));
   metrics->SetGauge("wal_bytes_appended",
-                    static_cast<double>(totals.bytes_appended));
-  metrics->SetGauge("wal_syncs", static_cast<double>(totals.syncs));
+                    static_cast<double>(w.bytes_appended));
+  metrics->SetGauge("wal_syncs", static_cast<double>(w.syncs));
   metrics->SetGauge("wal_append_retries",
-                    static_cast<double>(totals.append_retries));
-  metrics->SetGauge("wal_sync_retries",
-                    static_cast<double>(totals.sync_retries));
+                    static_cast<double>(w.append_retries));
+  metrics->SetGauge("wal_sync_retries", static_cast<double>(w.sync_retries));
   metrics->SetGauge("wal_checkpoints_written",
                     static_cast<double>(checkpoints_written_));
   metrics->SetGauge("wal_checkpoint_failures",

@@ -19,7 +19,7 @@ namespace adalsh {
 /// Recovery/runtime accounting of the durability plane, surfaced as wal_*
 /// fields of the engine report and as obs metrics (docs/durability.md).
 struct DurabilityStats {
-  // Log writer totals, summed across shard logs.
+  // Log writer totals.
   uint64_t wal_frames_appended = 0;
   uint64_t wal_bytes_appended = 0;
   uint64_t wal_syncs = 0;
@@ -38,19 +38,23 @@ struct DurabilityStats {
   uint64_t frames_replayed = 0;    // mutations re-applied from the log
   uint64_t frames_discarded = 0;   // dropped after a torn/incomplete tail
   uint64_t replay_apply_failures = 0;  // logged mutations that re-applied non-ok
-  bool log_truncated = false;      // some log had a torn/corrupt tail
+  bool log_truncated = false;      // the log had a torn/corrupt tail
   std::vector<std::string> recovery_warnings;
 };
 
 /// Durable wrapper around the sharded engine (docs/durability.md):
 /// every mutation is appended to a write-ahead log *before* it is applied,
 /// checkpoints periodically fold the live set into an atomically-replaced
-/// snapshot file that truncates the logs, and Open() recovers by loading the
+/// snapshot file that truncates the log, and Open() recovers by loading the
 /// newest valid checkpoint and replaying the log tail.
 ///
-/// Data directory layout:
-///   <dir>/wal-<shard>.log        one append-only frame log per shard
+/// Data directory layout, the same at every shard count:
+///   <dir>/wal-0.log              the append-only frame log, one frame per
+///                                mutation
 ///   <dir>/checkpoint-<seq>       newest-valid-wins checkpoint files
+///
+/// Neither file depends on the shard count: replay routes every logged id
+/// through the sharded engine, so a directory reopens at any `shards`.
 ///
 /// Recovery rebuilds state through the engine's own confluence contract:
 /// the checkpoint stores only the live records (plus the id counter and the
@@ -77,8 +81,8 @@ class DurableEngine {
     /// Per-shard engine template, exactly ResidentEngine::Options.
     ResidentEngine::Options engine;
 
-    /// Shards of the wrapped ShardedEngine, one log each (>= 1; Open refuses
-    /// anything less). S=1 certifies continuously, S>=2 at every Flush.
+    /// Shards of the wrapped ShardedEngine (>= 1; Open refuses anything
+    /// less). S=1 certifies continuously, S>=2 at every Flush.
     int shards = 1;
 
     /// Directory for logs and checkpoints; created if missing.
@@ -94,9 +98,9 @@ class DurableEngine {
   /// Opens the data directory, recovers (newest valid checkpoint + log-tail
   /// replay, torn tails truncated with a warning), and returns a serving
   /// engine. Fails with InvalidArgument when `shards` < 1, and with
-  /// FailedPrecondition on a stale shard layout (the directory was written
-  /// with a different shard count — id routing would scatter records to
-  /// wrong logs) and on unreadable/uncreatable storage.
+  /// FailedPrecondition on unreadable/uncreatable storage and on a non-empty
+  /// `wal-<digits>.log` other than wal-0.log (a per-shard log of an older
+  /// build, which a checkpoint with that build empties).
   static StatusOr<std::unique_ptr<DurableEngine>> Open(MatchRule rule,
                                                        Options options);
 
@@ -115,10 +119,10 @@ class DurableEngine {
                                         const EngineBatchOptions& opts = {});
   StatusOr<EngineMutationResult> Flush(const EngineBatchOptions& opts = {});
 
-  /// Writes a checkpoint now: syncs the logs, serializes the live set
+  /// Writes a checkpoint now: syncs the log, serializes the live set
   /// atomically (write-temp + fsync + rename + dir fsync), truncates the
-  /// logs it supersedes and prunes older checkpoint files. On failure the
-  /// logs are left intact — durability is unchanged, only the log stays
+  /// log it supersedes and prunes older checkpoint files. On failure the
+  /// log is left intact — durability is unchanged, only the log stays
   /// long.
   Status Checkpoint();
 
@@ -144,12 +148,12 @@ class DurableEngine {
  private:
   DurableEngine(MatchRule rule, Options options);
 
-  /// Replays checkpoint + log tails into the fresh engine. Fills recovery_.
+  /// Replays checkpoint + log tail into the fresh engine. Fills recovery_.
   Status RecoverLocked();
 
-  /// Appends `frame` to the logs in `shard_list` (same seq each), honoring
-  /// the sync policy. On permanent failure flips degraded_ and reports.
-  Status AppendFramesLocked(WalFrame frame, const std::vector<int>& shards);
+  /// Appends `frame` to the log, honoring the sync policy. On permanent
+  /// failure flips degraded_ and reports.
+  Status AppendFrameLocked(const WalFrame& frame);
 
   /// After the first applied ingest: persists the engine's calibrated cost
   /// model (unless the options pinned one) so replay prices identically.
@@ -166,9 +170,6 @@ class DurableEngine {
   /// Exports the wal_* counters/gauges through the obs metrics registry.
   void ReportMetricsLocked();
 
-  /// Every shard's log indices, for frames that go to all logs.
-  std::vector<int> AllLogs() const;
-
   MatchRule rule_;
   Options options_;
 
@@ -177,7 +178,7 @@ class DurableEngine {
 
   /// Serializes mutations, WAL appends and checkpoints (see class comment).
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<MutationLog>> logs_;  // one per shard
+  std::unique_ptr<MutationLog> log_;  // <dir>/wal-0.log, from RecoverLocked
   uint64_t next_seq_ = 1;
   ExternalId next_ext_id_ = 0;
   std::optional<Record> prototype_;  // schema reference for pre-validation

@@ -94,8 +94,8 @@ class ShardedEngine {
   /// under concurrent writers on the same ids, like Remove): routes each
   /// record by ShardOfExternalId and advances the internal id counter past
   /// the largest assigned id. The durable engine replays logged ingests
-  /// through this, so recovered records land on the shards that logged them
-  /// (docs/durability.md).
+  /// through this, so a recovered record lands on the shard its id routes
+  /// to at the reopening shard count (docs/durability.md).
   StatusOr<EngineMutationResult> IngestWithIds(
       std::vector<Record> records, std::vector<ExternalId> ids,
       const EngineBatchOptions& opts = {});

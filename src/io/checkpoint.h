@@ -40,10 +40,9 @@ struct CheckpointData {
   /// publications from scratch, so generations restart (docs/durability.md).
   uint64_t generation = 0;
 
-  /// Shard count of the engine that wrote the checkpoint; a mismatch with
-  /// the recovering configuration is a stale-layout error (the id->shard
-  /// routing changed, so per-shard logs no longer line up). Checkpoints of
-  /// the retired single-engine shape hold 0, which recovery reads as 1.
+  /// Shard count of the engine that wrote the checkpoint. Diagnostic only,
+  /// like `generation`: written but never read, since the live set reopens
+  /// at any shard count (docs/durability.md).
   uint32_t shards = 0;
 
   bool has_cost_model = false;

@@ -12,9 +12,10 @@
 
 namespace adalsh {
 
-/// Write-ahead mutation log for the sharded engine
-/// (docs/durability.md). One file per shard engine, append-only, replayed on
-/// startup to reconstruct the mutations that post-date the newest checkpoint.
+/// Write-ahead mutation log for the durable engine (docs/durability.md). One
+/// append-only file per data directory at every shard count, one frame per
+/// mutation, replayed on startup to reconstruct the mutations that post-date
+/// the newest checkpoint.
 ///
 /// On-disk frame format (all integers little-endian):
 ///
@@ -22,16 +23,14 @@ namespace adalsh {
 ///
 ///   payload = u8 frame_type | u64 seq | u64 generation | body
 ///
-/// `seq` is the globally monotonic mutation sequence number — one counter
-/// across all shard logs, so recovery can merge per-shard logs back into the
-/// original mutation order. `generation` is the engine's published snapshot
-/// generation at append time: purely diagnostic (generation counts
+/// `seq` is the monotonic mutation sequence number; recovery replays frames
+/// while it counts up by one. `generation` is the engine's published
+/// snapshot generation at append time: purely diagnostic (generation counts
 /// publications, which a replayed history redoes from scratch), never
-/// restored. A mutation that spans multiple shards writes one sub-frame with
-/// the same seq to each involved shard's log; each sub-frame carries the
-/// total sub-frame count (`parts`) so recovery can tell a complete mutation
-/// from one whose remaining sub-frames were lost with an unsynced tail —
-/// an incomplete seq ends the replayable prefix (docs/durability.md).
+/// restored. `parts` is a sub-frame count from the retired per-shard layout,
+/// which split one mutation over several logs: the engine always writes 1,
+/// and recovery ends the replayable prefix at a frame whose `parts` is not 1
+/// (docs/durability.md). The field stays so the format is unchanged.
 
 /// CRC32C (Castagnoli). Standard check value: Crc32c("123456789", 9) ==
 /// 0xE3069283.
@@ -44,16 +43,15 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size);
 enum class WalFrameType : uint8_t {
   kIngest = 1,     // body: u32 parts | u32 n | n * (u64 external_id | record)
   kRemove = 2,     // body: u32 parts | u32 n | n * u64 external_id
-  kUpdate = 3,     // body: u64 external_id | record (always single-shard)
+  kUpdate = 3,     // body: u64 external_id | record (no parts field)
   kFlush = 4,      // body: u32 parts
   kCostModel = 5,  // body: u32 parts | f64 cost_per_hash | f64 cost_per_pair
 };
 
 /// A decoded frame. Which fields are meaningful depends on `type`:
 /// ids+records for kIngest (parallel), ids for kRemove, ids[0]+records[0]
-/// for kUpdate, the two costs for kCostModel, none for kFlush. `parts` is
-/// the number of sub-frames (across all shard logs) sharing this frame's
-/// seq; 1 for everything single-shard.
+/// for kUpdate, the two costs for kCostModel, none for kFlush. `parts` is 1
+/// in every frame the durable engine writes (see above).
 struct WalFrame {
   WalFrameType type = WalFrameType::kFlush;
   uint64_t seq = 0;
@@ -100,7 +98,7 @@ struct WalWriterStats {
 };
 
 /// One append-only log file. Not thread-safe; the durable engine serializes
-/// appends per log.
+/// appends.
 ///
 /// Failure handling: every physical write()/fsync() attempt passes through
 /// the kWalAppend/kWalSync fault sites, and transient failures (injected or
@@ -113,9 +111,9 @@ class MutationLog {
  public:
   /// Opens (creating or appending to) the log at `path`. `committed_bytes`
   /// tells the writer where the valid prefix ends (from a prior
-  /// ReadMutationLog, possibly shortened further by recovery's seq-gap
-  /// rule); the file is truncated to it, so a torn or discarded tail is
-  /// physically removed before new frames append.
+  /// ReadMutationLog, possibly shortened further by recovery's seq-gap and
+  /// parts rules); the file is truncated to it, so a torn or discarded tail
+  /// is physically removed before new frames append.
   static StatusOr<std::unique_ptr<MutationLog>> Open(const std::string& path,
                                                      WalSyncPolicy policy,
                                                      uint64_t committed_bytes);

@@ -2,9 +2,10 @@
 // (docs/durability.md): reopening a data directory after an abrupt close must
 // converge to state byte-identical to the from-scratch reference — across
 // seeds, thread counts and shard counts, with and without checkpoints, and
-// with torn or bit-flipped log tails. Also the failure semantics: permanent
-// WAL errors degrade the engine to read-only without crashing, replay faults
-// fail Open gracefully, and stale shard layouts are rejected. The storage
+// with torn or bit-flipped log tails, and reopened at another shard count.
+// Also the failure semantics: permanent WAL errors degrade the engine to
+// read-only without crashing, replay faults fail Open gracefully, and a
+// non-empty per-shard log of the retired layout is refused. The storage
 // layer's own unit tests live in wal_test.cc; the process-level kill-point
 // matrix is tools/crash_smoke.sh.
 
@@ -77,6 +78,22 @@ std::vector<Record> Slice(const Dataset& dataset, size_t first, size_t count) {
   return records;
 }
 
+/// Writes `frames` as the data directory's log, replacing any previous one.
+void WriteLog(const TempDir& dir, const std::vector<WalFrame>& frames) {
+  std::ofstream out(dir.file("wal-0.log"), std::ios::binary | std::ios::trunc);
+  for (const WalFrame& frame : frames) out << EncodeWalFrame(frame);
+}
+
+/// Every `wal-*` file name in `dir`.
+std::vector<std::string> WalFiles(const TempDir& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) == 0) names.push_back(name);
+  }
+  return names;
+}
+
 /// One-line recovery summary for failure messages.
 std::string StatsDebug(const DurabilityStats& stats) {
   std::string out = "checkpoint_loaded=" +
@@ -114,11 +131,12 @@ TEST(WalRecoveryTest, FreshDirectoryOpensEmptyAndServes) {
 }
 
 // The acceptance sweep: a randomized mutation history against the durable
-// engine, an abrupt close (no flush, no checkpoint), and a reopen must yield
-// a canonical snapshot byte-identical to the from-scratch reference — for
-// every (shards, threads) combination on every seed. The reopened engine
-// replays the WAL through the same confluence contract the differential
-// harness certifies, so any divergence is a durability bug, not noise.
+// engine, an abrupt close (no flush, no checkpoint), and a reopen at the next
+// shard count (1->2, 2->4, 4->1) must yield a canonical snapshot
+// byte-identical to the from-scratch reference — for every (shards, threads)
+// combination on every seed. The reopened engine replays the WAL through the
+// same confluence contract the differential harness certifies, so any
+// divergence is a durability bug, not noise.
 TEST(WalRecoveryTest, RecoveredEngineMatchesReferenceAcrossSeedsThreadsShards) {
   constexpr int kShardCounts[] = {1, 2, 4};
   constexpr int kThreadCounts[] = {1, 2, 8};
@@ -152,14 +170,16 @@ TEST(WalRecoveryTest, RecoveredEngineMatchesReferenceAcrossSeedsThreadsShards) {
           }
         }  // abrupt close: nothing flushed or checkpointed
 
+        const int reopen_shards = shards == 4 ? 1 : 2 * shards;
         auto recovered = DurableEngine::Open(
             generated.rule,
-            DurableOptions(shards, threads, 4, dir.path(),
+            DurableOptions(reopen_shards, threads, 4, dir.path(),
                            WalSyncPolicy::kNone, /*checkpoint_every_n=*/0,
                            seed));
         ASSERT_TRUE(recovered.ok())
-            << "seed " << seed << " shards " << shards << " threads "
-            << threads << ": " << recovered.status().ToString();
+            << "seed " << seed << " shards " << shards << "->"
+            << reopen_shards << " threads " << threads << ": "
+            << recovered.status().ToString();
         const DurabilityStats stats = recovered.value()->durability_stats();
         EXPECT_FALSE(stats.checkpoint_loaded);
         EXPECT_GT(stats.frames_replayed, 0u);
@@ -167,8 +187,8 @@ TEST(WalRecoveryTest, RecoveredEngineMatchesReferenceAcrossSeedsThreadsShards) {
         ASSERT_TRUE(recovered.value()->Flush().ok());
         EXPECT_EQ(test::CanonicalSnapshot(*recovered.value()->Snapshot()),
                   reference)
-            << "seed " << seed << " shards " << shards << " threads "
-            << threads;
+            << "seed " << seed << " shards " << shards << "->"
+            << reopen_shards << " threads " << threads;
       }
     }
   }
@@ -185,12 +205,9 @@ TEST(WalRecoveryTest, ExplicitCheckpointTruncatesLogsAndSeedsRecovery) {
     live = test::RunRandomScript(engine.value().get(), generated.dataset, 7);
     ASSERT_TRUE(engine.value()->Checkpoint().ok());
     EXPECT_EQ(engine.value()->durability_stats().checkpoints_written, 1u);
-    // The checkpoint superseded every logged frame.
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(std::filesystem::file_size(
-                    dir.file("wal-" + std::to_string(s) + ".log")),
-                0u);
-    }
+    // The checkpoint superseded every logged frame. One log at S=4 too.
+    EXPECT_EQ(std::filesystem::file_size(dir.file("wal-0.log")), 0u);
+    EXPECT_EQ(WalFiles(dir), std::vector<std::string>{"wal-0.log"});
   }
   auto recovered = DurableEngine::Open(generated.rule,
                                        DurableOptions(4, 2, 4, dir.path()));
@@ -387,44 +404,65 @@ TEST(WalRecoveryTest, BitFlippedTailDropsOnlyTheDamagedSuffix) {
   EXPECT_EQ(recovered.value()->counters().live_records, 3u);
 }
 
-TEST(WalRecoveryTest, IncompleteMultiShardMutationEndsReplayablePrefix) {
+TEST(WalRecoveryTest, EmptyIngestFrameReplaysAsAnEmptyIngest) {
+  // The engine never logs an empty batch, but a CRC-valid one must replay
+  // as an empty ingest and advance no id counter.
   TempDir dir;
-  GeneratedDataset generated = test::MakePlantedDataset({13}, 5);
+  WalFrame empty;
+  empty.type = WalFrameType::kIngest;
+  empty.seq = 1;
+  WriteLog(dir, {empty});
+  GeneratedDataset generated = test::MakePlantedDataset({3}, 3);
   {
     auto engine = DurableEngine::Open(generated.rule,
-                                      DurableOptions(4, 2, 4, dir.path()));
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 0, 3)).ok());
-    ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 3, 10)).ok());
+                                      DurableOptions(2, 1, 3, dir.path()));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const DurabilityStats stats = engine.value()->durability_stats();
+    EXPECT_EQ(stats.frames_replayed, 1u) << StatsDebug(stats);
+    EXPECT_EQ(stats.replay_apply_failures, 0u) << StatsDebug(stats);
+    auto ingested = engine.value()->Ingest(Slice(generated.dataset, 0, 3));
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    EXPECT_EQ(ingested.value().assigned_ids,
+              (std::vector<ExternalId>{0, 1, 2}));
   }
-  // Drop one shard's sub-frame of the second mutation (seq 2): the loss an
-  // unsynced tail produces on exactly one disk. The whole mutation must be
-  // discarded — a partially applied batch would be a torn state.
-  bool dropped = false;
-  for (int s = 0; s < 4 && !dropped; ++s) {
-    const std::string path = dir.file("wal-" + std::to_string(s) + ".log");
-    auto read = ReadMutationLog(path);
-    ASSERT_TRUE(read.ok());
-    if (read.value().frames.empty() || read.value().frames.back().seq != 2) {
-      continue;
-    }
-    const size_t frame_bytes =
-        EncodeWalFrame(read.value().frames.back()).size();
-    std::filesystem::resize_file(path,
-                                 read.value().valid_bytes - frame_bytes);
-    dropped = true;
-  }
-  ASSERT_TRUE(dropped);
+  auto reopened = DurableEngine::Open(generated.rule,
+                                      DurableOptions(1, 1, 3, dir.path()));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->durability_stats().frames_replayed, 2u);
+  EXPECT_EQ(reopened.value()->counters().live_records, 3u);
+}
 
-  auto recovered = DurableEngine::Open(generated.rule,
-                                       DurableOptions(4, 2, 4, dir.path()));
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered.value()->durability_stats().frames_replayed, 1u)
-      << StatsDebug(recovered.value()->durability_stats());
-  // The sharded engine's merged live count publishes at the flush barrier.
-  ASSERT_TRUE(recovered.value()->Flush().ok());
-  EXPECT_EQ(recovered.value()->counters().live_records, 3u)
-      << StatsDebug(recovered.value()->durability_stats());
+TEST(WalRecoveryTest, MultiPartFrameEndsReplayablePrefix) {
+  // Only the retired per-shard layout wrote frames with parts != 1; their
+  // other parts lived in logs this layout does not read. Such a frame ends
+  // the replayable prefix and is truncated with everything after it.
+  TempDir dir;
+  GeneratedDataset generated = test::MakePlantedDataset({4}, 5);
+  WalFrame first;
+  first.type = WalFrameType::kIngest;
+  first.seq = 1;
+  first.ids = {0, 1};
+  first.records = Slice(generated.dataset, 0, 2);
+  WalFrame split = first;
+  split.seq = 2;
+  split.parts = 2;
+  split.ids = {2};
+  split.records = Slice(generated.dataset, 2, 1);
+  WalFrame flush;
+  flush.seq = 3;
+  WriteLog(dir, {first, split, flush});
+
+  auto engine = DurableEngine::Open(generated.rule,
+                                    DurableOptions(1, 1, 3, dir.path()));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const DurabilityStats stats = engine.value()->durability_stats();
+  EXPECT_EQ(stats.frames_replayed, 1u) << StatsDebug(stats);
+  EXPECT_EQ(stats.frames_discarded, 2u) << StatsDebug(stats);
+  ASSERT_EQ(stats.recovery_warnings.size(), 1u) << StatsDebug(stats);
+  EXPECT_NE(stats.recovery_warnings[0].find("2 parts"), std::string::npos);
+  EXPECT_EQ(engine.value()->counters().live_records, 2u);
+  EXPECT_EQ(std::filesystem::file_size(dir.file("wal-0.log")),
+            EncodeWalFrame(first).size());
 }
 
 TEST(WalRecoveryTest, PermanentAppendFailureDegradesToReadOnly) {
@@ -517,54 +555,78 @@ TEST(WalRecoveryTest, ReplayFaultFailsOpenGracefully) {
   EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(WalRecoveryTest, StaleShardLayoutIsRejected) {
-  TempDir dir;
-  GeneratedDataset generated = test::MakePlantedDataset({8}, 2);
-  {
-    auto engine = DurableEngine::Open(generated.rule,
-                                      DurableOptions(4, 1, 3, dir.path()));
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE(engine.value()->Ingest(Slice(generated.dataset, 0, 8)).ok());
-    ASSERT_TRUE(engine.value()->Checkpoint().ok());
-  }
-  for (int wrong_shards : {1, 2}) {
+TEST(WalRecoveryTest, CheckpointAndLogTailReopenAtAnyShardCount) {
+  // Neither the checkpoint nor the log depends on the shard count: an S=4
+  // directory with a checkpoint and a log tail reopens at S=1 and at S=2
+  // with the reference state.
+  GeneratedDataset generated = test::MakePlantedDataset(SizesForSeed(2), 2);
+  for (int reopen_shards : {1, 2}) {
+    SCOPED_TRACE("reopen at shards=" + std::to_string(reopen_shards));
+    TempDir dir;
+    test::LiveMap live;
+    {
+      auto engine = DurableEngine::Open(generated.rule,
+                                        DurableOptions(4, 1, 4, dir.path()));
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      live = test::RunRandomScript(engine.value().get(), generated.dataset, 2);
+      ASSERT_TRUE(engine.value()->Checkpoint().ok());
+      // Log tail: a remove, an update and an ingest.
+      std::vector<ExternalId> removed = {live.begin()->first};
+      ASSERT_TRUE(engine.value()->Remove(removed).ok());
+      live.erase(removed[0]);
+      const ExternalId updated = live.rbegin()->first;
+      ASSERT_TRUE(engine.value()
+                      ->Update(updated, generated.dataset.record(0))
+                      .ok());
+      live[updated] = 0;
+      auto ingested = engine.value()->Ingest(Slice(generated.dataset, 1, 1));
+      ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+      live[ingested.value().assigned_ids[0]] = 1;
+    }
     auto reopened = DurableEngine::Open(
-        generated.rule, DurableOptions(wrong_shards, 1, 3, dir.path()));
-    ASSERT_FALSE(reopened.ok()) << "shards=" << wrong_shards;
-    EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_NE(reopened.status().message().find("stale shard layout"),
-              std::string::npos);
+        generated.rule, DurableOptions(reopen_shards, 1, 4, dir.path()));
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    const DurabilityStats stats = reopened.value()->durability_stats();
+    EXPECT_TRUE(stats.checkpoint_loaded) << StatsDebug(stats);
+    EXPECT_EQ(stats.frames_replayed, 3u) << StatsDebug(stats);
+    EXPECT_EQ(stats.replay_apply_failures, 0u) << StatsDebug(stats);
+    ASSERT_TRUE(reopened.value()->Flush().ok());
+    EXPECT_EQ(test::CanonicalSnapshot(*reopened.value()->Snapshot()),
+              test::ReferenceCanonical(generated.dataset, generated.rule, live,
+                                       4));
   }
-  // The original layout still opens.
-  auto reopened = DurableEngine::Open(generated.rule,
-                                      DurableOptions(4, 1, 3, dir.path()));
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  // The sharded engine's merged live count publishes at the flush barrier.
-  ASSERT_TRUE(reopened.value()->Flush().ok());
-  EXPECT_EQ(reopened.value()->counters().live_records, 8u)
-      << StatsDebug(reopened.value()->durability_stats());
 }
 
-TEST(WalRecoveryTest, CheckpointShardMismatchIsRejectedWithoutLogs) {
+TEST(WalRecoveryTest, NonEmptyPerShardLogIsRefused) {
+  // Only the retired per-shard layout wrote wal-<digits>.log besides
+  // wal-0.log; a non-empty one holds mutations no replay reads. The long
+  // name must not be parsed as a number.
+  for (const char* name : {"wal-1.log", "wal-99999999999.log"}) {
+    SCOPED_TRACE(name);
+    TempDir dir;
+    {
+      std::ofstream out(dir.file(name), std::ios::binary);
+      out << "frames of another shard";
+    }
+    auto opened = DurableEngine::Open(MatchRule::Leaf(0, 0.5),
+                                      DurableOptions(1, 1, 3, dir.path()));
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(opened.status().message().find(name), std::string::npos)
+        << opened.status().ToString();
+  }
+  // An empty one is what an older build's checkpoint leaves behind.
   TempDir dir;
-  CheckpointData data;
-  data.last_seq = 3;
-  data.next_external_id = 10;
-  data.shards = 2;
-  ASSERT_TRUE(WriteCheckpoint(dir.path(), data).ok());
+  std::ofstream(dir.file("wal-3.log")).close();
   auto opened = DurableEngine::Open(MatchRule::Leaf(0, 0.5),
-                                    DurableOptions(4, 1, 3, dir.path()));
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(opened.status().message().find("stale shard layout"),
-            std::string::npos);
+                                    DurableOptions(2, 1, 3, dir.path()));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
 }
 
 TEST(WalRecoveryTest, ShardCountZeroCheckpointOpensAtOneShard) {
   // Checkpoints written before the single-engine shape was folded into S=1
-  // record shards=0. Their directories have the S=1 layout (one wal-0.log,
-  // one-part frames), so they reopen at S=1 with the live set intact, and
-  // any other shard count is still a stale layout.
+  // record shards=0. Their directories have the one-log layout, so they
+  // reopen with the live set intact.
   TempDir dir;
   GeneratedDataset generated = test::MakePlantedDataset({4, 3, 1}, 13);
   CheckpointData data;
@@ -579,13 +641,6 @@ TEST(WalRecoveryTest, ShardCountZeroCheckpointOpensAtOneShard) {
   }
   data.next_external_id = data.ids.back() + 1;
   ASSERT_TRUE(WriteCheckpoint(dir.path(), data).ok());
-
-  auto mismatched = DurableEngine::Open(generated.rule,
-                                        DurableOptions(2, 1, 3, dir.path()));
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(mismatched.status().message().find("stale shard layout"),
-            std::string::npos);
 
   auto opened = DurableEngine::Open(generated.rule,
                                     DurableOptions(1, 1, 3, dir.path()));

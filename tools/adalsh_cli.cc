@@ -79,14 +79,14 @@
 //              [--max-line-bytes=N]
 //
 // --data-dir=DIR turns on the durability plane (docs/durability.md): every
-// mutation is appended to a per-shard write-ahead log in DIR before it is
-// applied, and on startup the engine recovers from the newest valid
-// checkpoint plus the log tail (torn/corrupt tails are truncated with a
-// stderr warning; recovery results print as one `recovered ...` stderr
-// line). --sync picks the fsync policy (default batch: durable at flush/
-// checkpoint/clean-exit barriers). --checkpoint-every-n=N folds the live
-// set into an atomic checkpoint after every N mutations; the `checkpoint`
-// serve command does it on demand. A permanent WAL failure degrades the
+// mutation is appended as one frame to the write-ahead log DIR/wal-0.log
+// before it is applied, and on startup the engine recovers from the newest
+// valid checkpoint plus the log tail (torn/corrupt tails are truncated with
+// a stderr warning; recovery results print as one `recovered ...` stderr
+// line). The directory reopens at any --shards. --sync picks the fsync
+// policy (default batch: durable at flush/checkpoint/clean-exit barriers).
+// --checkpoint-every-n=N folds the live set into an atomic checkpoint after
+// every N mutations; the `checkpoint` serve command does it on demand. A permanent WAL failure degrades the
 // session to read-only (mutations answer `err`, queries keep serving) and
 // raises the wal_degraded gauge — it never crashes the process.
 //
@@ -692,7 +692,7 @@ int RunServe(int argc, char** argv) {
                     {snap->verification[it->second]});
       std::cout << "ok gen=" << snap->generation << "\n" << std::flush;
     } else if (cmd == "stats") {
-      std::cout << stats_json() << "\n" << std::flush;
+      std::cout << stats_json() << std::flush;  // ends in its own '\n'
     } else if (cmd == "metrics") {
       std::cout << metrics_line(metrics.Snapshot()) << std::flush;
     } else if (cmd == "flush") {

@@ -11,8 +11,9 @@
 # written, fsync never ran), checkpoint_write before the temp write and
 # before the rename (old checkpoint must stay visible), recovery_replay (a
 # crash during recovery must leave the log replayable), plus a non-crash
-# torn-tail case cut with truncate(1) and a cross-shard kill that loses one
-# sub-frame of a multi-shard ingest group.
+# torn-tail case cut with truncate(1) and a --shards=2 kill before a
+# commit's single frame is written, whose directory then also reopens at
+# --shards=1 with the same clusters.
 #
 # Wired into ctest as `crash_smoke` (mirrors tools/engine_smoke.sh).
 #
@@ -49,8 +50,9 @@ serve_session() {
   return "$status"
 }
 
-# The deterministic mutation stream. With --shards=1 and the cost model
-# pinned on the command line, each mutation appends exactly one WAL frame:
+# The deterministic mutation stream. With the cost model pinned on the
+# command line, each mutation appends exactly one frame to wal-0.log, at
+# every shard count:
 #   frame 1  commit  (ingest ids 0,1)
 #   frame 2  commit  (ingest id 2)
 #   frame 3  update 0
@@ -185,13 +187,15 @@ if ! diff -u "$scratch/ref_prefix4.query" "$scratch/case_torn.query"; then
 fi
 echo "crash_smoke: torn OK (truncated tail, matches prefix4)"
 
-# --- Cross-shard kill inside a multi-shard ingest group ---------------------
+# --- One log at every shard count ------------------------------------------
 
-# With --shards=2, ids route by SplitMix64(id) % 2: id 0 lands on shard 1,
-# ids 1 and 2 split across shards 1 and 0, so the second commit appends a
-# two-part group (wal_append hits 2 and 3). Killing at hit 3 persists only
-# one sub-frame; recovery must discard the incomplete group and serve the
-# first-commit state.
+# With --shards=2 the first commit appends frame 1 (wal_append hit 1) and the
+# second commit frame 2 (hit 2), though its ids route to both shards.
+# Killing at hit 2 loses that frame before it is written; recovery serves
+# the first-commit state. The directory holds the one log, and it reopens at
+# --shards=1 with the same replies, up to the generation numbers in `ok
+# gen=` lines (a generation counts publications, which depend on the shard
+# count).
 sharded_mutations=(
   "add red orange yellow green blue indigo violet pink"
   "commit"
@@ -200,8 +204,18 @@ sharded_mutations=(
   "commit"
 )
 make_reference shard_prefix1 2 "${sharded_mutations[@]:0:2}"
-crash_case shard_group 2 wal_append:3 shard_prefix1 "${sharded_mutations[@]}"
-grep -q 'frames_discarded=1' "$scratch/case_shard_group.qerr" \
-  || fail "shard_group: recovered line does not report the discarded group"
+crash_case shard_commit 2 wal_append:2 shard_prefix1 "${sharded_mutations[@]}"
+logs=$(cd "$scratch/case_shard_commit" && echo wal-*)
+[[ "$logs" == "wal-0.log" ]] \
+  || fail "shard_commit: data dir holds logs [$logs], want only wal-0.log"
+serve_session "$scratch/case_shard_commit" "$scratch/case_shard_commit.s1" \
+  "$scratch/case_shard_commit.s1err" 1 "" "${query[@]}" \
+  || fail "shard_commit: restart at --shards=1 exited non-zero"
+strip_gen() { sed 's/^ok gen=[0-9]*/ok gen=G/' "$1"; }
+if ! diff -u <(strip_gen "$scratch/ref_shard_prefix1.query") \
+    <(strip_gen "$scratch/case_shard_commit.s1"); then
+  fail "shard_commit: the --shards=1 reopen deviates from shard_prefix1"
+fi
+echo "crash_smoke: shard_commit reopened at --shards=1 OK"
 
 echo "crash_smoke OK: $scratch"

@@ -11,8 +11,9 @@
 # refused --cost-model values (not finite, or not > 0), refused negative
 # --deadline-ms / --max-pairwise / --max-hashes limits, a second session
 # checking that the (wall-clock-bearing, so not byte-diffable) `stats`
-# report carries the engine-report schema, and a third checking the
-# protocol's integer edge cases follow.
+# report carries the engine-report schema and that each of its commands
+# answers exactly one line, and a third checking the protocol's integer edge
+# cases follow.
 #
 # Wired into ctest as `engine_smoke` (mirrors tools/trace_smoke.sh).
 #
@@ -137,7 +138,17 @@ for bad in --deadline-ms=-5 --max-pairwise=-1 --max-hashes=-1; do
 done
 
 # `stats` embeds wall-clock seconds, so it is checked by shape, not bytes.
-stats=$(printf 'add a b c\ncommit\nstats\nquit\n' | "${serve[@]}")
+# Each command answers one line: staged, ok, the report, the metrics line
+# and bye.
+printf 'add a b c\ncommit\nstats\nmetrics\nquit\n' | "${serve[@]}" \
+    > "$scratch/stats.txt"
+lines=$(wc -l < "$scratch/stats.txt")
+if [[ $lines -ne 5 || "$(tail -n 1 "$scratch/stats.txt")" != bye ]]; then
+  echo "FAIL: add/commit/stats/metrics/quit answered $lines lines," \
+       "want 5 ending in bye" >&2
+  exit 1
+fi
+stats=$(sed -n 3p "$scratch/stats.txt")
 for key in adalsh-engine-report-v1 counters snapshot refinement; do
   if ! grep -q "\"$key\"" <<< "$stats"; then
     echo "FAIL: stats report lacks \"$key\"" >&2
