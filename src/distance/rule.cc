@@ -114,7 +114,8 @@ const std::vector<MatchRule>& MatchRule::children() const {
 
 Status MatchRule::Validate(const Record& prototype) const {
   if (is_leaf_like()) {
-    if (threshold_ < 0.0 || threshold_ > 1.0) {
+    // Every check is written to fail on NaN, which compares false.
+    if (!(threshold_ >= 0.0 && threshold_ <= 1.0)) {
       return Status::InvalidArgument("rule threshold outside [0, 1]");
     }
     double weight_sum = 0.0;
@@ -122,13 +123,14 @@ Status MatchRule::Validate(const Record& prototype) const {
       if (fields_[i] >= prototype.num_fields()) {
         return Status::InvalidArgument("rule references missing field");
       }
-      if (weights_[i] <= 0.0) {
-        return Status::InvalidArgument("rule weights must be positive");
+      if (!(weights_[i] > 0.0 && std::isfinite(weights_[i]))) {
+        return Status::InvalidArgument(
+            "rule weights must be positive and finite");
       }
       weight_sum += weights_[i];
     }
     if (type_ == Type::kWeightedAverage &&
-        std::abs(weight_sum - 1.0) > 1e-9) {
+        !(std::abs(weight_sum - 1.0) <= 1e-9)) {
       return Status::InvalidArgument("weighted-average weights must sum to 1");
     }
     return Status::Ok();

@@ -1,11 +1,20 @@
 #include "distance/rule_parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 namespace adalsh {
 namespace {
+
+/// True when `value` is a whole number a FieldId holds; checked before the
+/// cast, which is undefined for a value out of range.
+bool IsFieldIndex(double value) {
+  return value >= 0 && value <= std::numeric_limits<FieldId>::max() &&
+         value == std::floor(value);
+}
 
 /// Recursive-descent parser over the DSL of the header comment.
 class Parser {
@@ -63,6 +72,9 @@ class Parser {
     char* end = nullptr;
     double value = std::strtod(start, &end);
     if (end == start) return Error("expected a number");
+    // strtod also reads "nan" and "inf", which no threshold, weight or
+    // field index can be (a NaN threshold fails every comparison).
+    if (!std::isfinite(value)) return Error("expected a finite number");
     pos_ += static_cast<size_t>(end - start);
     return value;
   }
@@ -90,7 +102,7 @@ class Parser {
       StatusOr<double> threshold = ReadNumber();
       if (!threshold.ok()) return threshold.status();
       if (!Consume(')')) return Error("expected ')' closing leaf()");
-      if (*field < 0 || *field != static_cast<FieldId>(*field)) {
+      if (!IsFieldIndex(*field)) {
         return Error("leaf field must be a non-negative integer");
       }
       return MatchRule::Leaf(static_cast<FieldId>(*field), *threshold);
@@ -111,7 +123,7 @@ class Parser {
       }
       std::vector<FieldId> field_ids;
       for (double f : *fields) {
-        if (f < 0 || f != static_cast<FieldId>(f)) {
+        if (!IsFieldIndex(f)) {
           return Error("wavg fields must be non-negative integers");
         }
         field_ids.push_back(static_cast<FieldId>(f));

@@ -599,7 +599,6 @@ EngineSnapshot ResidentEngine::MergeLocked(
     merge.ext_of_[g] = sources[g].ext;
     merge.int_of_[sources[g].ext] = g;
     merge.ArriveLocked(g);
-    merge.last_fn_[g] = shard.last_fn_[local];
     arrived[g] = g;
   }
   span.AddArg("records", static_cast<double>(n));

@@ -277,11 +277,11 @@ class ResidentEngine {
   /// lock in ascending shard order and certifies the global top-k of their
   /// live records with a fresh engine built from `options`, which must pin
   /// the cost model the shards share. The fresh engine arrives the live
-  /// records in ascending external-id order with hash prefixes and last
-  /// functions adopted from their shards, reopens every component and
-  /// refines with no SLO: the rounds, P sweeps and snapshot of a one-batch
-  /// ingest of the live set. Shards are only read, and only for their live
-  /// records, hash prefixes and last functions.
+  /// records in ascending external-id order with hash prefixes adopted from
+  /// their shards, reopens every component and refines with no SLO: the
+  /// rounds, P sweeps, Definition 3 tally and snapshot of a one-batch ingest
+  /// of the live set. Shards are only read, and only for their live records
+  /// and hash prefixes.
   static MergedShards Merge(
       const MatchRule& rule, Options options,
       std::span<const std::unique_ptr<ResidentEngine>> shards);

@@ -24,10 +24,15 @@ int ShardOfExternalId(ExternalId id, int shards) {
 
 namespace {
 
-/// Appends `in`'s round records after `out`'s, renumbered so indices stay
-/// 1-based and in order, and sums the work they account for — the per-round
-/// invariants of filter_output.h keep holding for the concatenation.
-void AppendRounds(const FilterStats& in, FilterStats* out) {
+/// Folds one shard pass into an aggregated mutation result: rounds
+/// concatenate in shard order, renumbered so indices stay 1-based and in
+/// order (the per-round invariants of filter_output.h keep holding), work
+/// counters sum, wall time takes the slowest shard (the passes overlap), and
+/// the per-record snapshots add up (shards hold disjoint live sets).
+void FoldShardResult(const EngineMutationResult& shard,
+                     EngineMutationResult* result) {
+  const FilterStats& in = shard.stats;
+  FilterStats* out = &result->stats;
   for (RoundRecord round : in.round_records) {
     round.round = out->round_records.size() + 1;
     out->round_records.push_back(std::move(round));
@@ -36,17 +41,6 @@ void AppendRounds(const FilterStats& in, FilterStats* out) {
   out->hashes_computed += in.hashes_computed;
   out->pairwise_similarities += in.pairwise_similarities;
   out->modeled_cost += in.modeled_cost;
-}
-
-/// Folds one shard pass into an aggregated mutation result: rounds
-/// concatenate in shard order, counters sum, wall time takes the slowest
-/// shard (the passes overlap), and the per-record snapshots add up (shards
-/// hold disjoint live sets).
-void FoldShardResult(const EngineMutationResult& shard,
-                     EngineMutationResult* result) {
-  const FilterStats& in = shard.stats;
-  FilterStats* out = &result->stats;
-  AppendRounds(in, out);
   out->filtering_seconds = std::max(out->filtering_seconds,
                                     in.filtering_seconds);
   if (out->records_last_hashed_at.size() < in.records_last_hashed_at.size()) {
@@ -346,22 +340,19 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
   const ShardSpan shards = Shards();
   EngineMutationResult result;
-  // Complete any shard refinement left unfinished by SLO-interrupted
-  // mutations; the request's options bound these passes only. At S=1 the
-  // flushed shard's snapshot is the global one, published below.
-  for (const std::unique_ptr<ResidentEngine>& shard : shards) {
-    StatusOr<EngineMutationResult> flushed = shard->Flush(opts);
+  if (shards.size() == 1) {
+    // The flushed shard's snapshot is the global one, published below.
+    StatusOr<EngineMutationResult> flushed = shards.front()->Flush(opts);
     if (!flushed.ok()) return flushed.status();
     FoldShardResult(flushed.value(), &result);
-  }
-
-  if (shards.size() >= 2) {
+  } else if (shards.size() >= 2) {
+    // The merge reads only live records and hash prefixes and always runs
+    // to completion, so no shard pass has to finish first.
     ResidentEngine::Options merge_options = options_.engine;
     merge_options.cost_model = shared_cost_model_;
     ResidentEngine::MergedShards merged =
         ResidentEngine::Merge(rule_, std::move(merge_options), shards);
-    result.lock_wait_seconds += merged.lock_wait_seconds;
-    // The merge pass, not the shard flushes, certified what is published.
+    result.lock_wait_seconds = merged.lock_wait_seconds;
     result.stats = merged.snapshot.stats;
     auto snapshot =
         std::make_shared<EngineSnapshot>(std::move(merged.snapshot));
@@ -485,34 +476,6 @@ std::vector<EngineCounters> ShardedEngine::shard_counters() const {
     per_shard.push_back(shard->counters());
   }
   return per_shard;
-}
-
-StatusOr<EngineSnapshot> RunShardedBatch(
-    const Dataset& dataset, const MatchRule& rule,
-    const ShardedEngine::Options& options) {
-  ShardedEngine engine(rule, options);
-  std::vector<Record> records;
-  records.reserve(dataset.num_records());
-  for (RecordId r = 0; r < static_cast<RecordId>(dataset.num_records()); ++r) {
-    records.push_back(Record(dataset.record(r)));
-  }
-  StatusOr<EngineMutationResult> ingested = engine.Ingest(std::move(records));
-  if (!ingested.ok()) return ingested.status();
-  StatusOr<EngineMutationResult> flushed = engine.Flush();
-  if (!flushed.ok()) return flushed.status();
-  // The published snapshot's stats describe the flush alone; the run's are
-  // the ingest's rounds followed by the flush's, with the flush's
-  // Definition 3 snapshot (it treated the same live records last).
-  EngineSnapshot snap(*engine.Snapshot());
-  FilterStats run = std::move(ingested.value().stats);
-  AppendRounds(snap.stats, &run);
-  run.filtering_seconds += snap.stats.filtering_seconds;
-  run.records_last_hashed_at = std::move(snap.stats.records_last_hashed_at);
-  run.records_finished_by_pairwise = snap.stats.records_finished_by_pairwise;
-  run.termination_reason = snap.stats.termination_reason;
-  run.cluster_verification = std::move(snap.stats.cluster_verification);
-  snap.stats = std::move(run);
-  return snap;
 }
 
 }  // namespace adalsh

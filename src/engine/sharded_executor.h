@@ -46,10 +46,10 @@ int ShardOfExternalId(ExternalId id, int shards);
 /// only when Flush() runs the cross-shard merge (per-shard refinement alone
 /// cannot certify a global top-k, because a component split across shards
 /// may hold cross-shard merge evidence no shard ever saw): mutate freely,
-/// Flush() to publish. The merge reopens every component and reads each
-/// shard's live records, hash prefixes and last functions, never its forest,
-/// so shard refinement reaches the published snapshot only through the
-/// hashes the merge adopts.
+/// Flush() to publish. The merge is Flush()'s only work there: it reopens
+/// every component and reads each shard's live records and hash prefixes,
+/// never its forest or its refinement state, so shard refinement reaches
+/// the published snapshot only through the hashes the merge adopts.
 ///
 /// Threading: Ingest/Remove/Update are safe from any thread; a single call
 /// that spans multiple shards applies per shard (see each method). Flush()
@@ -114,12 +114,13 @@ class ShardedEngine {
   StatusOr<EngineMutationResult> Update(ExternalId id, Record record,
                                         const EngineBatchOptions& opts = {});
 
-  /// Global certification point: flushes every shard (completing any
-  /// SLO-interrupted shard refinement); at S>=2 it then runs the canonical
-  /// cross-shard merge under all shard locks and publishes the merged
-  /// snapshot, at S=1 it publishes the flushed shard's snapshot. The merge
-  /// itself always runs to completion. `opts` applies to the per-shard
-  /// flushes only.
+  /// Global certification point. At S=1 it flushes the one shard under
+  /// `opts` (completing any SLO-interrupted refinement) and publishes the
+  /// shard's snapshot. At S>=2 it runs the canonical cross-shard merge under
+  /// all shard locks and publishes the merged snapshot as the next
+  /// generation; the merge takes no SLO (`opts` is unused) and always runs to
+  /// completion, so the result's `refinement` is kCompleted and its `stats`
+  /// are the merge pass's.
   StatusOr<EngineMutationResult> Flush(const EngineBatchOptions& opts = {});
 
   /// The published global snapshot (generation 0 before the first
@@ -210,19 +211,6 @@ class ShardedEngine {
   /// them (under snapshot_mu_, published with snapshot_).
   uint64_t batches_at_merge_ = 0;
 };
-
-/// One-shot batch entry point (the CLI's `--shards` path): ingests the whole
-/// dataset through a ShardedEngine — one concurrent per-shard batch — then
-/// flushes and returns the published snapshot. External ids are the
-/// dataset's record indices. The snapshot's `stats` account for the whole
-/// run: the ingest's rounds followed by the flush's, with the Definition 3
-/// per-record snapshot of the flush. With `options.engine.cost_model` unset
-/// the model is calibrated once on the full dataset and shared, so the
-/// result is still identical across shard counts for one process (pin the
-/// model to make it reproducible across runs).
-StatusOr<EngineSnapshot> RunShardedBatch(const Dataset& dataset,
-                                         const MatchRule& rule,
-                                         const ShardedEngine::Options& options);
 
 }  // namespace adalsh
 

@@ -18,8 +18,11 @@ namespace adalsh {
 /// quoted fields spanning newlines. Returns false at end of input; aborts
 /// never; malformed quoting is reported via the status output.
 struct CsvReader {
-  explicit CsvReader(std::istream* in, char delimiter = ',')
-      : in_(in), delimiter_(delimiter) {}
+  /// `first_line` numbers the first line of `in` in error messages, for a
+  /// reader over a slice of a longer input.
+  explicit CsvReader(std::istream* in, char delimiter = ',',
+                     size_t first_line = 1)
+      : in_(in), delimiter_(delimiter), line_(first_line - 1) {}
 
   /// Reads the next row. Returns Ok(true) with fields filled, Ok(false) at
   /// EOF, or InvalidArgument on malformed quoting.

@@ -8,18 +8,25 @@
 
 namespace adalsh {
 
-/// Minimal `--key=value` / `--key value` command-line parser for the bench
-/// and example binaries. Not a general flags library: every binary declares
-/// the flags it reads through the typed getters, and unknown flags abort with
-/// a clear message so sweep scripts fail loudly on typos.
+/// Minimal `--key=value` / `--key value` command-line parser for the CLI,
+/// bench and example binaries. Not a general flags library: every binary
+/// declares the flags it reads through the typed getters. A command-line
+/// mistake (a positional argument, a value that does not parse, an unknown
+/// flag) is a usage error, not a program fault: it prints
+/// `<program>: <message>` to stderr and exits with status 1, so scripts fail
+/// loudly on typos without a crash report.
 class Flags {
  public:
   /// Parses argv. Recognized forms: `--name=value`, `--name value`, and bare
-  /// `--name` (boolean true). Aborts on malformed arguments.
+  /// `--name` (boolean true). Exits on a positional argument.
   Flags(int argc, char** argv);
 
-  /// Typed getters with defaults. Abort if the value does not parse.
+  /// Typed getters with defaults. Exit if the value does not parse or, for
+  /// integers, does not fit in 64 bits.
   int64_t GetInt(const std::string& name, int64_t default_value);
+  /// GetInt for a value the caller keeps in an `int`: one outside int's
+  /// range exits too, rather than narrowing to some other number.
+  int GetInt32(const std::string& name, int default_value);
   double GetDouble(const std::string& name, double default_value);
   bool GetBool(const std::string& name, bool default_value);
   std::string GetString(const std::string& name,
@@ -32,12 +39,15 @@ class Flags {
   std::vector<double> GetDoubleList(const std::string& name,
                                     const std::vector<double>& default_value);
 
-  /// Aborts if any parsed flag was never read by a getter. Call after all
+  /// Exits if any parsed flag was never read by a getter. Call after all
   /// getters to catch misspelled flags.
   void CheckNoUnusedFlags() const;
 
  private:
   const std::string* Find(const std::string& name);
+
+  /// Prints `<program>: <message>` to stderr and exits with status 1.
+  [[noreturn]] void Fail(const std::string& message) const;
 
   std::map<std::string, std::string> values_;
   std::map<std::string, bool> used_;

@@ -71,7 +71,8 @@ TEST(EngineEquivalenceTest, RandomizedHistoriesAreConfluentAcrossThreads) {
 
 /// A one-batch engine's ranked top-k: its external ids are the source
 /// record ids, members ascending.
-std::vector<std::vector<RecordId>> RankedClusters(const ResidentEngine& engine,
+template <typename Engine>
+std::vector<std::vector<RecordId>> RankedClusters(const Engine& engine,
                                                   int k) {
   const auto top = engine.TopK(k);
   std::vector<std::vector<RecordId>> ranked;
@@ -87,9 +88,8 @@ TEST(EngineEquivalenceTest, PureIngestHistoryMatchesBatchFilter) {
   // the same order key (external id == record id). So they must agree on
   // the ranked top-k, member by member, and on every round after Run's H_1
   // round (the engine's arrivals take that round's place). The same holds
-  // for the whole-run rounds the batch CLI's --shards=1 path reports
-  // (RunShardedBatch: the ingest's rounds, then the flush's, which has
-  // nothing left to refine). The second shape puts three equal-size
+  // for a one-shard ShardedEngine's ingest, after which its flush has
+  // nothing left to refine. The second shape puts three equal-size
   // clusters across rank k, so the shared tie-break decides which of them
   // makes the cut.
   constexpr int kK = 3;
@@ -140,14 +140,18 @@ TEST(EngineEquivalenceTest, PureIngestHistoryMatchesBatchFilter) {
         EXPECT_EQ(RankedClusters(one_batch, kK), output.clusters.clusters);
         expect_rounds_after_h1(ingested.value().stats.round_records);
 
-        ShardedEngine::Options sharded;
-        sharded.engine = test::EngineOptions(threads, kK);
-        sharded.shards = 1;
-        auto snap = RunShardedBatch(generated.dataset, generated.rule, sharded);
-        ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-        expect_rounds_after_h1(snap.value().stats.round_records);
-        EXPECT_EQ(snap.value().stats.rounds,
-                  snap.value().stats.round_records.size());
+        ShardedEngine::Options sharded_options;
+        sharded_options.engine = test::EngineOptions(threads, kK);
+        sharded_options.shards = 1;
+        ShardedEngine sharded(generated.rule, sharded_options);
+        const test::IngestedAndFlushed run =
+            test::IngestAndFlush(&sharded, generated.dataset);
+        expect_rounds_after_h1(run.ingested.stats.round_records);
+        EXPECT_EQ(run.ingested.stats.rounds,
+                  run.ingested.stats.round_records.size());
+        EXPECT_EQ(run.flushed.stats.rounds, 0u);
+        EXPECT_TRUE(run.flushed.stats.round_records.empty());
+        EXPECT_EQ(RankedClusters(sharded, kK), output.clusters.clusters);
       }
     }
   }

@@ -9,6 +9,7 @@
 
 #include "core/cost_model.h"
 #include "engine/resident_engine.h"
+#include "engine/sharded_executor.h"
 #include "record/dataset.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -165,6 +166,27 @@ inline std::string ReferenceCanonical(const Dataset& source,
     relabel[ingested.value().assigned_ids[i]] = subject_ids[i];
   }
   return CanonicalSnapshot(*reference.Snapshot(), &relabel);
+}
+
+/// The sharded engine's batch run: one Ingest of the whole of `dataset`
+/// into a fresh `engine` (so its external ids are the record indices), then
+/// one Flush. Aborts on a non-ok status; the snapshot is the engine's.
+struct IngestedAndFlushed {
+  EngineMutationResult ingested;
+  EngineMutationResult flushed;
+};
+inline IngestedAndFlushed IngestAndFlush(ShardedEngine* engine,
+                                         const Dataset& dataset) {
+  std::vector<Record> records;
+  records.reserve(dataset.num_records());
+  for (RecordId r = 0; r < dataset.num_records(); ++r) {
+    records.push_back(dataset.record(r));
+  }
+  StatusOr<EngineMutationResult> ingested = engine->Ingest(std::move(records));
+  ADALSH_CHECK(ingested.ok()) << ingested.status().ToString();
+  StatusOr<EngineMutationResult> flushed = engine->Flush();
+  ADALSH_CHECK(flushed.ok()) << flushed.status().ToString();
+  return {std::move(ingested).value(), std::move(flushed).value()};
 }
 
 }  // namespace test

@@ -149,9 +149,10 @@ TEST_P(FilterStatsTest, ResidentEngineHoldsInvariants) {
 }
 
 TEST_P(FilterStatsTest, ShardedBatchHoldsInvariants) {
-  // RunShardedBatch reports the whole run — the ingest's per-shard rounds
-  // followed by the flush's (at S >= 2 the cross-shard merge's) — over the
-  // whole dataset.
+  // The sharded engine's batch run, one ingest of the whole dataset and one
+  // flush: the ingest folds its per-shard passes into one result over every
+  // record, and the flush treats every record again (at S >= 2 the
+  // cross-shard merge, at S = 1 a pass with nothing left to refine).
   GeneratedDataset generated = MakeDataset();
   const size_t n = generated.dataset.num_records();
   ShardedEngine::Options options;
@@ -164,13 +165,17 @@ TEST_P(FilterStatsTest, ShardedBatchHoldsInvariants) {
   for (int shards : {1, 4}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     options.shards = shards;
-    StatusOr<EngineSnapshot> snap =
-        RunShardedBatch(generated.dataset, generated.rule, options);
-    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-    ExpectInvariants(snap.value().stats, n, functions);
-    EXPECT_GT(snap.value().stats.rounds, 0u);
-    EXPECT_EQ(snap.value().stats.cluster_verification,
-              snap.value().verification);
+    ShardedEngine engine(generated.rule, options);
+    const test::IngestedAndFlushed run =
+        test::IngestAndFlush(&engine, generated.dataset);
+    ExpectInvariants(run.ingested.stats, n, functions);
+    ExpectInvariants(run.flushed.stats, n, functions);
+    EXPECT_GT(run.ingested.stats.rounds, 0u);
+    if (shards >= 2) {
+      EXPECT_GT(run.flushed.stats.rounds, 0u);
+    }
+    const std::shared_ptr<const EngineSnapshot> snap = engine.Snapshot();
+    EXPECT_EQ(snap->stats.cluster_verification, snap->verification);
   }
 }
 

@@ -66,21 +66,61 @@ TEST(FlagsTest, DoubleList) {
             (std::vector<double>{0.3, 0.4, 0.5}));
 }
 
-TEST(FlagsDeathTest, UnusedFlagAborts) {
+TEST(FlagsTest, Int32InRange) {
+  ArgvBuilder args({"--k=-2147483648", "--bk=2147483647"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EQ(flags.GetInt32("k", 0), -2147483647 - 1);
+  EXPECT_EQ(flags.GetInt32("bk", 0), 2147483647);
+  EXPECT_EQ(flags.GetInt32("absent", 7), 7);
+}
+
+// A command-line mistake is a usage error: `<program>: <message>` on stderr
+// and exit status 1, never an abort.
+
+TEST(FlagsDeathTest, UnusedFlagExits) {
   ArgvBuilder args({"--typo=3"});
   Flags flags(args.argc(), args.argv());
-  EXPECT_DEATH(flags.CheckNoUnusedFlags(), "unknown flag --typo");
+  EXPECT_EXIT(flags.CheckNoUnusedFlags(), testing::ExitedWithCode(1),
+              "test_binary: unknown flag --typo");
 }
 
-TEST(FlagsDeathTest, NonNumericIntAborts) {
+TEST(FlagsDeathTest, NonNumericIntExits) {
   ArgvBuilder args({"--k=abc"});
   Flags flags(args.argc(), args.argv());
-  EXPECT_DEATH(flags.GetInt("k", 0), "not an integer");
+  EXPECT_EXIT(flags.GetInt("k", 0), testing::ExitedWithCode(1),
+              "--k=abc is not an integer");
 }
 
-TEST(FlagsDeathTest, PositionalArgumentAborts) {
+TEST(FlagsDeathTest, PositionalArgumentExits) {
   ArgvBuilder args({"positional"});
-  EXPECT_DEATH(Flags(args.argc(), args.argv()), "positional");
+  EXPECT_EXIT(Flags(args.argc(), args.argv()), testing::ExitedWithCode(1),
+              "positional");
+}
+
+TEST(FlagsDeathTest, MalformedValuesExit) {
+  ArgvBuilder args({"--flag=yes", "--x=1.5q", "--n=99999999999999999999",
+                    "--ks=2,x", "--xs=0.5,,1"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EXIT(flags.GetBool("flag", false), testing::ExitedWithCode(1),
+              "--flag=yes is not a boolean");
+  EXPECT_EXIT(flags.GetDouble("x", 0.0), testing::ExitedWithCode(1),
+              "--x=1.5q is not a number");
+  EXPECT_EXIT(flags.GetInt("n", 0), testing::ExitedWithCode(1),
+              "--n=99999999999999999999 is out of range");
+  EXPECT_EXIT(flags.GetIntList("ks", {}), testing::ExitedWithCode(1),
+              "--ks: 'x' is not an integer");
+  EXPECT_EXIT(flags.GetDoubleList("xs", {}), testing::ExitedWithCode(1),
+              "--xs: '' is not a number");
+}
+
+TEST(FlagsDeathTest, Int32OutOfRangeExits) {
+  // 2^32 + 1 would narrow to 1 through a plain cast.
+  ArgvBuilder args({"--k=4294967297", "--threads=-2147483649"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EXIT(flags.GetInt32("k", 10), testing::ExitedWithCode(1),
+              "--k=4294967297 does not fit in an int");
+  EXPECT_EXIT(flags.GetInt32("threads", 0), testing::ExitedWithCode(1),
+              "--threads=-2147483649 does not fit in an int");
 }
 
 }  // namespace

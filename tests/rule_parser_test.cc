@@ -62,6 +62,19 @@ TEST(RuleParserTest, Errors) {
   EXPECT_FALSE(ParseRule("wavg(0,1; 0.5; 0.3)").ok()); // weight arity
   EXPECT_FALSE(ParseRule("leaf(-1; 0.5)").ok());       // negative field
   EXPECT_FALSE(ParseRule("leaf(1.5; 0.5)").ok());      // fractional field
+  EXPECT_FALSE(ParseRule("leaf(1e30; 0.5)").ok());     // field past FieldId
+  EXPECT_FALSE(ParseRule("wavg(0,4294967296; 0.5,0.5; 0.3)").ok());
+  EXPECT_TRUE(ParseRule("leaf(4294967295; 0.5)").ok());
+  // Not finite: a NaN threshold would fail every comparison and silently
+  // cluster nothing.
+  for (const char* text : {"leaf(0;nan)", "leaf(0;inf)", "leaf(nan;0.5)",
+                           "wavg(0;nan;0.3)", "wavg(0;1;nan)",
+                           "and(leaf(0;0.5), leaf(1;-inf))"}) {
+    StatusOr<MatchRule> rule = ParseRule(text);
+    ASSERT_FALSE(rule.ok()) << text;
+    EXPECT_NE(rule.status().message().find("finite"), std::string::npos)
+        << text;
+  }
 }
 
 TEST(RuleParserTest, ErrorsNamePosition) {

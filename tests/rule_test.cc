@@ -1,5 +1,7 @@
 #include "distance/rule.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace adalsh {
@@ -99,6 +101,20 @@ TEST(MatchRuleTest, ValidateCatchesBadFields) {
   EXPECT_TRUE(MatchRule::WeightedAverage({0, 1}, {0.5, 0.5}, 0.3)
                   .Validate(prototype)
                   .ok());
+  // NaN compares false against every bound, so each check must fail on it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf}) {
+    EXPECT_FALSE(MatchRule::Leaf(0, bad).Validate(prototype).ok()) << bad;
+    EXPECT_FALSE(MatchRule::WeightedAverage({0, 1}, {0.5, 0.5}, bad)
+                     .Validate(prototype)
+                     .ok())
+        << bad;
+    EXPECT_FALSE(MatchRule::WeightedAverage({0, 1}, {bad, 0.5}, 0.3)
+                     .Validate(prototype)
+                     .ok())
+        << bad;
+  }
 }
 
 TEST(MatchRuleTest, ValidateRecurses) {

@@ -45,8 +45,8 @@ std::vector<size_t> SizesForSeed(uint64_t seed) {
   return sizes;
 }
 
-/// Identity live map for a whole-dataset batch: RunShardedBatch assigns
-/// external ids equal to record indices.
+/// Identity live map for a whole-dataset batch: test::IngestAndFlush's one
+/// ingest assigns external ids equal to record indices.
 test::LiveMap WholeDatasetLive(const Dataset& dataset) {
   test::LiveMap live;
   for (size_t r = 0; r < dataset.num_records(); ++r) live[r] = r;
@@ -62,10 +62,10 @@ TEST(ShardEquivalenceTest, BatchIsByteIdenticalAcrossShardAndThreadCounts) {
         /*top_k=*/4);
     for (int shards : kShardCounts) {
       for (int threads : kThreadCounts) {
-        auto snap = RunShardedBatch(generated.dataset, generated.rule,
-                                    ShardedOptions(shards, threads, 4));
-        ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-        EXPECT_EQ(test::CanonicalSnapshot(snap.value()), reference)
+        ShardedEngine engine(generated.rule,
+                             ShardedOptions(shards, threads, 4));
+        test::IngestAndFlush(&engine, generated.dataset);
+        EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()), reference)
             << "seed " << seed << " shards " << shards << " threads "
             << threads;
       }
@@ -125,14 +125,15 @@ TEST(ShardEquivalenceTest, SkewedMegaClusterStaysIdentical) {
         /*top_k=*/3);
     for (int shards : {1, 4, 8}) {
       for (int threads : {1, 8}) {
-        auto snap = RunShardedBatch(generated.dataset, generated.rule,
-                                    ShardedOptions(shards, threads, 3));
-        ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-        EXPECT_EQ(test::CanonicalSnapshot(snap.value()), reference)
+        ShardedEngine engine(generated.rule,
+                             ShardedOptions(shards, threads, 3));
+        test::IngestAndFlush(&engine, generated.dataset);
+        const std::shared_ptr<const EngineSnapshot> snap = engine.Snapshot();
+        EXPECT_EQ(test::CanonicalSnapshot(*snap), reference)
             << "seed " << seed << " shards " << shards << " threads "
             << threads;
-        ASSERT_FALSE(snap.value().clusters.empty());
-        EXPECT_GE(snap.value().clusters.front().size(), 40u);
+        ASSERT_FALSE(snap->clusters.empty());
+        EXPECT_GE(snap->clusters.front().size(), 40u);
       }
     }
   }
@@ -424,8 +425,9 @@ std::string PassWork(const FilterStats& stats) {
 /// Flushes `engine` and checks its merge against the one-batch reference: a
 /// fresh ResidentEngine with the same options that ingests the live set
 /// under the same ids in one batch. Both must run the same rounds on the
-/// same clusters, the same P sweeps, and publish the same snapshot; only
-/// the hashes the merge adopts from its shards are not recomputed.
+/// same clusters, the same P sweeps, tally the same Definition 3 snapshot
+/// and publish the same snapshot; only the hashes the merge adopts from its
+/// shards are not recomputed.
 /// `pairwise_rounds`, when set, gains the merge's P rounds.
 void ExpectMergeIsTheOneBatchReference(ShardedEngine* engine,
                                        const MatchRule& rule,
@@ -445,7 +447,13 @@ void ExpectMergeIsTheOneBatchReference(ShardedEngine* engine,
   auto ingested = reference.IngestWithIds(std::move(records), ids);
   ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
   const FilterStats& merged = flushed.value().stats;
-  EXPECT_EQ(PassWork(merged), PassWork(ingested.value().stats));
+  const FilterStats& expected = ingested.value().stats;
+  EXPECT_EQ(PassWork(merged), PassWork(expected));
+  // Definition 3's tally: a record no merge round treats counts at H_1, as
+  // in the reference, not at whatever level its shard refined it to.
+  EXPECT_EQ(merged.records_last_hashed_at, expected.records_last_hashed_at);
+  EXPECT_EQ(merged.records_finished_by_pairwise,
+            expected.records_finished_by_pairwise);
   EXPECT_EQ(test::CanonicalSnapshot(*engine->Snapshot()),
             test::CanonicalSnapshot(*reference.Snapshot()));
   if (pairwise_rounds != nullptr) {
@@ -521,6 +529,41 @@ TEST(ShardEquivalenceTest, MergeIsTheOneBatchReference) {
     }
   }
   EXPECT_GT(pairwise_rounds, 0u);
+}
+
+TEST(ShardEquivalenceTest, FlushPublishesTheMergeUnderAnAmbientBudget) {
+  // An ambient budget of one hash interrupts every shard refinement. At
+  // S >= 2 Flush runs only the merge, which takes no SLO: it completes,
+  // publishes the next generation, and that generation is the one-batch
+  // reference.
+  GeneratedDataset generated =
+      test::MakePlantedDataset({12, 9, 7, 5, 3, 2, 1}, /*seed=*/8);
+  const std::string reference = test::ReferenceCanonical(
+      generated.dataset, generated.rule, WholeDatasetLive(generated.dataset),
+      /*top_k=*/4);
+  for (int shards : {2, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedEngine::Options options = ShardedOptions(shards, 2, /*top_k=*/4);
+    options.engine.config.budget.max_hashes = 1;
+    ShardedEngine engine(generated.rule, options);
+    const test::IngestedAndFlushed run =
+        test::IngestAndFlush(&engine, generated.dataset);
+    EXPECT_EQ(run.ingested.refinement, TerminationReason::kBudgetExhausted);
+    EXPECT_EQ(run.ingested.generation, 0u);
+    EXPECT_EQ(run.flushed.refinement, TerminationReason::kCompleted);
+    EXPECT_EQ(run.flushed.stats.termination_reason,
+              TerminationReason::kCompleted);
+    EXPECT_EQ(run.flushed.generation, run.ingested.generation + 1);
+    EXPECT_EQ(engine.Snapshot()->generation, run.flushed.generation);
+    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()), reference);
+
+    // A second flush with the shards still interrupted publishes again.
+    auto again = engine.Flush();
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().refinement, TerminationReason::kCompleted);
+    EXPECT_EQ(again.value().generation, run.flushed.generation + 1);
+    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()), reference);
+  }
 }
 
 TEST(ShardEquivalenceTest, PartitionIsDeterministicAndCovering) {

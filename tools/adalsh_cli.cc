@@ -10,19 +10,15 @@
 //              [--stats-json=report.json]
 //              [--deadline-ms=MS] [--max-pairwise=N] [--max-hashes=N]
 //              [--cancel-after-ms=MS] [--cost-model=hash_cost,pair_cost]
-//              [--shards=S]
 //
 // --threads sizes the worker pool for the hash hot path (default: hardware
 // concurrency). Results are identical at any thread count; see
 // docs/threading.md.
 //
-// --shards=S (method=adalsh only) runs the batch through the sharded
-// executor (docs/sharding.md): records partition across S shard engines,
-// each runs the adaptive round loop independently, and a canonical
-// cross-shard merge certifies the global top-k. With --cost-model pinned the
-// cluster CSV is byte-identical for every S at every thread count
-// (tools/shard_parity_smoke.sh). --shards=0 (default) keeps the in-process
-// batch filter.
+// --method=adalsh runs AdaptiveLsh::Run in process, the one batch path. The
+// sharded engine behind serve mode certifies the same clusters: with
+// --cost-model pinned, serve's `topk` after `flush` lists this CSV's clusters
+// at every --shards and thread count (tools/shard_parity_smoke.sh).
 //
 // --simd pins the kernel dispatch level: scalar, avx2, avx512, neon, or
 // native/auto (both the widest level this machine runs, which is also what
@@ -103,8 +99,8 @@
 // (docs/sharding.md): mutations route to their record's shard and serialize
 // only on that shard's lock. At S=1 every mutation publishes a new snapshot
 // (continuous certification); at S >= 2 the snapshot served by topk/cluster
-// advances only at `flush`, which runs the canonical cross-shard merge
-// (deferred global certification).
+// advances only at `flush`, which runs the canonical cross-shard merge and
+// nothing else (deferred global certification).
 //
 // Runs the engine and speaks a newline-delimited protocol on
 // stdin/stdout (one reply line — or cluster lines followed by an "ok" line —
@@ -117,14 +113,17 @@
 //   cluster <id>         the snapshot cluster containing <id>
 //   stats                one-line engine report JSON (adalsh-engine-report-v1)
 //   metrics              one-line metrics snapshot JSON (adalsh-metrics-v1)
-//   flush                refinement pass without a mutation
+//   flush                refinement pass without a mutation (at S >= 2,
+//                        the cross-shard merge)
 //   checkpoint           write a durability checkpoint now (needs --data-dir)
 //   quit                 exit
 // --deadline-ms / --max-* act as the ambient per-mutation SLO; an
 // interrupted refinement keeps the previous snapshot serving (reply carries
-// reason=deadline/budget) until a flush certifies. --cost-model pins the
-// jump-to-P unit costs so transcripts are reproducible (tools/engine_smoke.sh
-// diffs this mode against a golden transcript).
+// reason=deadline/budget_exhausted) until a flush certifies. The S >= 2
+// merge takes no SLO, so there `flush` always answers reason=completed with
+// a new generation. --cost-model pins the jump-to-P unit costs so
+// transcripts are reproducible (tools/engine_smoke.sh diffs this mode
+// against a golden transcript).
 //
 // Serve-mode telemetry (docs/observability.md): the metrics registry is
 // always live — every mutation records exact latency histograms and
@@ -254,11 +253,12 @@ int RunSimdLevel() {
 // --- Serve mode ---
 
 /// Parses one CSV row (with full quoting support) from the payload of an
-/// add/update command.
-StatusOr<std::vector<std::string>> SplitCsvPayload(const std::string& text) {
+/// add/update command read from session input line `line`.
+StatusOr<std::vector<std::string>> SplitCsvPayload(const std::string& text,
+                                                   size_t line) {
   if (text.empty()) return Status::InvalidArgument("missing csv row");
   std::istringstream in(text);
-  CsvReader reader(&in);
+  CsvReader reader(&in, ',', line);
   std::vector<std::string> row;
   StatusOr<bool> more = reader.ReadRow(&row);
   if (!more.ok()) return more.status();
@@ -309,15 +309,15 @@ int RunServe(int argc, char** argv) {
   Flags flags(argc, argv);
   std::string columns = flags.GetString("columns", "");
   std::string rule_text = flags.GetString("rule", "");
-  int k = static_cast<int>(flags.GetInt("k", 10));
+  int k = flags.GetInt32("k", 10);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  int threads = static_cast<int>(flags.GetInt("threads", 0));
+  int threads = flags.GetInt32("threads", 0);
   std::vector<double> cost_model = flags.GetDoubleList("cost-model", {});
   double deadline_ms = flags.GetDouble("deadline-ms", 0.0);
   int64_t max_pairwise = flags.GetInt("max-pairwise", 0);
   int64_t max_hashes = flags.GetInt("max-hashes", 0);
   std::string simd = flags.GetString("simd", "");
-  int shards = static_cast<int>(flags.GetInt("shards", 1));
+  int shards = flags.GetInt32("shards", 1);
   std::string trace_path = flags.GetString("trace-out", "");
   int64_t trace_max_spans = flags.GetInt("trace-max-spans", 100000);
   std::string metrics_out = flags.GetString("metrics-out", "");
@@ -545,10 +545,12 @@ int RunServe(int argc, char** argv) {
 
   std::vector<Record> staged;
   std::string line;
+  size_t line_number = 0;  // 1-based, cited by CSV parse errors
   auto reply_status = [](const Status& status) {
     std::cout << "err " << status.message() << "\n" << std::flush;
   };
   while (std::getline(std::cin, line)) {
+    ++line_number;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     // Input hardening (docs/robustness.md): the server outlives its
     // clients, so a runaway or binary-garbage line must answer `err` and
@@ -575,12 +577,14 @@ int RunServe(int argc, char** argv) {
     if (cmd.empty()) continue;
 
     if (cmd == "add") {
-      StatusOr<std::vector<std::string>> row = SplitCsvPayload(payload);
+      StatusOr<std::vector<std::string>> row =
+          SplitCsvPayload(payload, line_number);
       if (!row.ok()) {
         reply_status(row.status());
         continue;
       }
-      StatusOr<ParsedCsvRecord> parsed = ParseCsvRecord(*row, *specs, 0);
+      StatusOr<ParsedCsvRecord> parsed =
+          ParseCsvRecord(*row, *specs, line_number);
       if (!parsed.ok()) {
         reply_status(parsed.status());
         continue;
@@ -636,12 +640,14 @@ int RunServe(int argc, char** argv) {
         continue;
       }
       StatusOr<std::vector<std::string>> row = SplitCsvPayload(
-          id_end == std::string::npos ? "" : payload.substr(id_end + 1));
+          id_end == std::string::npos ? "" : payload.substr(id_end + 1),
+          line_number);
       if (!row.ok()) {
         reply_status(row.status());
         continue;
       }
-      StatusOr<ParsedCsvRecord> parsed = ParseCsvRecord(*row, *specs, 0);
+      StatusOr<ParsedCsvRecord> parsed =
+          ParseCsvRecord(*row, *specs, line_number);
       if (!parsed.ok()) {
         reply_status(parsed.status());
         continue;
@@ -759,6 +765,10 @@ int RunServe(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "serve") {
+    // Flags names the program after argv[0], so serve's usage errors read
+    // "adalsh_cli serve: ...".
+    std::string program = std::string(argv[0]) + " serve";
+    argv[1] = program.data();
     return RunServe(argc - 1, argv + 1);
   }
   if (argc >= 2 && std::string(argv[1]) == "simd-level") {
@@ -768,15 +778,15 @@ int main(int argc, char** argv) {
   std::string input = flags.GetString("input", "");
   std::string columns = flags.GetString("columns", "");
   std::string rule_text = flags.GetString("rule", "");
-  int k = static_cast<int>(flags.GetInt("k", 10));
-  int bk = static_cast<int>(flags.GetInt("bk", k));
+  int k = flags.GetInt32("k", 10);
+  int bk = flags.GetInt32("bk", k);
   std::string method = flags.GetString("method", "adalsh");
-  int lsh_x = static_cast<int>(flags.GetInt("lsh_x", 1280));
+  int lsh_x = flags.GetInt32("lsh_x", 1280);
   bool header = flags.GetBool("header", false);
   bool recover = flags.GetBool("recover", false);
   std::string output_path = flags.GetString("output", "");
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  int threads = static_cast<int>(flags.GetInt("threads", 0));
+  int threads = flags.GetInt32("threads", 0);
   std::string trace_path = flags.GetString("trace-out", "");
   std::string stats_json_path = flags.GetString("stats-json", "");
   double deadline_ms = flags.GetDouble("deadline-ms", 0.0);
@@ -785,7 +795,6 @@ int main(int argc, char** argv) {
   double cancel_after_ms = flags.GetDouble("cancel-after-ms", 0.0);
   std::string simd = flags.GetString("simd", "");
   std::vector<double> cost_model = flags.GetDoubleList("cost-model", {});
-  int shards = static_cast<int>(flags.GetInt("shards", 0));
   flags.CheckNoUnusedFlags();
 
   Status simd_status = ApplySimdFlag(simd);
@@ -802,10 +811,6 @@ int main(int argc, char** argv) {
   if (bk < k) return Fail("--bk must be >= --k");
   if (threads < 0) return Fail("--threads must be >= 0");
   if (threads > 0) SetGlobalThreadCount(threads);
-  if (shards < 0) return Fail("--shards must be >= 0");
-  if (shards > 0 && method != "adalsh") {
-    return Fail("--shards requires --method=adalsh");
-  }
 
   RunBudget budget;
   budget.deadline_ms = deadline_ms;
@@ -824,6 +829,8 @@ int main(int argc, char** argv) {
   // --- Load. ---
   StatusOr<std::vector<ColumnSpec>> specs = ParseColumnSpecs(columns);
   if (!specs.ok()) return Fail(specs.status().ToString());
+  StatusOr<MatchRule> rule = ParseRule(rule_text);
+  if (!rule.ok()) return Fail(rule.status().ToString());
   std::ifstream file(input);
   if (!file) return Fail("cannot open " + input);
   StatusOr<Dataset> loaded =
@@ -834,8 +841,6 @@ int main(int argc, char** argv) {
             << input << "\n";
 
   // --- Rule. ---
-  StatusOr<MatchRule> rule = ParseRule(rule_text);
-  if (!rule.ok()) return Fail(rule.status().ToString());
   Status valid = rule->Validate(dataset.record(0));
   if (!valid.ok()) return Fail("rule does not fit the schema: " +
                                valid.ToString());
@@ -882,40 +887,7 @@ int main(int argc, char** argv) {
 
   // --- Filter. ---
   FilterOutput result;
-  if (method == "adalsh" && shards > 0) {
-    // Sharded batch execution (docs/sharding.md). The merge pass always
-    // runs to completion, so cooperative cancellation of the whole run is
-    // not available here; budgets still bound each per-shard pass.
-    if (cancel_after_ms > 0.0) {
-      return Fail("--cancel-after-ms is not supported with --shards");
-    }
-    ShardedEngine::Options engine_options;
-    engine_options.shards = shards;
-    engine_options.engine.top_k = bk;
-    engine_options.engine.config.seed = seed;
-    engine_options.engine.config.threads = threads;
-    engine_options.engine.config.budget = budget;
-    engine_options.engine.config.instrumentation = instr;
-    if (!cost_model.empty()) {
-      engine_options.engine.cost_model = CostModel(cost_model[0],
-                                                   cost_model[1]);
-    }
-    StatusOr<EngineSnapshot> snap =
-        RunShardedBatch(dataset, *rule, engine_options);
-    if (!snap.ok()) return Fail(snap.status().ToString());
-    result.stats = snap->stats;
-    // RunShardedBatch assigns external ids equal to record indices, so the
-    // snapshot's members cast straight back to RecordIds.
-    result.clusters.clusters.reserve(snap->clusters.size());
-    for (const std::vector<ExternalId>& cluster : snap->clusters) {
-      std::vector<RecordId> members;
-      members.reserve(cluster.size());
-      for (ExternalId id : cluster) {
-        members.push_back(static_cast<RecordId>(id));
-      }
-      result.clusters.clusters.push_back(std::move(members));
-    }
-  } else if (method == "adalsh") {
+  if (method == "adalsh") {
     AdaptiveLshConfig config;
     config.seed = seed;
     config.instrumentation = instr;

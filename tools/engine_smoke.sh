@@ -12,8 +12,10 @@
 # --deadline-ms / --max-pairwise / --max-hashes limits, a second session
 # checking that the (wall-clock-bearing, so not byte-diffable) `stats`
 # report carries the engine-report schema and that each of its commands
-# answers exactly one line, and a third checking the protocol's integer edge
-# cases follow.
+# answers exactly one line, a third checking the protocol's integer edge
+# cases, integer flags that do not fit in an int (refused before the data dir
+# is touched), and a session checking that CSV parse errors cite the
+# session's input line follow.
 #
 # Wired into ctest as `engine_smoke` (mirrors tools/trace_smoke.sh).
 #
@@ -167,6 +169,37 @@ if ! grep -qx "err bad record id '18446744073709551616'" <<< "$edges"; then
 fi
 if ! grep -q '^ok gen=[0-9]* clusters=1 ' <<< "$edges"; then
   echo "FAIL: topk 4294967296 did not serve the snapshot's cluster" >&2
+  exit 1
+fi
+
+# An integer flag outside int is refused before the data dir is touched,
+# not narrowed (--k=4294967298 would otherwise serve a top-2).
+for bad in --k=4294967298 --threads=4294967297 --shards=4294967298; do
+  rm -rf "$scratch/bad_int_dir"
+  rc=0
+  printf 'quit\n' | "${serve[@]}" "$bad" \
+      --data-dir="$scratch/bad_int_dir" > /dev/null \
+      2> "$scratch/int.err" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q -- "$bad does not fit" "$scratch/int.err"
+  then
+    echo "FAIL: serve $bad gave exit $rc, want a refusal" >&2
+    cat "$scratch/int.err" >&2
+    exit 1
+  fi
+  if [[ -n "$(ls -A "$scratch/bad_int_dir" 2> /dev/null)" ]]; then
+    echo "FAIL: serve $bad wrote to its data dir" >&2
+    exit 1
+  fi
+done
+
+# A row that does not parse is refused citing the session's input line: a
+# column-count mismatch on line 2, an unterminated quote on line 3.
+rejects=$(printf 'topk\nadd a\nadd "x\nquit\n' |
+          "$cli" serve --columns=text,text "--rule=leaf(0;0.5)")
+if ! grep -qx 'err line 2: expected 2 columns, got 1' <<< "$rejects" ||
+   ! grep -qx 'err unterminated quote at line 3' <<< "$rejects"; then
+  echo "FAIL: serve parse errors do not cite the session's line:" >&2
+  echo "$rejects" >&2
   exit 1
 fi
 
