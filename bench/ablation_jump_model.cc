@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 10));
-  size_t records = static_cast<size_t>(flags.GetInt("records", 10000));
+  int k = flags.GetInt32("k", 10);
+  size_t records = flags.GetSize("records", 10000);
   double threshold = flags.GetDouble("threshold", 3.0);
   flags.CheckNoUnusedFlags();
 

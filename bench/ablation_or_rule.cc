@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 5));
-  size_t records = static_cast<size_t>(flags.GetInt("records", 2000));
+  int k = flags.GetInt32("k", 5);
+  size_t records = flags.GetSize("records", 2000);
   flags.CheckNoUnusedFlags();
 
   MultiModalConfig data_config;

@@ -59,8 +59,8 @@ void RunPanel(const std::string& name, const GeneratedDataset& workload,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 10));
-  size_t scale = static_cast<size_t>(flags.GetInt("scale", 1));
+  int k = flags.GetInt32("k", 10);
+  size_t scale = flags.GetSize("scale", 1);
   flags.CheckNoUnusedFlags();
 
   RunPanel("Cora", MakeCoraWorkload(scale, kDataSeed), k);

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 5));
-  int checkpoints = static_cast<int>(flags.GetInt("checkpoints", 8));
+  int k = flags.GetInt32("k", 5);
+  int checkpoints = flags.GetInt32("checkpoints", 8);
   flags.CheckNoUnusedFlags();
 
   GeneratedDataset workload = MakeSpotSigsWorkload(1, kDataSeed);

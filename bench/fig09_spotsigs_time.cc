@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   std::vector<int64_t> ks = flags.GetIntList("ks", {2, 5, 10, 20});
   std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
-  int lsh_x = static_cast<int>(flags.GetInt("lsh_x", 1280));
+  int lsh_x = flags.GetInt32("lsh_x", 1280);
   flags.CheckNoUnusedFlags();
 
   PrintExperimentHeader(std::cout, "Figure 9(a)",

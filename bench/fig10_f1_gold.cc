@@ -41,7 +41,7 @@ void RunPanel(const std::string& figure, const GeneratedDataset& workload,
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   std::vector<int64_t> ks = flags.GetIntList("ks", {1, 5, 10, 20});
-  int lsh_x = static_cast<int>(flags.GetInt("lsh_x", 1280));
+  int lsh_x = flags.GetInt32("lsh_x", 1280);
   flags.CheckNoUnusedFlags();
 
   RunPanel("Figure 10(a)", MakeCoraWorkload(1, kDataSeed), ks, lsh_x);

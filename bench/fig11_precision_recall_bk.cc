@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 5));
+  int k = flags.GetInt32("k", 5);
   std::vector<int64_t> bks = flags.GetIntList("bks", {5, 10, 15, 20});
   std::vector<double> thresholds =
       flags.GetDoubleList("thresholds", {0.3, 0.4, 0.5});

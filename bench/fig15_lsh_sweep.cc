@@ -52,10 +52,10 @@ void RunPanel(const std::string& figure, size_t scale, int k,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 10));
+  int k = flags.GetInt32("k", 10);
   std::vector<int64_t> xs =
       flags.GetIntList("xs", {20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
-  size_t scale_b = static_cast<size_t>(flags.GetInt("scale_b", 4));
+  size_t scale_b = flags.GetSize("scale_b", 4);
   std::vector<int64_t> xs_b =
       flags.GetIntList("xs_b", {20, 40, 80, 160, 320, 640, 1280, 2560});
   flags.CheckNoUnusedFlags();

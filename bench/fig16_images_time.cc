@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 10));
-  size_t records = static_cast<size_t>(flags.GetInt("records", 10000));
+  int k = flags.GetInt32("k", 10);
+  size_t records = flags.GetSize("records", 10000);
   std::vector<double> exponents =
       flags.GetDoubleList("exponents", {1.05, 1.1, 1.2});
   std::vector<double> thresholds = flags.GetDoubleList("thresholds", {3, 5});

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 10));
+  int k = flags.GetInt32("k", 10);
   std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
   flags.CheckNoUnusedFlags();
 

@@ -53,7 +53,7 @@ void RunPanel(const std::string& figure, const std::string& dataset_name,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 10));
+  int k = flags.GetInt32("k", 10);
   std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
   std::vector<int64_t> linear_steps =
       flags.GetIntList("linear", {320, 640, 1280});

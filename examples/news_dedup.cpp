@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace adalsh;  // NOLINT: example brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 5));
-  int articles = static_cast<int>(flags.GetInt("articles", 2200));
+  int k = flags.GetInt32("k", 5);
+  size_t articles = flags.GetSize("articles", 2200);
   flags.CheckNoUnusedFlags();
 
   // Generate a synthetic web-article corpus: stories with near-duplicate

@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace adalsh;  // NOLINT: example brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 5));
-  int bk = static_cast<int>(flags.GetInt("bk", 10));
+  int k = flags.GetInt32("k", 5);
+  int bk = flags.GetInt32("bk", 10);
   flags.CheckNoUnusedFlags();
 
   CoraLikeConfig data_config;

@@ -51,8 +51,8 @@ class RoundNarrator : public Observer {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 3));
-  int batches = static_cast<int>(flags.GetInt("batches", 6));
+  int k = flags.GetInt32("k", 3);
+  int batches = flags.GetInt32("batches", 6);
   bool narrate = flags.GetBool("narrate", false);
   flags.CheckNoUnusedFlags();
 

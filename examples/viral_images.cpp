@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace adalsh;  // NOLINT: example brevity
   Flags flags(argc, argv);
-  int k = static_cast<int>(flags.GetInt("k", 3));
-  size_t records = static_cast<size_t>(flags.GetInt("records", 3000));
+  int k = flags.GetInt32("k", 3);
+  size_t records = flags.GetSize("records", 3000);
   double zipf = flags.GetDouble("zipf", 1.1);
   flags.CheckNoUnusedFlags();
 

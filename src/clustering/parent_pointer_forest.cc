@@ -1,5 +1,8 @@
 #include "clustering/parent_pointer_forest.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/check.h"
 
 namespace adalsh {
@@ -93,6 +96,44 @@ std::vector<RecordId> ParentPointerForest::Leaves(NodeId root) const {
   records.reserve(LeafCount(root));
   ForEachLeaf(root, [&records](RecordId r) { records.push_back(r); });
   return records;
+}
+
+std::vector<NodeId> ParentPointerForest::Compact(
+    const std::vector<NodeId>& roots) {
+  // Kept trees keep their relative order of ids.
+  std::vector<NodeId> distinct = roots;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  size_t kept_nodes = 0;
+  for (NodeId root : distinct) kept_nodes += 1 + LeafCount(root);
+  std::vector<NodeId> remap(nodes_.size(), kInvalidNode);
+  std::vector<Node> kept;
+  kept.reserve(kept_nodes);
+  for (NodeId root : distinct) {
+    const NodeId new_root = static_cast<NodeId>(kept.size());
+    remap[root] = new_root;
+    Node copy;
+    copy.leaf_count = nodes_[root].leaf_count;
+    copy.producer = nodes_[root].producer;
+    kept.push_back(copy);
+    NodeId prev = kInvalidNode;
+    ForEachLeafNode(root, [&](RecordId r, NodeId leaf) {
+      const NodeId id = static_cast<NodeId>(kept.size());
+      remap[leaf] = id;
+      Node leaf_copy;
+      leaf_copy.parent = new_root;
+      leaf_copy.record = r;
+      leaf_copy.is_leaf = true;
+      kept.push_back(leaf_copy);
+      (prev == kInvalidNode ? kept[new_root].first_leaf
+                            : kept[prev].next_leaf) = id;
+      prev = id;
+    });
+    kept[new_root].last_leaf = prev;
+  }
+  nodes_ = std::move(kept);
+  return remap;
 }
 
 }  // namespace adalsh

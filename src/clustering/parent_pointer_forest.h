@@ -32,15 +32,15 @@ constexpr int kProducerPairwise = 1 << 20;
 /// tags behave identically, root-finding stays O(log n), and it halves node
 /// allocations.
 ///
-/// Nodes are never freed: each invocation of a clustering function builds new
-/// trees over its input records and abandons the old ones, and the pool grows
-/// monotonically with the total work performed (which Algorithm 1 is designed
-/// to keep small). Callers depend on this: a tree stays valid, with its
-/// root, producer and leaf chain intact, after passes over its leaves build
-/// newer trees. The resident engine keeps each component's level-1 tree
-/// across any number of refinements as its only record of level-1
-/// membership, so freeing or compacting nodes must carry those trees over
-/// and remap the engine's record-to-leaf maps.
+/// Nodes are freed only by Compact: each invocation of a clustering function
+/// builds new trees over its input records and abandons the old ones, and
+/// between compactions the pool grows with the total work performed (which
+/// Algorithm 1 is designed to keep small). Callers depend on this: a tree
+/// stays valid, with its root, producer and leaf chain intact, after passes
+/// over its leaves build newer trees. The resident engine keeps each
+/// component's level-1 tree across any number of refinements as its only
+/// record of level-1 membership, so it passes those trees to Compact along
+/// with its current cluster trees and remaps its record-to-leaf maps.
 class ParentPointerForest {
  public:
   ParentPointerForest() = default;
@@ -102,6 +102,17 @@ class ParentPointerForest {
       leaf = nodes_[leaf].next_leaf;
     }
   }
+
+  /// Keeps only the trees rooted at `roots` (a root listed twice is kept
+  /// once) and frees every other node. Each kept tree is rebuilt flattened,
+  /// its root followed by its leaves, with the same producer, leaf count and
+  /// leaf-chain order, so every leaf walk, Merge and AddLeaf behaves as on
+  /// the original; only node ids and FindRoot depths change (no order
+  /// depends on a root id: see CandidateLess). Returns the remap, indexed by
+  /// old node id: the new id of each kept root and leaf, kInvalidNode for
+  /// every other node. Invalidates every NodeId the caller holds until
+  /// remapped.
+  std::vector<NodeId> Compact(const std::vector<NodeId>& roots);
 
   /// Total nodes allocated (for tests and memory accounting).
   size_t num_nodes() const { return nodes_.size(); }

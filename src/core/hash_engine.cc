@@ -71,11 +71,11 @@ void HashEngine::EnsureHashesParallel(std::span<const RecordId> records,
   }
 }
 
-void HashEngine::AdoptRecordHashes(const HashEngine& src, RecordId src_r,
-                                   RecordId dst_r) {
-  ADALSH_CHECK_EQ(src.caches_.size(), caches_.size());
+void HashEngine::SwapRecordHashes(RecordId r, HashEngine* other,
+                                  RecordId other_r) {
+  ADALSH_CHECK_EQ(other->caches_.size(), caches_.size());
   for (size_t u = 0; u < caches_.size(); ++u) {
-    caches_[u].AdoptPrefix(src.caches_[u], src_r, dst_r);
+    caches_[u].SwapSlot(r, &other->caches_[u], other_r);
   }
 }
 
@@ -99,6 +99,12 @@ uint64_t HashEngine::total_hashes_computed() const {
   for (const HashCache& cache : caches_) {
     total += cache.total_hashes_computed();
   }
+  return total;
+}
+
+size_t HashEngine::cached_hash_values() const {
+  size_t total = 0;
+  for (const HashCache& cache : caches_) total += cache.cached_values();
   return total;
 }
 

@@ -17,7 +17,8 @@ namespace adalsh {
 /// hashes into table bucket keys. A single engine is shared by every
 /// transitive hashing function in a run, which is what makes the sequence
 /// incremental: H_{i+1}'s plan asks for a longer prefix of the same per-unit
-/// streams H_i already computed.
+/// streams H_i already computed. A record's slots are freed by ClearHashes
+/// and lent to another engine by SwapRecordHashes, never copied.
 class HashEngine {
  public:
   /// `structure` must come from CompileRuleForHashing on the rule used by
@@ -31,9 +32,10 @@ class HashEngine {
   /// Ensures record r's caches cover every prefix `plan` needs.
   void EnsureHashes(RecordId r, const SchemePlan& plan);
 
-  /// Forgets every cached hash of record r, so the next EnsureHashes
-  /// recomputes them from scratch and counts them again (the incremental-
-  /// reuse ablation). Same concurrency contract as EnsureHashes.
+  /// Forgets every cached hash of record r and frees their storage, so the
+  /// next EnsureHashes recomputes them from scratch and counts them again
+  /// (the incremental-reuse ablation; the resident engine's removals). Same
+  /// concurrency contract as EnsureHashes.
   void ClearHashes(RecordId r);
 
   /// Batch form: ensures every record in `records` covers `plan`,
@@ -66,18 +68,21 @@ class HashEngine {
   void TableKeys(RecordId r, const SchemePlan& plan, uint64_t* out,
                  size_t stride = 1) const;
 
-  /// Adopts record `src_r`'s computed hash prefixes from `src` — an engine
-  /// built over the same rule structure and seed whose record `src_r` has
-  /// the same content as this engine's record `dst_r` — into this engine's
-  /// slots for `dst_r` (see HashCache::AdoptPrefix). The cross-shard merge
-  /// uses this to assemble a global engine from shard engines with zero
-  /// recomputation; adopted hashes never count toward
-  /// total_hashes_computed(). Single-threaded, outside any hash pass.
-  void AdoptRecordHashes(const HashEngine& src, RecordId src_r,
-                         RecordId dst_r);
+  /// Exchanges record r's per-unit hash slots with record `other_r`'s slots
+  /// in `*other`, an engine built over the same rule structure and seed whose
+  /// record `other_r` has the same content as this engine's record r (see
+  /// HashCache::SwapSlot). The cross-shard merge borrows every live record's
+  /// slots from its shard this way and swaps them back, extended by what it
+  /// computed; nothing is copied or counted. Single-threaded, outside any
+  /// hash pass of either engine.
+  void SwapRecordHashes(RecordId r, HashEngine* other, RecordId other_r);
 
   /// Total raw hash evaluations across all units (cost accounting).
   uint64_t total_hashes_computed() const;
+
+  /// Hash values currently held across all units and records (memory
+  /// accounting: computed prefixes, not evaluations).
+  size_t cached_hash_values() const;
 
   /// Attaches observability sinks: EnsureHashesParallel emits a `hash_pass`
   /// trace span and a `hashes_computed` counter delta. Callers that drive

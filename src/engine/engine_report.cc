@@ -39,6 +39,10 @@ void AppendCounters(const EngineCounters& counters, JsonWriter* out) {
       .Uint(counters.total_hashes)
       .Key("total_similarities")
       .Uint(counters.total_similarities)
+      .Key("forest_nodes")
+      .Uint(counters.forest_nodes)
+      .Key("cached_hash_values")
+      .Uint(counters.cached_hash_values)
       .EndObject();
 }
 

@@ -15,6 +15,19 @@
 namespace adalsh {
 namespace {
 
+/// Runs `fn` when the scope ends, however it ends.
+template <typename Fn>
+class ScopeExit {
+ public:
+  explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+  ~ScopeExit() { fn_(); }
+
+ private:
+  Fn fn_;
+};
+
 Status CancelledStatus(const char* op) {
   return Status::FailedPrecondition(
       std::string(op) +
@@ -282,6 +295,7 @@ EngineMutationResult ResidentEngine::ApplyBatch(
       TraceRecorder::Span publish_span(instr.trace, "engine_publish",
                                        "engine");
       PublishLocked(finals, result.stats);
+      CompactForestLocked();
     } else {
       ++counters_.refinements_interrupted;
     }
@@ -303,6 +317,8 @@ EngineMutationResult ResidentEngine::ApplyBatch(
                             static_cast<double>(generation_));
     instr.metrics->SetGauge("engine_live_records",
                             static_cast<double>(int_of_.size()));
+    instr.metrics->SetGauge("engine_forest_nodes",
+                            static_cast<double>(forest_.num_nodes()));
     instr.metrics->SetGauge(
         "engine_snapshot_lag_batches",
         static_cast<double>(counters_.snapshot_lag_batches));
@@ -424,6 +440,8 @@ void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints,
     leaf_of_[m] = kInvalidNode;
     level1_leaf_[m] = kInvalidNode;
   }
+  // Their keys read, the removed records' hashes are never needed again.
+  for (RecordId r : removed_ints) engine_->ClearHashes(r);
   std::sort(dirty.begin(), dirty.end());
   for (RecordId m : dirty) {
     if (!live_[m]) continue;
@@ -519,6 +537,28 @@ void ResidentEngine::PublishLocked(const std::vector<NodeId>& finals,
   snapshot_ = std::move(snap);
 }
 
+void ResidentEngine::CompactForestLocked() {
+  if (forest_.num_nodes() <= kForestCompactionFactor * forest_nodes_kept_) {
+    return;
+  }
+  // A live record's level-1 tree and current tree (often the same tree)
+  // hold every node a later mutation or pass reads; dead records point at
+  // none.
+  std::vector<NodeId> roots;
+  for (size_t r = 0; r < live_.size(); ++r) {
+    if (!live_[r]) continue;
+    roots.push_back(forest_.FindRoot(level1_leaf_[r]));
+    roots.push_back(forest_.FindRoot(leaf_of_[r]));
+  }
+  const std::vector<NodeId> remap = forest_.Compact(roots);
+  for (size_t r = 0; r < live_.size(); ++r) {
+    if (!live_[r]) continue;
+    level1_leaf_[r] = remap[level1_leaf_[r]];
+    leaf_of_[r] = remap[leaf_of_[r]];
+  }
+  forest_nodes_kept_ = forest_.num_nodes();
+}
+
 ResidentEngine::MergedShards ResidentEngine::Merge(
     const MatchRule& rule, Options options,
     std::span<const std::unique_ptr<ResidentEngine>> shards) {
@@ -577,9 +617,9 @@ EngineSnapshot ResidentEngine::MergeLocked(
   const RecordId n = static_cast<RecordId>(sources.size());
 
   // Every shard holds the identical sequence; hash values depend only on
-  // record content and seed, so adopted prefixes make the H_1 keys free.
-  // The arrivals build the global level-1 components, collisions across
-  // shards included.
+  // record content and seed, so borrowed slots make the H_1 keys free. The
+  // arrivals build the global level-1 components, collisions across shards
+  // included.
   ResidentEngine merge(rule, std::move(options));
   merge.sequence_ = shards[sources.front().shard]->sequence_;
   for (const Source& src : sources) {
@@ -588,13 +628,21 @@ EngineSnapshot ResidentEngine::MergeLocked(
   }
   merge.InitializeLocked();
   merge.GrowStateLocked();
+  // Borrow every live record's hash slots from its shard. The same swap
+  // returns them, extended by every hash the merge computes, before `merge`
+  // dies and before Merge drops the shard locks, however this returns.
+  auto swap_slots = [&] {
+    for (RecordId g = 0; g < n; ++g) {
+      HashEngine& shard = *shards[sources[g].shard]->engine_;
+      merge.engine_->SwapRecordHashes(g, &shard, sources[g].local);
+    }
+  };
+  swap_slots();
+  const ScopeExit return_slots(swap_slots);
   merge.int_of_.reserve(n);
   for (auto& table : merge.buckets_) table.reserve(n);
   std::vector<RecordId> arrived(n);
   for (RecordId g = 0; g < n; ++g) {
-    const ResidentEngine& shard = *shards[sources[g].shard];
-    const RecordId local = sources[g].local;
-    merge.engine_->AdoptRecordHashes(*shard.engine_, local, g);
     merge.live_[g] = 1;
     merge.ext_of_[g] = sources[g].ext;
     merge.int_of_[sources[g].ext] = g;
@@ -684,9 +732,11 @@ EngineCounters ResidentEngine::counters() const {
   counters.live_records = int_of_.size();
   counters.internal_records = dataset_.num_records();
   for (const auto& table : buckets_) counters.level1_buckets += table.size();
+  counters.forest_nodes = forest_.num_nodes();
   if (initialized_) {
     counters.total_hashes = engine_->total_hashes_computed();
     counters.total_similarities = pairwise_->total_similarities();
+    counters.cached_hash_values = engine_->cached_hash_values();
   }
   return counters;
 }

@@ -114,6 +114,13 @@ struct EngineCounters {
   uint64_t snapshot_lag_batches = 0;
   uint64_t total_hashes = 0;
   uint64_t total_similarities = 0;
+  /// Nodes the parent-pointer forest holds (memory accounting; compaction
+  /// keeps it within ResidentEngine::kForestCompactionFactor times the nodes
+  /// of the live trees).
+  size_t forest_nodes = 0;
+  /// Hash values the per-record caches hold (computed prefixes summed over
+  /// hash units and records; removed records hold none).
+  size_t cached_hash_values = 0;
 };
 
 /// Long-lived resident entity-resolution engine — the online mode (Section
@@ -143,13 +150,19 @@ struct EngineCounters {
 ///     previous snapshot published.
 ///   * Caches: hash values, feature norms and the parent-pointer forest are
 ///     reused across batches — internal record ids are content-immutable, so
-///     nothing is ever invalidated; re-refining after an arrival only pays
-///     for hash levels not yet computed.
+///     a live record's cache entries are never invalidated; re-refining after
+///     an arrival only pays for hash levels not yet computed.
+///   * Memory follows the live set: a removed or replaced record's hash
+///     values are freed, and after a publish the forest is compacted to its
+///     live trees (the level-1 trees and the current cluster trees) once it
+///     holds more than kForestCompactionFactor times the nodes its last
+///     compaction kept.
 ///   * Shards: the sharded engine's cross-shard merge is this class too
 ///     (Merge): a fresh engine whose arrivals, reopen, refinement pass and
 ///     snapshot builder are the ones every mutation uses, fed the shards'
-///     live records and hashes. It does what a one-batch ingest of the live
-///     set does, minus the hashes the shards already computed.
+///     live records and their borrowed hashes. It does what a one-batch
+///     ingest of the live set does, minus the hashes the shards (and earlier
+///     merges) already computed.
 ///
 /// Threading: mutations are serialized internally (mu_); queries (TopK,
 /// Cluster, Snapshot) never take the mutation lock and are safe from any
@@ -157,6 +170,12 @@ struct EngineCounters {
 /// and every shard's mutations block behind a Merge reading it.
 class ResidentEngine {
  public:
+  /// After a publish, the forest is compacted once it holds more than this
+  /// many times the nodes its last compaction kept, so it stays within this
+  /// factor of its live trees and each compaction's copy is paid for by the
+  /// (factor - 1) times as many nodes the passes since built.
+  static constexpr size_t kForestCompactionFactor = 4;
+
   struct Options {
     /// Sequence/threads/seed/instrumentation; `budget` and `controller` act
     /// as the ambient default SLO applied when a mutation passes no
@@ -277,11 +296,13 @@ class ResidentEngine {
   /// lock in ascending shard order and certifies the global top-k of their
   /// live records with a fresh engine built from `options`, which must pin
   /// the cost model the shards share. The fresh engine arrives the live
-  /// records in ascending external-id order with hash prefixes adopted from
-  /// their shards, reopens every component and refines with no SLO: the
+  /// records in ascending external-id order with the hash slots it borrows
+  /// from their shards, reopens every component and refines with no SLO: the
   /// rounds, P sweeps, Definition 3 tally and snapshot of a one-batch ingest
-  /// of the live set. Shards are only read, and only for their live records
-  /// and hash prefixes.
+  /// of the live set. The merge reads each shard's live records and writes
+  /// only its hash caches, under its lock: every borrowed slot goes back,
+  /// extended by the hashes the merge computed, before the locks drop, so
+  /// later merges and shard passes reuse them.
   static MergedShards Merge(
       const MatchRule& rule, Options options,
       std::span<const std::unique_ptr<ResidentEngine>> shards);
@@ -358,6 +379,11 @@ class ResidentEngine {
   /// Numbers and publishes SnapshotLocked's snapshot of certified roots.
   void PublishLocked(const std::vector<NodeId>& finals, FilterStats stats);
 
+  /// Compacts the forest to the live records' level-1 and current trees when
+  /// it holds more than kForestCompactionFactor times the nodes the last
+  /// compaction kept, remapping level1_leaf_ and leaf_of_.
+  void CompactForestLocked();
+
   /// Merge's work once every shard lock is held.
   static EngineSnapshot MergeLocked(
       const MatchRule& rule, Options options,
@@ -395,9 +421,10 @@ class ResidentEngine {
   std::vector<NodeId> leaf_of_;
   /// The record's leaf in its component's level-1 tree: the engine's only
   /// record of level-1 membership. A level-1 tree's root keeps producer 0
-  /// and refinement never modifies the tree (it builds fresh ones and the
-  /// forest never frees a node), so it lists exactly the component's live
-  /// members until a removal abandons it. kInvalidNode for dead records.
+  /// and refinement never modifies the tree (it builds fresh ones, and
+  /// compaction carries every live record's level-1 tree over), so it lists
+  /// exactly the component's live members until a removal abandons it.
+  /// kInvalidNode for dead records.
   std::vector<NodeId> level1_leaf_;
   std::vector<int> last_fn_;
   std::vector<ExternalId> ext_of_;
@@ -406,6 +433,9 @@ class ResidentEngine {
   ExternalId next_ext_id_ = 0;
 
   EngineCounters counters_;
+
+  /// Nodes the forest held right after its last compaction (0 before one).
+  size_t forest_nodes_kept_ = 0;
 
   /// counters_.batches at the moment of the last PublishLocked; the
   /// difference to counters_.batches is the snapshot generation lag.

@@ -346,8 +346,8 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
     if (!flushed.ok()) return flushed.status();
     FoldShardResult(flushed.value(), &result);
   } else if (shards.size() >= 2) {
-    // The merge reads only live records and hash prefixes and always runs
-    // to completion, so no shard pass has to finish first.
+    // The merge reads only live records and borrows their hash slots, and
+    // always runs to completion, so no shard pass has to finish first.
     ResidentEngine::Options merge_options = options_.engine;
     merge_options.cost_model = shared_cost_model_;
     ResidentEngine::MergedShards merged =
@@ -372,6 +372,8 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
                               static_cast<double>(c.live_records));
       instr.metrics->SetGauge(prefix + "_level1_buckets",
                               static_cast<double>(c.level1_buckets));
+      instr.metrics->SetGauge(prefix + "_forest_nodes",
+                              static_cast<double>(c.forest_nodes));
     }
     instr.metrics->RecordLatency("shard_flush_seconds",
                                  flush_timer.ElapsedSeconds());
@@ -432,6 +434,8 @@ EngineCounters ShardedEngine::counters() const {
     total.snapshot_lag_batches += c.snapshot_lag_batches;
     total.total_hashes += c.total_hashes;
     total.total_similarities += c.total_similarities;
+    total.forest_nodes += c.forest_nodes;
+    total.cached_hash_values += c.cached_hash_values;
   }
   // At S>=2 the shards' own snapshots are never served: the lag counts the
   // shard batches the last published merge has not seen.

@@ -47,9 +47,11 @@ int ShardOfExternalId(ExternalId id, int shards);
 /// cannot certify a global top-k, because a component split across shards
 /// may hold cross-shard merge evidence no shard ever saw): mutate freely,
 /// Flush() to publish. The merge is Flush()'s only work there: it reopens
-/// every component and reads each shard's live records and hash prefixes,
-/// never its forest or its refinement state, so shard refinement reaches
-/// the published snapshot only through the hashes the merge adopts.
+/// every component, reads each shard's live records and borrows their hash
+/// slots, never its forest or its refinement state, so shard refinement
+/// reaches the published snapshot only through those hashes. The slots go
+/// back to their shards extended by the merge's own hashes, which later
+/// shard passes and merges reuse.
 ///
 /// Threading: Ingest/Remove/Update are safe from any thread; a single call
 /// that spans multiple shards applies per shard (see each method). Flush()

@@ -1,6 +1,7 @@
 #include "lsh/hash_cache.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -70,26 +71,29 @@ void HashCache::Ensure(const Record& record, RecordId r, size_t count) {
 void HashCache::Clear(RecordId r) {
   ADALSH_CHECK_LT(r, computed_.size());
   if (binary_) {
-    bits_[r].clear();
+    std::vector<uint64_t>().swap(bits_[r]);
   } else {
-    values_[r].clear();
+    std::vector<uint32_t>().swap(values_[r]);
   }
   computed_[r] = 0;
 }
 
-void HashCache::AdoptPrefix(const HashCache& src, RecordId src_record,
-                            RecordId dst_record) {
-  ADALSH_CHECK_LT(src_record, src.computed_.size());
-  ADALSH_CHECK_LT(dst_record, computed_.size());
-  ADALSH_CHECK_EQ(binary_, src.binary_);
-  const size_t have = src.computed_[src_record];
-  if (have <= computed_[dst_record]) return;
+size_t HashCache::cached_values() const {
+  size_t total = 0;
+  for (size_t count : computed_) total += count;
+  return total;
+}
+
+void HashCache::SwapSlot(RecordId r, HashCache* other, RecordId other_r) {
+  ADALSH_CHECK_LT(r, computed_.size());
+  ADALSH_CHECK_LT(other_r, other->computed_.size());
+  ADALSH_CHECK_EQ(binary_, other->binary_);
   if (binary_) {
-    bits_[dst_record] = src.bits_[src_record];
+    bits_[r].swap(other->bits_[other_r]);
   } else {
-    values_[dst_record] = src.values_[src_record];
+    values_[r].swap(other->values_[other_r]);
   }
-  computed_[dst_record] = have;
+  std::swap(computed_[r], other->computed_[other_r]);
 }
 
 void HashCache::CheckComputed(RecordId r, size_t count) const {

@@ -39,6 +39,11 @@ namespace adalsh {
 /// record inside one fork/join region. The only cross-record state is the cost counter,
 /// which is a relaxed atomic (its total is order-independent, so parallel and
 /// serial runs report identical hash counts).
+///
+/// Memory follows the records that still need their hashes: Clear frees a
+/// slot's storage, and SwapSlot lends a slot to another cache over the same
+/// stream (the cross-shard merge borrows its shards' slots and returns them
+/// extended) without copying a value.
 class HashCache {
  public:
   HashCache(std::unique_ptr<HashFamily> family, size_t num_records);
@@ -65,25 +70,26 @@ class HashCache {
   /// ingesting thread only, outside any concurrent Ensure region.
   void GrowTo(size_t num_records);
 
-  /// Forgets record r's computed prefix: the next Ensure recomputes (and
-  /// counts) every value from scratch. Same concurrency contract as Ensure.
+  /// Forgets record r's computed prefix and frees its storage, capacity
+  /// included: the next Ensure recomputes (and counts) every value from
+  /// scratch. Same concurrency contract as Ensure.
   void Clear(RecordId r);
 
   /// Number of values computed so far for record r.
   size_t computed_count(RecordId r) const { return computed_[r]; }
 
-  /// Copies record `src_record`'s computed prefix from `src` (a cache built
-  /// over the same family seed and function stream) into this cache's slot
-  /// for `dst_record`, replacing whatever shorter prefix it held. Hash
-  /// values depend only on record content and the family seed, so when both
-  /// caches index the same underlying record the copied prefix is exactly
-  /// what this cache would have computed itself — the cross-shard merge uses
-  /// this to assemble a global cache from shard caches without recomputing a
-  /// single hash. Does NOT count toward total_hashes_computed(): adoption
-  /// moves already-paid-for work. Call from one thread, outside any
-  /// concurrent Ensure region.
-  void AdoptPrefix(const HashCache& src, RecordId src_record,
-                   RecordId dst_record);
+  /// Values held across every record's computed prefix (memory accounting).
+  size_t cached_values() const;
+
+  /// Exchanges record r's slot (its computed prefix and stored values) with
+  /// record `other_r`'s slot in `*other`, a cache built over the same family
+  /// seed and function stream. Hash values depend only on record content and
+  /// the family seed, so when both ids name records with the same content
+  /// each cache ends up holding exactly what it would have computed itself.
+  /// Moves no value and counts nothing: total_hashes_computed() stays with
+  /// the cache that computed. Call from one thread, outside any concurrent
+  /// Ensure region of either cache.
+  void SwapSlot(RecordId r, HashCache* other, RecordId other_r);
 
   /// Folds values [begin, end) of record r into a running bucket key,
   /// word-at-a-time: binary families fold 64 packed bits per mix round, wide

@@ -97,6 +97,14 @@ int Flags::GetInt32(const std::string& name, int default_value) {
   return static_cast<int>(value);
 }
 
+size_t Flags::GetSize(const std::string& name, size_t default_value) {
+  const int64_t value = GetInt(name, static_cast<int64_t>(default_value));
+  if (value < 0) {
+    Fail("--" + name + "=" + std::to_string(value) + " must be >= 0");
+  }
+  return static_cast<size_t>(value);
+}
+
 double Flags::GetDouble(const std::string& name, double default_value) {
   const std::string* raw = Find(name);
   if (raw == nullptr) return default_value;

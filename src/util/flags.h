@@ -1,6 +1,7 @@
 #ifndef ADALSH_UTIL_FLAGS_H_
 #define ADALSH_UTIL_FLAGS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -27,6 +28,9 @@ class Flags {
   /// GetInt for a value the caller keeps in an `int`: one outside int's
   /// range exits too, rather than narrowing to some other number.
   int GetInt32(const std::string& name, int default_value);
+  /// GetInt for a count or size: a negative value exits too, rather than
+  /// wrapping to a size near 2^64.
+  size_t GetSize(const std::string& name, size_t default_value);
   double GetDouble(const std::string& name, double default_value);
   bool GetBool(const std::string& name, bool default_value);
   std::string GetString(const std::string& name,

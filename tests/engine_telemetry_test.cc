@@ -98,12 +98,15 @@ TEST(EngineTelemetryTest, TelemetryDoesNotPerturbShardedResults) {
       ASSERT_EQ(snapshot.histograms.count(name), 1u) << name;
       EXPECT_EQ(snapshot.histograms.at(name).count(), 1u) << name;
     }
-    // Per-shard balance gauges for every shard.
+    // Per-shard balance and memory gauges for every shard, and the engine's
+    // own forest gauge.
     for (int s = 0; s < shards; ++s) {
       const std::string prefix = "shard" + std::to_string(s);
       EXPECT_EQ(snapshot.gauges.count(prefix + "_live_records"), 1u);
       EXPECT_EQ(snapshot.gauges.count(prefix + "_level1_buckets"), 1u);
+      EXPECT_EQ(snapshot.gauges.count(prefix + "_forest_nodes"), 1u);
     }
+    EXPECT_EQ(snapshot.gauges.count("engine_forest_nodes"), 1u);
   }
 }
 
@@ -362,6 +365,8 @@ TEST(EngineTelemetryTest, EngineReportKeyOrderIsStable) {
       "\"snapshot_lag_batches\":",
       "\"total_hashes\":",
       "\"total_similarities\":",
+      "\"forest_nodes\":",
+      "\"cached_hash_values\":",
       "\"per_shard\":[{\"shard\":0,\"counters\":{\"batches\":",
       "{\"shard\":1,\"counters\":{\"batches\":",
       "\"snapshot\":{\"generation\":",

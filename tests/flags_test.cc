@@ -123,5 +123,15 @@ TEST(FlagsDeathTest, Int32OutOfRangeExits) {
               "--threads=-2147483649 does not fit in an int");
 }
 
+TEST(FlagsDeathTest, NegativeSizeExits) {
+  // -1 would wrap to 2^64 - 1 through a plain cast.
+  ArgvBuilder args({"--records=-1", "--scale=3"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EQ(flags.GetSize("scale", 1), 3u);
+  EXPECT_EQ(flags.GetSize("batch", 32), 32u);
+  EXPECT_EXIT(flags.GetSize("records", 10), testing::ExitedWithCode(1),
+              "--records=-1 must be >= 0");
+}
+
 }  // namespace
 }  // namespace adalsh

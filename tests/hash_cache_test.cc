@@ -98,6 +98,58 @@ TEST(HashCacheTest, SaltChangesKey) {
   EXPECT_NE(cache.CombineRange(0, 0, 8, 1), cache.CombineRange(0, 0, 8, 2));
 }
 
+TEST(HashCacheTest, SwapSlotLendsAPrefixAndTakesBackItsExtension) {
+  // The cross-shard merge's borrow: a slot moves to another cache over the
+  // same stream, grows there, and comes back. Each cache counts only what it
+  // computed, and the returned prefix is the one this cache would have
+  // computed itself — binary families included, whose words hold a whole
+  // block past the prefix.
+  for (bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "wide");
+    auto family = [binary]() -> std::unique_ptr<HashFamily> {
+      if (binary) return std::make_unique<RandomHyperplaneFamily>(0, 2, 3);
+      return std::make_unique<MinHashFamily>(0, 7);
+    };
+    const Record r = binary ? DenseRecord({0.5f, -0.25f})
+                            : TokenRecord({5, 9, 14});
+    HashCache shard(family(), /*num_records=*/3);
+    HashCache merge(family(), /*num_records=*/2);
+    HashCache direct(family(), /*num_records=*/1);
+    shard.Ensure(r, 2, 13);
+    merge.SwapSlot(0, &shard, 2);  // borrow
+    EXPECT_EQ(merge.computed_count(0), 13u);
+    EXPECT_EQ(shard.computed_count(2), 0u);
+    EXPECT_EQ(merge.cached_values(), 13u);
+    EXPECT_EQ(shard.cached_values(), 0u);
+    merge.Ensure(r, 0, 70);  // only the extension is evaluated
+    EXPECT_EQ(merge.total_hashes_computed(), 57u);
+    merge.SwapSlot(0, &shard, 2);  // return
+    EXPECT_EQ(shard.computed_count(2), 70u);
+    EXPECT_EQ(merge.computed_count(0), 0u);
+    EXPECT_EQ(shard.total_hashes_computed(), 13u);
+    shard.Ensure(r, 2, 70);  // covered: free
+    EXPECT_EQ(shard.total_hashes_computed(), 13u);
+    direct.Ensure(r, 0, 90);
+    shard.Ensure(r, 2, 90);
+    for (size_t j = 0; j < 90; ++j) {
+      EXPECT_EQ(shard.ValueForTest(2, j), direct.ValueForTest(0, j)) << j;
+    }
+  }
+}
+
+TEST(HashCacheTest, ClearForgetsAndFreesTheSlot) {
+  HashCache cache(std::make_unique<MinHashFamily>(0, 3), 2);
+  const Record r = TokenRecord({1, 2, 3});
+  cache.Ensure(r, 0, 40);
+  cache.Ensure(r, 1, 10);
+  EXPECT_EQ(cache.cached_values(), 50u);
+  cache.Clear(0);
+  EXPECT_EQ(cache.computed_count(0), 0u);
+  EXPECT_EQ(cache.cached_values(), 10u);
+  cache.Ensure(r, 0, 40);  // recomputed and counted again
+  EXPECT_EQ(cache.total_hashes_computed(), 90u);
+}
+
 TEST(HashCacheDeathTest, CombinePastPrefixAborts) {
   HashCache cache(std::make_unique<MinHashFamily>(0, 3), 1);
   Record a = TokenRecord({1});

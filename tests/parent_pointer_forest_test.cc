@@ -1,6 +1,8 @@
 #include "clustering/parent_pointer_forest.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -163,6 +165,137 @@ TEST(ForestPropertyTest, RandomMergesMatchReferencePartition) {
     }
     EXPECT_EQ(members.size(), expected.size());
     for (RecordId m : members) EXPECT_TRUE(expected.count(m)) << m;
+  }
+}
+
+TEST(ForestTest, CompactKeepsListedTreesFlattened) {
+  ParentPointerForest forest;
+  NodeId leaf1 = kInvalidNode;
+  NodeId a = forest.MakeTree(1, /*producer=*/2, &leaf1);
+  forest.AddLeaf(a, 2);
+  NodeId b = forest.MakeTree(3, 2);
+  forest.AddLeaf(b, 4);
+  forest.AddLeaf(b, 5);
+  NodeId merged = forest.Merge(a, b);  // b's chain first: it is larger
+  forest.MakeTree(6, 1);               // abandoned
+  NodeId c = forest.MakeTree(7, kProducerPairwise);
+  const std::vector<NodeId> remap = forest.Compact({c, merged, c});
+  EXPECT_EQ(forest.num_nodes(), 2u + 6u);  // two roots, six leaves
+  const NodeId new_merged = remap[merged];
+  ASSERT_NE(new_merged, kInvalidNode);
+  EXPECT_EQ(forest.Leaves(new_merged),
+            (std::vector<RecordId>{3, 4, 5, 1, 2}));
+  EXPECT_EQ(forest.Producer(new_merged), 2);
+  EXPECT_EQ(forest.FindRoot(remap[leaf1]), new_merged);
+  EXPECT_EQ(forest.DepthForTest(remap[leaf1]), 1u);
+  EXPECT_EQ(remap[a], kInvalidNode);  // a merged-away root is not kept
+  EXPECT_EQ(forest.Producer(remap[c]), kProducerPairwise);
+  EXPECT_EQ(forest.Leaves(remap[c]), (std::vector<RecordId>{7}));
+}
+
+/// Property test: a compacted forest and an uncompacted twin fed the same
+/// MakeTree/AddLeaf/Merge calls (the compacted one through remapped ids)
+/// hold the same trees at every step: partitions, leaf chains, leaf counts
+/// and producers agree, and every remapped leaf finds its remapped root.
+TEST(ForestPropertyTest, CompactedForestTracksUncompactedTwin) {
+  struct Tree {
+    NodeId twin;       // root in the uncompacted forest
+    NodeId compacted;  // root in the compacted forest
+  };
+  struct Leaf {
+    NodeId twin;
+    NodeId compacted;
+  };
+  Rng rng(2024);
+  ParentPointerForest twin;
+  ParentPointerForest compacted;
+  std::vector<Tree> trees;
+  std::vector<Leaf> leaves;
+  RecordId next_record = 0;
+
+  auto check = [&] {
+    std::map<NodeId, NodeId> compacted_of;
+    for (const Tree& tree : trees) {
+      ASSERT_TRUE(twin.IsRoot(tree.twin));
+      ASSERT_TRUE(compacted.IsRoot(tree.compacted));
+      EXPECT_EQ(twin.Leaves(tree.twin), compacted.Leaves(tree.compacted));
+      EXPECT_EQ(twin.LeafCount(tree.twin),
+                compacted.LeafCount(tree.compacted));
+      EXPECT_EQ(twin.Producer(tree.twin), compacted.Producer(tree.compacted));
+      compacted_of[tree.twin] = tree.compacted;
+    }
+    for (const Leaf& leaf : leaves) {
+      EXPECT_EQ(twin.RecordAt(leaf.twin), compacted.RecordAt(leaf.compacted));
+      const auto it = compacted_of.find(twin.FindRoot(leaf.twin));
+      ASSERT_NE(it, compacted_of.end());
+      EXPECT_EQ(compacted.FindRoot(leaf.compacted), it->second);
+    }
+  };
+  // One random call, applied to both forests. Records repeat across trees,
+  // as a record's level-1 and refinement trees do in the resident engine.
+  auto step = [&] {
+    const uint64_t op = trees.size() < 2 ? 0 : rng.NextBelow(4);
+    if (op == 0) {
+      const RecordId r = next_record++ % 50;
+      const int producer = static_cast<int>(rng.NextBelow(3));
+      Leaf leaf;
+      const NodeId root_twin = twin.MakeTree(r, producer, &leaf.twin);
+      const NodeId root_compacted =
+          compacted.MakeTree(r, producer, &leaf.compacted);
+      trees.push_back({root_twin, root_compacted});
+      leaves.push_back(leaf);
+    } else if (op == 1) {
+      const Tree& tree = trees[rng.NextBelow(trees.size())];
+      const RecordId r = next_record++ % 50;
+      leaves.push_back({twin.AddLeaf(tree.twin, r),
+                        compacted.AddLeaf(tree.compacted, r)});
+    } else {
+      const size_t i = rng.NextBelow(trees.size());
+      size_t j = rng.NextBelow(trees.size() - 1);
+      if (j >= i) ++j;
+      const Tree merged{twin.Merge(trees[i].twin, trees[j].twin),
+                        compacted.Merge(trees[i].compacted,
+                                        trees[j].compacted)};
+      trees.erase(trees.begin() + static_cast<std::ptrdiff_t>(std::max(i, j)));
+      trees[std::min(i, j)] = merged;
+    }
+  };
+
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 150; ++i) {
+      step();
+      check();
+    }
+    // Keep a random half of the trees (one listed twice); the rest are
+    // abandoned in both forests.
+    std::vector<Tree> kept;
+    std::vector<NodeId> roots;
+    for (const Tree& tree : trees) {
+      if (rng.NextBelow(2) == 0) continue;
+      kept.push_back(tree);
+      roots.push_back(tree.compacted);
+    }
+    if (!roots.empty()) roots.push_back(roots.front());
+    size_t kept_leaves = 0;
+    std::set<NodeId> kept_twin_roots;
+    for (const Tree& tree : kept) {
+      kept_leaves += twin.LeafCount(tree.twin);
+      kept_twin_roots.insert(tree.twin);
+    }
+    const std::vector<NodeId> remap = compacted.Compact(roots);
+    EXPECT_EQ(compacted.num_nodes(), kept.size() + kept_leaves);
+    EXPECT_LT(compacted.num_nodes(), twin.num_nodes());
+    for (Tree& tree : kept) tree.compacted = remap[tree.compacted];
+    trees = kept;
+    std::vector<Leaf> kept_leaf_ids;
+    for (const Leaf& leaf : leaves) {
+      if (kept_twin_roots.count(twin.FindRoot(leaf.twin)) == 0) continue;
+      ASSERT_NE(remap[leaf.compacted], kInvalidNode);
+      kept_leaf_ids.push_back({leaf.twin, remap[leaf.compacted]});
+    }
+    leaves = kept_leaf_ids;
+    EXPECT_EQ(leaves.size(), kept_leaves);
+    check();
   }
 }
 

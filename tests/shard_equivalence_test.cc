@@ -566,6 +566,35 @@ TEST(ShardEquivalenceTest, FlushPublishesTheMergeUnderAnAmbientBudget) {
   }
 }
 
+TEST(ShardEquivalenceTest, SecondFlushReusesTheHashesTheFirstMergeComputed) {
+  // The merge borrows each live record's hash slots from its shard and
+  // returns them extended by what it computed, so a second flush with no
+  // mutation in between finds every hash it needs already cached and
+  // publishes the same snapshot.
+  GeneratedDataset generated =
+      test::MakePlantedDataset({12, 9, 7, 5, 3, 2, 1}, /*seed=*/8);
+  const std::string reference = test::ReferenceCanonical(
+      generated.dataset, generated.rule, WholeDatasetLive(generated.dataset),
+      /*top_k=*/4);
+  for (int shards : {2, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedEngine engine(generated.rule, ShardedOptions(shards, 2, 4));
+    const test::IngestedAndFlushed run =
+        test::IngestAndFlush(&engine, generated.dataset);
+    EXPECT_GT(run.flushed.stats.hashes_computed, 0u);
+    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()), reference);
+    const uint64_t shard_hashes = engine.counters().total_hashes;
+
+    auto again = engine.Flush();
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().stats.hashes_computed, 0u);
+    EXPECT_EQ(PassWork(again.value().stats), PassWork(run.flushed.stats));
+    EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()), reference);
+    // The shards count only what they computed themselves.
+    EXPECT_EQ(engine.counters().total_hashes, shard_hashes);
+  }
+}
+
 TEST(ShardEquivalenceTest, PartitionIsDeterministicAndCovering) {
   for (int shards : kShardCounts) {
     std::vector<int> seen(shards, 0);

@@ -3,7 +3,8 @@
 # the only non-test callers of the selection / jump-model / incremental-reuse
 # ablation knobs and of the resident engine's online mode. Runs each at a
 # small size and fails on a non-zero exit or on output without its result
-# table (the example: without one top-k line per batch).
+# table (the example: without one top-k line per batch), then checks that an
+# out-of-range int flag is refused by name.
 #
 # Wired into ctest as `ablation_smoke`.
 #
@@ -66,4 +67,15 @@ if [[ "$lines" -ne 3 ]] || ! grep -q '^stream metrics:' \
   exit 1
 fi
 
-echo "ablation_smoke OK: 4 ablation benches and streaming_monitor"
+# An int flag outside int's range is a usage error naming the flag (exit 1),
+# not a narrowed value: --k=4294967297 would otherwise run a top-1 selection.
+status=0
+"$bench/ablation_selection" --k=4294967297 > "$scratch/refusal.out" \
+    2> "$scratch/refusal.err" || status=$?
+if [[ $status -ne 1 ]] || ! grep -q -- '--k' "$scratch/refusal.err"; then
+  echo "FAIL: ablation_selection --k=4294967297 exited $status" >&2
+  cat "$scratch/refusal.err" >&2
+  exit 1
+fi
+
+echo "ablation_smoke OK: 4 ablation benches, streaming_monitor and a refusal"

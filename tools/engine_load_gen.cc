@@ -58,6 +58,13 @@
 namespace adalsh {
 namespace {
 
+/// A command-line mistake: prints `engine_load_gen: <message>`, and the
+/// program exits with status 1, as Flags reports its own.
+int Fail(const std::string& message) {
+  std::cerr << "engine_load_gen: " << message << "\n";
+  return 1;
+}
+
 struct LatencyStats {
   size_t count = 0;
   double p50 = 0;
@@ -415,7 +422,7 @@ int Drive(Engine* engine, const GeneratedDataset& workload,
     std::cout << doc << "\n";
   } else {
     std::ofstream file(cfg.out);
-    ADALSH_CHECK(file.good()) << "cannot open --out file " + cfg.out;
+    if (!file.good()) return Fail("cannot open --out file " + cfg.out);
     file << doc << "\n";
     std::cerr << "engine_load_gen: wrote " << cfg.out << "\n";
   }
@@ -426,26 +433,31 @@ int Run(int argc, char** argv) {
   Flags flags(argc, argv);
   DriveConfig cfg;
   cfg.smoke = flags.GetBool("smoke", false);
-  cfg.records =
-      static_cast<size_t>(flags.GetInt("records", cfg.smoke ? 60 : 800));
-  cfg.entities =
-      static_cast<size_t>(flags.GetInt("entities", cfg.smoke ? 12 : 120));
-  cfg.max_batch =
-      static_cast<size_t>(flags.GetInt("batch", cfg.smoke ? 8 : 32));
-  cfg.readers = static_cast<int>(flags.GetInt("readers", 2));
-  cfg.writers = static_cast<int>(flags.GetInt("writers", 1));
-  cfg.shards = static_cast<int>(flags.GetInt("shards", 1));
-  cfg.threads = static_cast<int>(flags.GetInt("threads", 0));
-  cfg.top_k = static_cast<int>(flags.GetInt("k", 10));
+  cfg.records = flags.GetSize("records", cfg.smoke ? 60 : 800);
+  cfg.entities = flags.GetSize("entities", cfg.smoke ? 12 : 120);
+  cfg.max_batch = flags.GetSize("batch", cfg.smoke ? 8 : 32);
+  cfg.readers = flags.GetInt32("readers", 2);
+  cfg.writers = flags.GetInt32("writers", 1);
+  cfg.shards = flags.GetInt32("shards", 1);
+  cfg.threads = flags.GetInt32("threads", 0);
+  cfg.top_k = flags.GetInt32("k", 10);
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   cfg.out = flags.GetString("out", "");
   cfg.data_dir = flags.GetString("data-dir", "");
   cfg.sync = flags.GetString("sync", "batch");
   flags.CheckNoUnusedFlags();
-  ADALSH_CHECK(cfg.records > 0 && cfg.max_batch > 0 && cfg.readers >= 0) <<
-               "need --records > 0, --batch > 0, --readers >= 0";
-  ADALSH_CHECK(cfg.writers >= 1) << "need --writers >= 1";
-  ADALSH_CHECK(cfg.shards >= 1) << "need --shards >= 1";
+  if (cfg.entities < 1) return Fail("--entities must be >= 1");
+  if (cfg.records < cfg.entities) {
+    return Fail("--records must be >= --entities");
+  }
+  if (cfg.max_batch < 1) return Fail("--batch must be >= 1");
+  if (cfg.readers < 0) return Fail("--readers must be >= 0");
+  if (cfg.writers < 1) return Fail("--writers must be >= 1");
+  if (cfg.shards < 1) return Fail("--shards must be >= 1");
+  if (cfg.threads < 0) return Fail("--threads must be >= 0");
+  if (cfg.top_k < 1) return Fail("--k must be >= 1");
+  StatusOr<WalSyncPolicy> sync = ParseWalSyncPolicy(cfg.sync);
+  if (!sync.ok()) return Fail(sync.status().message());
 
   CoraLikeConfig data_config;
   data_config.num_records = cfg.records;
@@ -463,8 +475,6 @@ int Run(int argc, char** argv) {
   options.cost_model = CostModel(1e-8, 1e-6);
 
   if (!cfg.data_dir.empty()) {
-    StatusOr<WalSyncPolicy> sync = ParseWalSyncPolicy(cfg.sync);
-    ADALSH_CHECK(sync.ok()) << sync.status().message();
     DurableEngine::Options durable_options;
     durable_options.engine = options;
     durable_options.shards = cfg.shards;

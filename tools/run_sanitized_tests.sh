@@ -28,6 +28,18 @@
 #
 #   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence|shard_equivalence'
 #
+# A change to forest compaction (ParentPointerForest::Compact and the resident
+# engine's remap of its record-to-leaf maps) or to the merge's borrow of its
+# shards' hash slots (HashCache::SwapSlot, HashEngine::SwapRecordHashes) needs
+# the thread run over the engine suites — the merge writes shard caches under
+# the shard locks while writers queue on them — and the address and
+# undefined runs over the memory suites, where a stale NodeId or a slot that
+# was never returned shows as a use-after-free or an out-of-bounds read:
+#
+#   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence|shard_equivalence|engine_soak'
+#   tools/run_sanitized_tests.sh address -R 'parent_pointer_forest|hash_cache|shard_equivalence|engine_soak'
+#   tools/run_sanitized_tests.sh undefined -R 'parent_pointer_forest|hash_cache|shard_equivalence|engine_soak'
+#
 # docs/sharding.md requires the TSan run for any change to the sharded
 # executor (engine/sharded_executor.cc) or the cross-shard merge
 # (ResidentEngine::Merge in engine/resident_engine.cc): shard locks are taken
@@ -106,6 +118,16 @@ if [[ "${sanitizer}" != "thread" ]]; then
   durability_suites='wal_test|wal_recovery|crash_smoke'
   echo "=== durability suites under ${sanitizer} (second pass) ==="
   ctest --test-dir "${build_dir}" --output-on-failure -R "${durability_suites}"
+fi
+
+# Memory matrix (address/undefined only): rerun the suites that compact
+# forests and borrow hash slots — forest compaction, the slot swap, the
+# cross-shard merge and the churn soak — so a stale NodeId or an unreturned
+# slot shows even when the main pass is filtered with -R.
+if [[ "${sanitizer}" != "thread" ]]; then
+  memory_suites='parent_pointer_forest|hash_cache|shard_equivalence|engine_soak'
+  echo "=== memory suites under ${sanitizer} (second pass) ==="
+  ctest --test-dir "${build_dir}" --output-on-failure -R "${memory_suites}"
 fi
 
 # SIMD dispatch matrix (address/undefined only — the kernels hold no shared
