@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 5);
-  int checkpoints = flags.GetInt32("checkpoints", 8);
+  int checkpoints = flags.GetInt32AtLeast("checkpoints", 8, 1);
   flags.CheckNoUnusedFlags();
 
   GeneratedDataset workload = MakeSpotSigsWorkload(1, kDataSeed);

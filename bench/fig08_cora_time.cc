@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  std::vector<int64_t> ks = flags.GetIntList("ks", {2, 5, 10, 20});
-  std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4, 8});
+  std::vector<int> ks = flags.GetInt32List("ks", {2, 5, 10, 20});
+  std::vector<size_t> scales = flags.GetSizeList("scales", {1, 2, 4, 8});
   int lsh_x = flags.GetInt32("lsh_x", 1280);
   flags.CheckNoUnusedFlags();
 
@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
     GeneratedDataset workload = MakeCoraWorkload(1, kDataSeed);
     ResultTable table({"k", "adaLSH", "LSH" + std::to_string(lsh_x),
                        "Pairs", "adaLSH_speedup_vs_LSH"});
-    for (int64_t k : ks) {
-      FilterOutput ada = RunAdaLsh(workload, static_cast<int>(k));
-      FilterOutput lsh = RunLshX(workload, static_cast<int>(k), lsh_x);
-      FilterOutput pairs = RunPairs(workload, static_cast<int>(k));
+    for (int k : ks) {
+      FilterOutput ada = RunAdaLsh(workload, k);
+      FilterOutput lsh = RunLshX(workload, k, lsh_x);
+      FilterOutput pairs = RunPairs(workload, k);
       table.AddRow({std::to_string(k), Secs(ada.stats.filtering_seconds),
                     Secs(lsh.stats.filtering_seconds),
                     Secs(pairs.stats.filtering_seconds),
@@ -48,9 +48,9 @@ int main(int argc, char** argv) {
   {
     ResultTable table({"records", "adaLSH", "LSH" + std::to_string(lsh_x),
                        "Pairs", "adaLSH_speedup_vs_Pairs"});
-    for (int64_t scale : scales) {
+    for (size_t scale : scales) {
       GeneratedDataset workload =
-          MakeCoraWorkload(static_cast<size_t>(scale), kDataSeed);
+          MakeCoraWorkload(scale, kDataSeed);
       FilterOutput ada = RunAdaLsh(workload, 10);
       FilterOutput lsh = RunLshX(workload, 10, lsh_x);
       FilterOutput pairs = RunPairs(workload, 10);

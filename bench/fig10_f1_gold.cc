@@ -17,16 +17,16 @@ using namespace adalsh;        // NOLINT: bench brevity
 using namespace adalsh::bench; // NOLINT: bench brevity
 
 void RunPanel(const std::string& figure, const GeneratedDataset& workload,
-              const std::vector<int64_t>& ks, int lsh_x) {
+              const std::vector<int>& ks, int lsh_x) {
   PrintExperimentHeader(std::cout, figure,
                         "F1 Gold vs k on " + workload.dataset.name());
   GroundTruth truth = workload.dataset.BuildGroundTruth();
   ResultTable table(
       {"k", "adaLSH", "LSH" + std::to_string(lsh_x), "Pairs"});
-  for (int64_t k : ks) {
-    FilterOutput ada = RunAdaLsh(workload, static_cast<int>(k));
-    FilterOutput lsh = RunLshX(workload, static_cast<int>(k), lsh_x);
-    FilterOutput pairs = RunPairs(workload, static_cast<int>(k));
+  for (int k : ks) {
+    FilterOutput ada = RunAdaLsh(workload, k);
+    FilterOutput lsh = RunLshX(workload, k, lsh_x);
+    FilterOutput pairs = RunPairs(workload, k);
     table.AddRow(
         {std::to_string(k),
          FormatDouble(GoldAccuracy(ada.clusters, truth, k).f1, 3),
@@ -40,7 +40,7 @@ void RunPanel(const std::string& figure, const GeneratedDataset& workload,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  std::vector<int64_t> ks = flags.GetIntList("ks", {1, 5, 10, 20});
+  std::vector<int> ks = flags.GetInt32List("ks", {1, 5, 10, 20});
   int lsh_x = flags.GetInt32("lsh_x", 1280);
   flags.CheckNoUnusedFlags();
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 5);
-  std::vector<int64_t> bks = flags.GetIntList("bks", {5, 10, 15, 20});
+  std::vector<int> bks = flags.GetInt32List("bks", {5, 10, 15, 20});
   std::vector<double> thresholds =
       flags.GetDoubleList("thresholds", {0.3, 0.4, 0.5});
   flags.CheckNoUnusedFlags();
@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
         MakeSpotSigsWorkload(1, threshold, kDataSeed);
     GroundTruth truth = workload.dataset.BuildGroundTruth();
     std::vector<RecordId> gold = truth.TopKRecords(k);
-    for (int64_t bk : bks) {
-      FilterOutput output = RunAdaLsh(workload, static_cast<int>(bk));
+    for (int bk : bks) {
+      FilterOutput output = RunAdaLsh(workload, bk);
       SetAccuracy accuracy = ComputeSetAccuracy(
           output.clusters.UnionOfTopClusters(bk), gold);
       table.AddRow({FormatDouble(threshold, 1), std::to_string(bk),

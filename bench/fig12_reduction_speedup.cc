@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 5);
-  std::vector<int64_t> bks = flags.GetIntList("bks", {5, 10, 15, 20});
-  std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
+  std::vector<int> bks = flags.GetInt32List("bks", {5, 10, 15, 20});
+  std::vector<size_t> scales = flags.GetSizeList("scales", {1, 2, 4});
   flags.CheckNoUnusedFlags();
   (void)k;
 
@@ -28,17 +28,17 @@ int main(int argc, char** argv) {
                             std::to_string(k) + ", adaLSH filter)");
   ResultTable table({"scale", "records", "bk", "reduction_%",
                      "actual_topk_%", "speedup_wo_recovery"});
-  for (int64_t scale : scales) {
+  for (size_t scale : scales) {
     GeneratedDataset workload =
-        MakeSpotSigsWorkload(static_cast<size_t>(scale), kDataSeed);
+        MakeSpotSigsWorkload(scale, kDataSeed);
     GroundTruth truth = workload.dataset.BuildGroundTruth();
     size_t n = workload.dataset.num_records();
     double actual_percent =
         DatasetReductionPercent(truth.TopKRecords(k).size(), n);
     SpeedupModel model =
         SpeedupModel::Measure(workload.dataset, workload.rule, 100, 3);
-    for (int64_t bk : bks) {
-      FilterOutput output = RunAdaLsh(workload, static_cast<int>(bk));
+    for (int bk : bks) {
+      FilterOutput output = RunAdaLsh(workload, bk);
       size_t kept = output.clusters.TotalRecords();
       table.AddRow(
           {std::to_string(scale) + "x", std::to_string(n),

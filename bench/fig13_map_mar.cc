@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  std::vector<int64_t> ks = flags.GetIntList("ks", {2, 5, 10, 20});
-  std::vector<int64_t> bks = flags.GetIntList("bks", {5, 10, 15, 20, 25, 30});
+  std::vector<int> ks = flags.GetInt32List("ks", {2, 5, 10, 20});
+  std::vector<int> bks = flags.GetInt32List("bks", {5, 10, 15, 20, 25, 30});
   flags.CheckNoUnusedFlags();
 
   GeneratedDataset workload = MakeSpotSigsWorkload(1, kDataSeed);
@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
   PrintExperimentHeader(std::cout, "Figure 13",
                         "mAP / mAR vs bk on SpotSigs (adaLSH filter)");
   ResultTable table({"k", "bk", "mAP", "mAR"});
-  for (int64_t k : ks) {
-    for (int64_t bk : bks) {
+  for (int k : ks) {
+    for (int bk : bks) {
       if (bk < k) continue;
-      FilterOutput output = RunAdaLsh(workload, static_cast<int>(bk));
+      FilterOutput output = RunAdaLsh(workload, bk);
       RankedAccuracy ranked =
           ComputeRankedAccuracy(output.clusters, truth, k);
       table.AddRow({std::to_string(k), std::to_string(bk),

@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 5);
-  std::vector<int64_t> bks = flags.GetIntList("bks", {5, 10, 15, 20});
-  std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
-  std::vector<int64_t> ks = flags.GetIntList("ks", {2, 5, 10, 20});
+  std::vector<int> bks = flags.GetInt32List("bks", {5, 10, 15, 20});
+  std::vector<size_t> scales = flags.GetSizeList("scales", {1, 2, 4});
+  std::vector<int> ks = flags.GetInt32List("ks", {2, 5, 10, 20});
   flags.CheckNoUnusedFlags();
 
   PrintExperimentHeader(std::cout, "Figure 14(a)",
@@ -30,14 +30,14 @@ int main(int argc, char** argv) {
                             std::to_string(k) + ")");
   {
     ResultTable table({"scale", "bk", "speedup_with_recovery"});
-    for (int64_t scale : scales) {
+    for (size_t scale : scales) {
       GeneratedDataset workload =
-          MakeSpotSigsWorkload(static_cast<size_t>(scale), kDataSeed);
+          MakeSpotSigsWorkload(scale, kDataSeed);
       size_t n = workload.dataset.num_records();
       SpeedupModel model =
           SpeedupModel::Measure(workload.dataset, workload.rule, 100, 3);
-      for (int64_t bk : bks) {
-        FilterOutput output = RunAdaLsh(workload, static_cast<int>(bk));
+      for (int bk : bks) {
+        FilterOutput output = RunAdaLsh(workload, bk);
         size_t kept = output.clusters.TotalRecords();
         table.AddRow({std::to_string(scale) + "x", std::to_string(bk),
                       FormatDouble(model.SpeedupWithRecovery(
@@ -56,10 +56,10 @@ int main(int argc, char** argv) {
     GeneratedDataset workload = MakeSpotSigsWorkload(1, kDataSeed);
     GroundTruth truth = workload.dataset.BuildGroundTruth();
     ResultTable table({"k", "bk", "mAP_with_recovery", "mAR_with_recovery"});
-    for (int64_t kk : ks) {
-      for (int64_t bk : bks) {
+    for (int kk : ks) {
+      for (int bk : bks) {
         if (bk < kk) continue;
-        FilterOutput output = RunAdaLsh(workload, static_cast<int>(bk));
+        FilterOutput output = RunAdaLsh(workload, bk);
         Clustering recovered = PerfectRecovery(
             output.clusters.UnionOfTopClusters(bk), truth);
         RankedAccuracy ranked =

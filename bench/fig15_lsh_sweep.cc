@@ -17,7 +17,7 @@ using namespace adalsh;        // NOLINT: bench brevity
 using namespace adalsh::bench; // NOLINT: bench brevity
 
 void RunPanel(const std::string& figure, size_t scale, int k,
-              const std::vector<int64_t>& xs) {
+              const std::vector<int>& xs) {
   GeneratedDataset workload = MakeSpotSigsWorkload(scale, kDataSeed);
   PrintExperimentHeader(std::cout, figure,
                         "adaLSH vs LSH-X sweep on SpotSigs" +
@@ -29,9 +29,9 @@ void RunPanel(const std::string& figure, size_t scale, int k,
   std::cout << "adaLSH: " << Secs(ada.stats.filtering_seconds) << " s\n";
   ResultTable table({"X", "LSH-X_seconds", "adaLSH_speedup"});
   double best_seconds = -1.0;
-  int64_t best_x = 0;
-  for (int64_t x : xs) {
-    FilterOutput lsh = RunLshX(workload, k, static_cast<int>(x));
+  int best_x = 0;
+  for (int x : xs) {
+    FilterOutput lsh = RunLshX(workload, k, x);
     double seconds = lsh.stats.filtering_seconds;
     if (best_seconds < 0 || seconds < best_seconds) {
       best_seconds = seconds;
@@ -53,11 +53,11 @@ void RunPanel(const std::string& figure, size_t scale, int k,
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 10);
-  std::vector<int64_t> xs =
-      flags.GetIntList("xs", {20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
+  std::vector<int> xs =
+      flags.GetInt32List("xs", {20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
   size_t scale_b = flags.GetSize("scale_b", 4);
-  std::vector<int64_t> xs_b =
-      flags.GetIntList("xs_b", {20, 40, 80, 160, 320, 640, 1280, 2560});
+  std::vector<int> xs_b =
+      flags.GetInt32List("xs_b", {20, 40, 80, 160, 320, 640, 1280, 2560});
   flags.CheckNoUnusedFlags();
 
   RunPanel("Figure 15(a)", 1, k, xs);

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 10);
-  std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
+  std::vector<size_t> scales = flags.GetSizeList("scales", {1, 2, 4});
   flags.CheckNoUnusedFlags();
 
   PrintExperimentHeader(std::cout, "Figure 20",
@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
                           "LSH640nP"});
   ResultTable f1_table({"records", "adaLSH", "LSH20", "LSH640", "LSH20nP",
                         "LSH640nP"});
-  for (int64_t scale : scales) {
+  for (size_t scale : scales) {
     GeneratedDataset workload =
-        MakeSpotSigsWorkload(static_cast<size_t>(scale), kDataSeed);
+        MakeSpotSigsWorkload(scale, kDataSeed);
     FilterOutput exact = RunPairs(workload, k);
     std::vector<RecordId> target = exact.clusters.UnionOfTopClusters(k);
 

@@ -15,14 +15,14 @@ int main(int argc, char** argv) {
   using namespace adalsh;        // NOLINT: bench brevity
   using namespace adalsh::bench; // NOLINT: bench brevity
   Flags flags(argc, argv);
-  std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
+  std::vector<size_t> scales = flags.GetSizeList("scales", {1, 2, 4});
   std::vector<double> noise =
       flags.GetDoubleList("noise", {0.2, 0.5, 1.0, 2.0, 5.0});
-  std::vector<int64_t> ks = flags.GetIntList("ks", {2, 10});
+  std::vector<int> ks = flags.GetInt32List("ks", {2, 10});
   flags.CheckNoUnusedFlags();
 
   for (size_t panel = 0; panel < ks.size(); ++panel) {
-    int k = static_cast<int>(ks[panel]);
+    int k = ks[panel];
     PrintExperimentHeader(
         std::cout,
         "Figure 21(" + std::string(1, static_cast<char>('a' + panel)) + ")",
@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
       headers.push_back(nf == 1.0 ? "clean" : "nf=" + FormatDouble(nf, 1));
     }
     ResultTable table(headers);
-    for (int64_t scale : scales) {
+    for (size_t scale : scales) {
       GeneratedDataset workload =
-          MakeSpotSigsWorkload(static_cast<size_t>(scale), kDataSeed);
+          MakeSpotSigsWorkload(scale, kDataSeed);
       std::vector<std::string> row = {
           std::to_string(workload.dataset.num_records())};
       for (double nf : noise) {

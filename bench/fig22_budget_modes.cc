@@ -18,30 +18,30 @@ using namespace adalsh;        // NOLINT: bench brevity
 using namespace adalsh::bench; // NOLINT: bench brevity
 
 void RunPanel(const std::string& figure, const std::string& dataset_name,
-              const std::vector<int64_t>& scales,
-              const std::vector<int64_t>& linear_steps, int k) {
+              const std::vector<size_t>& scales,
+              const std::vector<int>& linear_steps, int k) {
   PrintExperimentHeader(std::cout, figure,
                         "budget modes on " + dataset_name +
                             ", k = " + std::to_string(k));
   std::vector<std::string> headers = {"records", "expo"};
-  for (int64_t step : linear_steps) {
+  for (int step : linear_steps) {
     headers.push_back("lin" + std::to_string(step));
   }
   ResultTable table(headers);
-  for (int64_t scale : scales) {
+  for (size_t scale : scales) {
     GeneratedDataset workload =
         dataset_name == "Cora"
-            ? MakeCoraWorkload(static_cast<size_t>(scale), kDataSeed)
-            : MakeSpotSigsWorkload(static_cast<size_t>(scale), kDataSeed);
+            ? MakeCoraWorkload(scale, kDataSeed)
+            : MakeSpotSigsWorkload(scale, kDataSeed);
     std::vector<std::string> row = {
         std::to_string(workload.dataset.num_records())};
     FilterOutput expo = RunAdaLsh(workload, k);
     row.push_back(Secs(expo.stats.filtering_seconds));
-    for (int64_t step : linear_steps) {
+    for (int step : linear_steps) {
       FilterOutput lin =
           RunAdaLsh(workload, k, /*max_budget=*/5120,
                     /*pairwise_noise_factor=*/1.0,
-                    BudgetStrategy::Linear(static_cast<int>(step)));
+                    BudgetStrategy::Linear(step));
       row.push_back(Secs(lin.stats.filtering_seconds));
     }
     table.AddRow(row);
@@ -54,9 +54,9 @@ void RunPanel(const std::string& figure, const std::string& dataset_name,
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 10);
-  std::vector<int64_t> scales = flags.GetIntList("scales", {1, 2, 4});
-  std::vector<int64_t> linear_steps =
-      flags.GetIntList("linear", {320, 640, 1280});
+  std::vector<size_t> scales = flags.GetSizeList("scales", {1, 2, 4});
+  std::vector<int> linear_steps =
+      flags.GetInt32List("linear", {320, 640, 1280});
   flags.CheckNoUnusedFlags();
 
   RunPanel("Figure 22(a)", "Cora", scales, linear_steps, k);

@@ -52,7 +52,7 @@ class RoundNarrator : public Observer {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   int k = flags.GetInt32("k", 3);
-  int batches = flags.GetInt32("batches", 6);
+  int batches = flags.GetInt32AtLeast("batches", 6, 1);
   bool narrate = flags.GetBool("narrate", false);
   flags.CheckNoUnusedFlags();
 

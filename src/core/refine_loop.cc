@@ -169,7 +169,7 @@ TerminationReason RunRefineLoop(const RefineLoopDeps& deps, int k,
     // Interruption handling ("discard the round", docs/robustness.md): both
     // sweeps build fresh trees and never touch the treated cluster's own
     // tree, so an interrupted sweep's partial trees are simply orphaned, the
-    // original tree (and leaf_of, which still points into it) is untouched,
+    // original tree (and every path, which still ends in it) is untouched,
     // and the cluster keeps its previous verification level. The round's
     // counter deltas are real work and are recorded.
     std::vector<NodeId> new_roots;
@@ -210,10 +210,16 @@ TerminationReason RunRefineLoop(const RefineLoopDeps& deps, int k,
       file(root);
       continue;
     }
+    const bool whole = !jump && new_roots.size() == 1;
     for (NodeId new_root : new_roots) {
-      if (deps.leaf_of != nullptr) {
+      if (deps.paths != nullptr) {
         forest.ForEachLeafNode(new_root, [&](RecordId r, NodeId leaf) {
-          (*deps.leaf_of)[r] = leaf;
+          std::vector<NodeId>& path = (*deps.paths)[r];
+          if (whole && path.size() > 1) {
+            path.back() = leaf;
+          } else {
+            path.push_back(leaf);
+          }
         });
       }
       file(new_root);

@@ -21,6 +21,10 @@ void AppendCounters(const EngineCounters& counters, JsonWriter* out) {
       .Uint(counters.updated)
       .Key("arrivals_merged")
       .Uint(counters.arrivals_merged)
+      .Key("arrivals_walked")
+      .Uint(counters.arrivals_walked)
+      .Key("nodes_pended")
+      .Uint(counters.nodes_pended)
       .Key("refinements_completed")
       .Uint(counters.refinements_completed)
       .Key("refinements_interrupted")

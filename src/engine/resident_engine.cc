@@ -9,6 +9,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "util/check.h"
+#include "util/fault_injection.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -26,6 +27,43 @@ class ScopeExit {
 
  private:
   Fn fn_;
+};
+
+/// Union-find over a probe's slots: the arrivals first, then the children
+/// as they are found. Each class counts the arrivals it holds.
+class SlotClasses {
+ public:
+  explicit SlotClasses(size_t arrivals)
+      : parent_(arrivals), arrivals_(arrivals, 1) {
+    for (uint32_t s = 0; s < parent_.size(); ++s) parent_[s] = s;
+  }
+
+  uint32_t Add() {
+    parent_.push_back(static_cast<uint32_t>(parent_.size()));
+    arrivals_.push_back(0);
+    return parent_.back();
+  }
+
+  uint32_t Find(uint32_t s) {
+    while (parent_[s] != s) s = parent_[s] = parent_[parent_[s]];
+    return s;
+  }
+
+  void Union(uint32_t a, uint32_t b) {
+    a = Find(a);
+    b = Find(b);
+    if (a == b) return;
+    if (b < a) std::swap(a, b);
+    parent_[b] = a;
+    arrivals_[a] += arrivals_[b];
+  }
+
+  size_t Arrivals(uint32_t s) { return arrivals_[Find(s)]; }
+  size_t size() const { return parent_.size(); }
+
+ private:
+  std::vector<uint32_t> parent_;
+  std::vector<size_t> arrivals_;
 };
 
 Status CancelledStatus(const char* op) {
@@ -248,14 +286,15 @@ EngineMutationResult ResidentEngine::ApplyBatch(
   span.AddArg("lock_wait_ms", lock_wait_seconds * 1e3);
   ++counters_.batches;
 
-  // Records whose level-1 components this mutation touched.
-  std::vector<RecordId> arrived;
+  // What the mutation's level-1 arrivals did to each level-1 tree.
+  TouchedTrees touched;
   if (!removed_ints.empty()) {
     TraceRecorder::Span remove_span(instr.trace, "engine_remove", "engine");
-    RemoveLocked(removed_ints, &arrived);
+    RemoveLocked(removed_ints, &touched);
     counters_.removed += removed_ints.size();
   }
 
+  std::vector<RecordId> arrivals;
   if (!adds.empty()) {
     TraceRecorder::Span arrive_span(instr.trace, "engine_arrive", "engine");
     const RecordId first_new = static_cast<RecordId>(dataset_.num_records());
@@ -271,16 +310,26 @@ EngineMutationResult ResidentEngine::ApplyBatch(
       live_[r] = 1;
       ext_of_[r] = add_ext_ids[i];
       int_of_[add_ext_ids[i]] = r;
-      counters_.arrivals_merged += ArriveLocked(r) ? 1 : 0;
-      arrived.push_back(r);
+      counters_.arrivals_merged += ArriveLocked(r, false, &touched) ? 1 : 0;
+      arrivals.push_back(r);
     }
     counters_.ingested += adds.size();
   }
 
-  if (!arrived.empty()) {
-    TraceRecorder::Span reopen_span(instr.trace, "engine_reopen", "engine");
-    ReopenLocked(arrived);
+  // Per-request SLO (docs/engine.md): the effective controller is armed
+  // with the cumulative counters as the zero points, before the walk, so
+  // the walk's hashes count against it too.
+  std::optional<RunController> local_controller;
+  RunController* controller = nullptr;
+  if (initialized_) {
+    controller = ResolveController(
+        opts.controller, opts.budget, &local_controller,
+        engine_->total_hashes_computed(), pairwise_->total_similarities());
   }
+
+  const uint64_t walked_before = counters_.arrivals_walked;
+  const uint64_t pended_before = counters_.nodes_pended;
+  ReopenOrWalkLocked(touched, arrivals, controller);
 
   EngineMutationResult result;
   result.assigned_ids = std::move(add_ext_ids);
@@ -288,7 +337,7 @@ EngineMutationResult ResidentEngine::ApplyBatch(
   if (initialized_) {
     Timer refine_timer;
     std::vector<NodeId> finals;
-    result.refinement = RefineLocked(opts, &finals, &result.stats);
+    result.refinement = RefineLocked(controller, &finals, &result.stats);
     refine_seconds = refine_timer.ElapsedSeconds();
     if (result.refinement == TerminationReason::kCompleted) {
       ++counters_.refinements_completed;
@@ -307,6 +356,10 @@ EngineMutationResult ResidentEngine::ApplyBatch(
     instr.metrics->AddCounter("engine_batches", 1);
     instr.metrics->AddCounter("engine_records_ingested", adds.size());
     instr.metrics->AddCounter("engine_records_removed", removed_ints.size());
+    instr.metrics->AddCounter("engine_arrivals_walked",
+                              counters_.arrivals_walked - walked_before);
+    instr.metrics->AddCounter("engine_nodes_pended",
+                              counters_.nodes_pended - pended_before);
     instr.metrics->AddCounter(std::string("engine_op_") + op, 1);
     instr.metrics->AddCounter(
         result.refinement == TerminationReason::kCompleted
@@ -362,8 +415,7 @@ void ResidentEngine::GrowStateLocked() {
   counters_.internal_records = n;
   if (live_.size() >= n) return;
   live_.resize(n, 0);
-  leaf_of_.resize(n, kInvalidNode);
-  level1_leaf_.resize(n, kInvalidNode);
+  path_.resize(n);
   last_fn_.resize(n, 0);
   ext_of_.resize(n, 0);
   engine_->GrowTo(n);
@@ -371,56 +423,124 @@ void ResidentEngine::GrowStateLocked() {
   pairwise_->NotifyDatasetGrown();
 }
 
-bool ResidentEngine::ArriveLocked(RecordId r) {
+bool ResidentEngine::ArriveLocked(RecordId r, bool reopen,
+                                  TouchedTrees* touched) {
   const SchemePlan& plan0 = sequence_->plan(0);
   engine_->EnsureHashes(r, plan0);
   last_fn_[r] = 0;  // arrival evidence is level-1 only
   std::vector<uint64_t> keys(plan0.tables.size());
   engine_->TableKeys(r, plan0, keys.data());
-  NodeId& leaf = level1_leaf_[r];
+  // A tree no arrival of this mutation has reached yet is one earlier
+  // component, and the bucket's record is one of its members.
+  auto state = [&](NodeId root, RecordId member) -> TouchedTree& {
+    const auto [it, fresh] = touched->try_emplace(root);
+    if (fresh) it->second = {true, member, false};
+    return it->second;
+  };
+  NodeId leaf = kInvalidNode;
   bool merged = false;
   for (size_t t = 0; t < plan0.tables.size(); ++t) {
     const auto [bucket, fresh] = buckets_[t].try_emplace(keys[t], r);
     if (fresh) {
-      if (leaf == kInvalidNode) forest_.MakeTree(r, /*producer=*/0, &leaf);
+      if (leaf != kInvalidNode) continue;
+      const NodeId root = forest_.MakeTree(r, /*producer=*/0, &leaf);
+      if (touched != nullptr) (*touched)[root] = {false, 0, reopen};
       continue;
     }
     // Both level-1 roots carry producer 0, which Merge keeps.
-    const NodeId other_root = forest_.FindRoot(level1_leaf_[bucket->second]);
+    const NodeId other_root =
+        forest_.FindRoot(path_[bucket->second].front());
     if (leaf == kInvalidNode) {
       leaf = forest_.AddLeaf(other_root, r);
-      merged = true;
-    } else {
-      const NodeId my_root = forest_.FindRoot(leaf);
-      if (my_root != other_root) {
-        forest_.Merge(my_root, other_root);
-        merged = true;
+      if (touched != nullptr) {
+        state(other_root, bucket->second).reopen |= reopen;
       }
+      merged = true;
+      continue;
     }
+    const NodeId my_root = forest_.FindRoot(leaf);
+    if (my_root == other_root) continue;
+    const NodeId root = forest_.Merge(my_root, other_root);
+    merged = true;
+    if (touched == nullptr) continue;
+    const TouchedTree mine = state(my_root, r);
+    const TouchedTree other = state(other_root, bucket->second);
+    touched->erase(my_root);
+    touched->erase(other_root);
+    (*touched)[root] = {mine.old || other.old,
+                        mine.old ? mine.old_member : other.old_member,
+                        mine.reopen || other.reopen || (mine.old && other.old)};
   }
-  if (leaf == kInvalidNode) forest_.MakeTree(r, /*producer=*/0, &leaf);
+  if (leaf == kInvalidNode) {
+    const NodeId root = forest_.MakeTree(r, /*producer=*/0, &leaf);
+    if (touched != nullptr) (*touched)[root] = {false, 0, reopen};
+  }
+  path_[r].push_back(leaf);
   return merged;
 }
 
-void ResidentEngine::ReopenLocked(const std::vector<RecordId>& arrived) {
-  std::unordered_set<NodeId> reopened;
-  for (RecordId r : arrived) {
-    const NodeId root = forest_.FindRoot(level1_leaf_[r]);
-    if (!reopened.insert(root).second) continue;
-    forest_.ForEachLeafNode(
-        root, [&](RecordId m, NodeId leaf) { leaf_of_[m] = leaf; });
+void ResidentEngine::ReopenOrWalkLocked(const TouchedTrees& touched,
+                                        const std::vector<RecordId>& arrivals,
+                                        RunController* controller) {
+  const Instrumentation& instr = options_.config.instrumentation;
+  // A tree holding one earlier component that no removal touched is walked
+  // with its arrivals; every other touched tree restarts at level 1.
+  std::vector<NodeId> roots;
+  roots.reserve(touched.size());
+  for (const auto& [root, tree] : touched) roots.push_back(root);
+  std::sort(roots.begin(), roots.end());
+  std::vector<NodeId> reopened;
+  std::vector<WalkStep> walks;
+  std::unordered_map<NodeId, size_t> walk_of;
+  size_t joined = 0;  // reopened trees holding a clean earlier component
+  for (NodeId root : roots) {
+    const TouchedTree& tree = touched.at(root);
+    if (tree.old && !tree.reopen) {
+      walk_of.emplace(root, walks.size());
+      walks.push_back({root, 0, 0, tree.old_member, {}});
+      continue;
+    }
+    reopened.push_back(root);
+    if (tree.old || tree.reopen) ++counters_.nodes_pended;
+    if (tree.old) ++joined;
+  }
+  size_t walked = 0;
+  for (RecordId r : arrivals) {
+    auto it = walk_of.find(forest_.FindRoot(path_[r].front()));
+    if (it == walk_of.end()) continue;
+    walks[it->second].arrivals.push_back(r);
+    ++walked;
+  }
+  counters_.arrivals_walked += walked;
+  if (!reopened.empty()) {
+    // Pending at level 1: every member's path is cut back to its level-1
+    // leaf, O(members) with no new node.
+    TraceRecorder::Span span(instr.trace, "engine_reopen", "engine");
+    span.AddArg("components", static_cast<double>(reopened.size()));
+    span.AddArg("joined", static_cast<double>(joined));
+    for (NodeId root : reopened) {
+      forest_.ForEachLeaf(root, [&](RecordId m) { path_[m].resize(1); });
+    }
+  }
+  if (walks.empty()) return;
+  TraceRecorder::Span span(instr.trace, "engine_walk", "engine");
+  span.AddArg("arrivals", static_cast<double>(walked));
+  WalkLocked(std::move(walks), controller, &span);
+  // The last function applied to an arrival is its current tree's.
+  for (RecordId r : arrivals) {
+    last_fn_[r] = forest_.Producer(forest_.FindRoot(path_[r].back()));
   }
 }
 
 void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints,
-                                  std::vector<RecordId>* arrived) {
+                                  TouchedTrees* touched) {
   // The dirty region: every member of a level-1 tree that holds a removed
   // record. The removed records may be the only bridge between two live
   // subsets, so none of the region's grouping or refinement survives.
   std::unordered_set<NodeId> dirty_roots;
   std::vector<RecordId> dirty;
   for (RecordId r : removed_ints) {
-    const NodeId root = forest_.FindRoot(level1_leaf_[r]);
+    const NodeId root = forest_.FindRoot(path_[r].front());
     if (dirty_roots.insert(root).second) {
       forest_.ForEachLeaf(root, [&](RecordId m) { dirty.push_back(m); });
     }
@@ -437,20 +557,257 @@ void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints,
   for (RecordId m : dirty) {
     engine_->TableKeys(m, plan0, keys.data());
     for (size_t t = 0; t < keys.size(); ++t) buckets_[t].erase(keys[t]);
-    leaf_of_[m] = kInvalidNode;
-    level1_leaf_[m] = kInvalidNode;
+    path_[m].clear();
   }
-  // Their keys read, the removed records' hashes are never needed again.
-  for (RecordId r : removed_ints) engine_->ClearHashes(r);
+  // Their keys read, the removed records' hashes and paths are never needed
+  // again.
+  for (RecordId r : removed_ints) {
+    engine_->ClearHashes(r);
+    std::vector<NodeId>().swap(path_[r]);
+  }
   std::sort(dirty.begin(), dirty.end());
   for (RecordId m : dirty) {
-    if (!live_[m]) continue;
-    ArriveLocked(m);
-    arrived->push_back(m);
+    if (live_[m]) ArriveLocked(m, /*reopen=*/true, touched);
   }
 }
 
-TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
+bool ResidentEngine::JumpsLocked(int level, size_t size) const {
+  return cost_model_->ShouldJumpToPairwise(sequence_->budget(level),
+                                           sequence_->budget(level + 1), size);
+}
+
+ResidentEngine::Probe ResidentEngine::ProbeLocked(
+    NodeId root, size_t child_index, const SchemePlan& plan,
+    const std::vector<RecordId>& arrivals) {
+  const size_t tables = plan.tables.size();
+  std::vector<uint64_t> keys(tables);
+  // Per table, the arrivals' keys sorted with their slots; arrivals sharing
+  // a key collide with each other.
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> index(tables);
+  SlotClasses classes(arrivals.size());
+  for (uint32_t i = 0; i < arrivals.size(); ++i) {
+    engine_->EnsureHashes(arrivals[i], plan);
+    engine_->TableKeys(arrivals[i], plan, keys.data());
+    for (size_t t = 0; t < tables; ++t) index[t].push_back({keys[t], i});
+  }
+  for (auto& table : index) {
+    std::sort(table.begin(), table.end());
+    for (size_t i = 1; i < table.size(); ++i) {
+      if (table[i].first == table[i - 1].first) {
+        classes.Union(table[i].second, table[i - 1].second);
+      }
+    }
+  }
+  Probe probe;
+  std::unordered_map<NodeId, uint32_t> slot_of;
+  forest_.ForEachLeaf(root, [&](RecordId m) {
+    const std::vector<NodeId>& path = path_[m];
+    if (path.size() <= child_index) return;  // an arrival
+    const NodeId child = forest_.FindRoot(path[child_index]);
+    const auto [it, fresh] = slot_of.try_emplace(child, 0);
+    if (fresh) {
+      it->second = classes.Add();
+      probe.children.push_back(child);
+      probe.child_member.push_back(m);
+    }
+    const uint32_t slot = it->second;
+    if (classes.Arrivals(slot) == arrivals.size()) return;
+    engine_->TableKeys(m, plan, keys.data());
+    for (size_t t = 0; t < tables; ++t) {
+      const auto hit = std::lower_bound(index[t].begin(), index[t].end(),
+                                        std::make_pair(keys[t], uint32_t{0}));
+      if (hit != index[t].end() && hit->first == keys[t]) {
+        classes.Union(slot, hit->second);
+      }
+    }
+  });
+  probe.cls.resize(classes.size());
+  for (uint32_t s = 0; s < classes.size(); ++s) probe.cls[s] = classes.Find(s);
+  return probe;
+}
+
+void ResidentEngine::NewNodeLocked(const std::vector<RecordId>& records,
+                                   int level, size_t depth, bool insert) {
+  NodeId root = kInvalidNode;
+  for (RecordId r : records) {
+    NodeId leaf;
+    if (root == kInvalidNode) {
+      root = forest_.MakeTree(r, level, &leaf);
+    } else {
+      leaf = forest_.AddLeaf(root, r);
+    }
+    std::vector<NodeId>& path = path_[r];
+    if (!insert) path.resize(depth);
+    path.insert(path.begin() + static_cast<std::ptrdiff_t>(depth), leaf);
+  }
+}
+
+void ResidentEngine::PendLocked(const WalkStep& step) {
+  ++counters_.nodes_pended;
+  if (step.level == forest_.Producer(step.root)) {
+    forest_.ForEachLeaf(step.root,
+                        [&](RecordId m) { path_[m].resize(step.depth + 1); });
+    return;
+  }
+  // The tree stands for deeper levels too: a fresh one stands for the node
+  // at `level`, arrivals included.
+  std::vector<RecordId> members = forest_.Leaves(step.root);
+  members.insert(members.end(), step.arrivals.begin(), step.arrivals.end());
+  NewNodeLocked(members, step.level, step.depth, /*insert=*/false);
+}
+
+void ResidentEngine::WalkLocked(std::vector<WalkStep> steps,
+                                RunController* controller,
+                                TraceRecorder::Span* span) {
+  // Outcome counts for the span: children no arrival hit, children the
+  // walk descended into, nodes made only of arrivals, bridged children,
+  // P-refined nodes pended with the same decision, nodes whose jump-to-P
+  // decision the new size flips, and nodes the SLO stopped the walk at.
+  double kept = 0, grown = 0, fresh = 0, bridged = 0, pairwise = 0,
+         flipped = 0, stopped_at = 0;
+  bool stopped = false;
+  // Checked before each level's hashes, where a hash pass checks its key
+  // blocks (fault-injection site kHashApply).
+  auto stop = [&] {
+    if (!stopped) {
+      FaultInjectionPoint(FaultSite::kHashApply);
+      if (controller != nullptr) {
+        controller->ReportHashes(engine_->total_hashes_computed());
+        stopped = controller->ShouldStop();
+      }
+    }
+    return stopped;
+  };
+  while (!steps.empty()) {
+    WalkStep step = std::move(steps.back());
+    steps.pop_back();
+
+    // Levels the tree shares with deeper ones: the node's pass there
+    // returned it whole, so its one child is the tree itself.
+    bool pended = false;
+    while (step.level < forest_.Producer(step.root)) {
+      const size_t arrivals = step.arrivals.size();
+      if (JumpsLocked(step.level, forest_.LeafCount(step.root) + arrivals)) {
+        ++flipped;
+      } else if (stop()) {
+        ++stopped_at;
+      } else {
+        const Probe probe = ProbeLocked(step.root, step.depth,
+                                        sequence_->plan(step.level + 1),
+                                        step.arrivals);
+        const uint32_t own = probe.cls[arrivals];
+        std::vector<RecordId> stay;
+        std::vector<std::vector<RecordId>> missed(arrivals);
+        for (size_t i = 0; i < arrivals; ++i) {
+          if (probe.cls[i] == own) {
+            stay.push_back(step.arrivals[i]);
+          } else {
+            missed[probe.cls[i]].push_back(step.arrivals[i]);
+          }
+        }
+        if (stay.size() < arrivals) {
+          // The pass at level + 1 now splits the node: a fresh tree stands
+          // for it through `level`, the arrivals that missed the tree form
+          // new nodes beside it, and the tree moves one path index down.
+          std::vector<RecordId> members = forest_.Leaves(step.root);
+          members.insert(members.end(), step.arrivals.begin(),
+                         step.arrivals.end());
+          NewNodeLocked(members, step.level, step.depth, /*insert=*/true);
+          for (const std::vector<RecordId>& group : missed) {
+            if (group.empty()) continue;
+            NewNodeLocked(group, step.level + 1, step.depth + 1,
+                          /*insert=*/false);
+            ++fresh;
+          }
+          ++step.depth;
+        }
+        ++step.level;
+        ++(stay.empty() ? kept : grown);
+        step.arrivals = std::move(stay);
+        if (step.arrivals.empty()) break;
+        continue;
+      }
+      PendLocked(step);
+      pended = true;
+      break;
+    }
+    if (pended || step.arrivals.empty()) continue;
+
+    // The node's own level: the arrivals join its tree.
+    const int level = step.level;
+    const size_t arrivals = step.arrivals.size();
+    if (step.depth > 0) {
+      for (RecordId a : step.arrivals) {
+        path_[a].push_back(forest_.AddLeaf(step.root, a));
+      }
+    }
+    const std::vector<NodeId>& old_path = path_[step.old_member];
+    if (old_path.size() == step.depth + 1) continue;  // not refined yet
+    const bool jumped =
+        forest_.Producer(forest_.FindRoot(old_path[step.depth + 1])) ==
+        kProducerPairwise;
+    const bool jumps = JumpsLocked(level, forest_.LeafCount(step.root));
+    if (jumped || jumps || stop()) {
+      ++(jumped != jumps ? flipped : jumped ? pairwise : stopped_at);
+      PendLocked(step);
+      continue;
+    }
+    const Probe probe = ProbeLocked(step.root, step.depth + 1,
+                                    sequence_->plan(level + 1), step.arrivals);
+    // Each class is one child of the grown node.
+    std::vector<std::vector<size_t>> class_children(probe.cls.size());
+    std::vector<std::vector<RecordId>> class_arrivals(probe.cls.size());
+    for (size_t c = 0; c < probe.children.size(); ++c) {
+      class_children[probe.cls[arrivals + c]].push_back(c);
+    }
+    for (size_t i = 0; i < arrivals; ++i) {
+      class_arrivals[probe.cls[i]].push_back(step.arrivals[i]);
+    }
+    for (size_t k = 0; k < probe.cls.size(); ++k) {
+      const std::vector<size_t>& children = class_children[k];
+      std::vector<RecordId>& joined = class_arrivals[k];
+      if (children.size() == 1) {
+        // A child no arrival hits keeps its subtree; one the arrivals hit
+        // alone takes them, and the walk descends into it.
+        if (joined.empty()) {
+          ++kept;
+          continue;
+        }
+        const size_t c = children.front();
+        steps.push_back({probe.children[c], step.depth + 1, level + 1,
+                         probe.child_member[c], std::move(joined)});
+        ++grown;
+        continue;
+      }
+      if (children.empty()) {
+        if (joined.empty()) continue;
+        NewNodeLocked(joined, level + 1, step.depth + 1, /*insert=*/false);
+        ++fresh;
+        continue;
+      }
+      // Arrivals bridged several children: the merged child may connect
+      // anew one level deeper, so it restarts at its level.
+      std::vector<RecordId> members;
+      for (size_t c : children) {
+        forest_.ForEachLeaf(probe.children[c],
+                            [&](RecordId m) { members.push_back(m); });
+      }
+      members.insert(members.end(), joined.begin(), joined.end());
+      NewNodeLocked(members, level + 1, step.depth + 1, /*insert=*/false);
+      ++counters_.nodes_pended;
+      ++bridged;
+    }
+  }
+  span->AddArg("children_kept", kept);
+  span->AddArg("children_grown", grown);
+  span->AddArg("new_nodes", fresh);
+  span->AddArg("bridged", bridged);
+  span->AddArg("pairwise", pairwise);
+  span->AddArg("flipped", flipped);
+  span->AddArg("stopped", stopped_at);
+}
+
+TerminationReason ResidentEngine::RefineLocked(RunController* controller,
                                                std::vector<NodeId>* finals,
                                                FilterStats* out_stats) {
   std::vector<NodeId> roots;
@@ -458,7 +815,7 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
     std::unordered_set<NodeId> seen;
     for (size_t r = 0; r < live_.size(); ++r) {
       if (!live_[r]) continue;
-      const NodeId root = forest_.FindRoot(leaf_of_[r]);
+      const NodeId root = forest_.FindRoot(path_[r].back());
       if (seen.insert(root).second) roots.push_back(root);
     }
   }
@@ -473,14 +830,8 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
   deps.forest = &forest_;
   deps.last_fn = &last_fn_;
   deps.order_key = &ext_of_;
-  deps.leaf_of = &leaf_of_;
+  deps.paths = &path_;
 
-  // Per-request SLO (docs/engine.md): the effective controller is armed
-  // with the cumulative counters as this pass's zero points.
-  std::optional<RunController> local_controller;
-  RunController* controller = ResolveController(
-      opts.controller, opts.budget, &local_controller,
-      engine_->total_hashes_computed(), pairwise_->total_similarities());
   FilterStats stats;
   RunRefineLoop(deps, options_.top_k, roots, controller, finals, &stats);
   // Definition 3 snapshot over every live record: each is counted exactly
@@ -541,20 +892,17 @@ void ResidentEngine::CompactForestLocked() {
   if (forest_.num_nodes() <= kForestCompactionFactor * forest_nodes_kept_) {
     return;
   }
-  // A live record's level-1 tree and current tree (often the same tree)
-  // hold every node a later mutation or pass reads; dead records point at
-  // none.
+  // The trees on live records' paths hold every node a later mutation or
+  // pass reads; dead records point at none.
   std::vector<NodeId> roots;
   for (size_t r = 0; r < live_.size(); ++r) {
     if (!live_[r]) continue;
-    roots.push_back(forest_.FindRoot(level1_leaf_[r]));
-    roots.push_back(forest_.FindRoot(leaf_of_[r]));
+    for (NodeId leaf : path_[r]) roots.push_back(forest_.FindRoot(leaf));
   }
   const std::vector<NodeId> remap = forest_.Compact(roots);
   for (size_t r = 0; r < live_.size(); ++r) {
     if (!live_[r]) continue;
-    level1_leaf_[r] = remap[level1_leaf_[r]];
-    leaf_of_[r] = remap[leaf_of_[r]];
+    for (NodeId& leaf : path_[r]) leaf = remap[leaf];
   }
   forest_nodes_kept_ = forest_.num_nodes();
 }
@@ -641,13 +989,11 @@ EngineSnapshot ResidentEngine::MergeLocked(
   const ScopeExit return_slots(swap_slots);
   merge.int_of_.reserve(n);
   for (auto& table : merge.buckets_) table.reserve(n);
-  std::vector<RecordId> arrived(n);
   for (RecordId g = 0; g < n; ++g) {
     merge.live_[g] = 1;
     merge.ext_of_[g] = sources[g].ext;
     merge.int_of_[sources[g].ext] = g;
-    merge.ArriveLocked(g);
-    arrived[g] = g;
+    merge.ArriveLocked(g, /*reopen=*/false, /*touched=*/nullptr);
   }
   span.AddArg("records", static_cast<double>(n));
   if (instr.metrics != nullptr) instr.metrics->AddCounter("shard_merges", 1);
@@ -656,14 +1002,14 @@ EngineSnapshot ResidentEngine::MergeLocked(
   phase_span.emplace(instr.trace, "merge_refine", "engine");
   Timer refine_timer;
 
-  // Every component restarts from its level-1 tree, as in a one-batch
-  // ingest of the live set: the pass runs that ingest's rounds and P sweeps
-  // and reaches its snapshot, paying only for hashes no shard computed.
-  merge.ReopenLocked(arrived);
+  // Every component is new, so each starts from its level-1 tree, as in a
+  // one-batch ingest of the live set: the pass runs that ingest's rounds
+  // and P sweeps and reaches its snapshot, paying only for hashes no shard
+  // computed.
   std::vector<NodeId> finals;
   FilterStats stats;
   const TerminationReason reason =
-      merge.RefineLocked(EngineBatchOptions{}, &finals, &stats);
+      merge.RefineLocked(/*controller=*/nullptr, &finals, &stats);
   ADALSH_CHECK(reason == TerminationReason::kCompleted);
   EngineSnapshot snapshot = merge.SnapshotLocked(finals, std::move(stats));
   const double refine_seconds = refine_timer.ElapsedSeconds();

@@ -20,6 +20,7 @@
 #include "core/pairwise.h"
 #include "core/transitive_hash_function.h"
 #include "distance/rule.h"
+#include "obs/trace_recorder.h"
 #include "record/dataset.h"
 #include "util/run_controller.h"
 #include "util/status.h"
@@ -101,6 +102,16 @@ struct EngineCounters {
   uint64_t removed = 0;     // records ever removed (includes updates)
   uint64_t updated = 0;     // update operations
   uint64_t arrivals_merged = 0;
+  /// Arrivals that joined one earlier component and walked down its
+  /// refinement path instead of reopening it.
+  uint64_t arrivals_walked = 0;
+  /// Nodes holding earlier records that a mutation handed back to the
+  /// refine loop at their own level: a component a removal touched or
+  /// arrivals joined to another, children arrivals bridged, a P-refined
+  /// node, a node whose jump-to-P decision its new size flips, and a node
+  /// the mutation's SLO stopped the walk at. Nodes made only of arrivals
+  /// are new, not pended.
+  uint64_t nodes_pended = 0;
   uint64_t refinements_completed = 0;
   uint64_t refinements_interrupted = 0;
   uint64_t generation = 0;
@@ -139,11 +150,21 @@ struct EngineCounters {
 ///     clusters are connected components of shared bucket keys (arrival-order
 ///     invariant), each held as one persistent producer-0 tree of the forest
 ///     that refinement never modifies; refinement of a (member set, level)
-///     cluster is deterministic; a mutation reopens every component it
-///     touched by pointing its members back at their level-1 leaves, and a
-///     removal re-arrives the survivors of every level-1 component that held
-///     a removed record, discarding any merge evidence that may have flowed
-///     through the removed "bridge".
+///     cluster is deterministic. H_{i+1} splits a node into the connected
+///     components of "collides in some table of H_{i+1}", so arrivals only
+///     add edges at themselves: an ingest walks each component that gained
+///     only arrivals down its refinement path (every record keeps its leaf
+///     in each distinct tree on it). At each node the walk probes the old
+///     children's members for a table key colliding with the arrivals' next
+///     keys; a child no arrival hits keeps its whole subtree (refinement
+///     depends only on its members and level), a child hit alone takes the
+///     arrivals and the walk descends into it, and arrivals that hit no
+///     child form a new node. Bridged children, a P-refined
+///     node, a jump-to-P decision the new size flips, and components joined
+///     at level 1 are pended at their level for the refine loop. A removal
+///     re-arrives the survivors of every level-1 component that held a
+///     removed record and pends them at level 1, discarding any merge
+///     evidence that may have flowed through the removed "bridge".
 ///   * Snapshots: generation advances only when a refinement pass runs to
 ///     completion. An SLO-interrupted mutation keeps its records (they are
 ///     ingested, at whatever verification level they reached) but leaves the
@@ -154,12 +175,14 @@ struct EngineCounters {
 ///     an arrival only pays for hash levels not yet computed.
 ///   * Memory follows the live set: a removed or replaced record's hash
 ///     values are freed, and after a publish the forest is compacted to its
-///     live trees (the level-1 trees and the current cluster trees) once it
+///     live trees (the trees on live records' refinement paths) once it
 ///     holds more than kForestCompactionFactor times the nodes its last
-///     compaction kept.
+///     compaction kept. A pass that returns its whole input shares one tree
+///     across both levels, so a record owns one tree per distinct node on
+///     its path.
 ///   * Shards: the sharded engine's cross-shard merge is this class too
-///     (Merge): a fresh engine whose arrivals, reopen, refinement pass and
-///     snapshot builder are the ones every mutation uses, fed the shards'
+///     (Merge): a fresh engine whose arrivals, refinement pass and snapshot
+///     builder are the ones every mutation uses, fed the shards'
 ///     live records and their borrowed hashes. It does what a one-batch
 ///     ingest of the live set does, minus the hashes the shards (and earlier
 ///     merges) already computed.
@@ -297,12 +320,12 @@ class ResidentEngine {
   /// live records with a fresh engine built from `options`, which must pin
   /// the cost model the shards share. The fresh engine arrives the live
   /// records in ascending external-id order with the hash slots it borrows
-  /// from their shards, reopens every component and refines with no SLO: the
-  /// rounds, P sweeps, Definition 3 tally and snapshot of a one-batch ingest
-  /// of the live set. The merge reads each shard's live records and writes
-  /// only its hash caches, under its lock: every borrowed slot goes back,
-  /// extended by the hashes the merge computed, before the locks drop, so
-  /// later merges and shard passes reuse them.
+  /// from their shards, so every component starts at level 1, and refines
+  /// with no SLO: the rounds, P sweeps, Definition 3 tally and snapshot of a
+  /// one-batch ingest of the live set. The merge reads each shard's live
+  /// records and writes only its hash caches, under its lock: every
+  /// borrowed slot goes back, extended by the hashes the merge computed,
+  /// before the locks drop, so later merges and shard passes reuse them.
   static MergedShards Merge(
       const MatchRule& rule, Options options,
       std::span<const std::unique_ptr<ResidentEngine>> shards);
@@ -315,8 +338,9 @@ class ResidentEngine {
   Status ValidateIngestLocked(const std::vector<Record>& records);
 
   /// One serialized mutation: validation has already passed. Applies
-  /// removals (survivors re-arrive), appends `adds` (arrivals), reopens every
-  /// component either touched, then refines and publishes on completion.
+  /// removals (survivors re-arrive), appends `adds` (arrivals), arms the
+  /// request's SLO, reopens every level-1 component that cannot be walked,
+  /// walks the rest, then refines and publishes on completion.
   /// `op` names the public entry point ("ingest"/"remove"/"update"/"flush")
   /// for the per-op latency histograms; `lock_wait_seconds` is the time the
   /// caller spent acquiring mu_ and is both recorded and copied into the
@@ -335,38 +359,105 @@ class ResidentEngine {
   /// Appends per-record bookkeeping slots and grows the core caches.
   void GrowStateLocked();
 
-  /// Level-1 arrival of internal record r (a new record, or a survivor a
-  /// removal re-arrives): hashes it with H_1 (free when cached) and joins it
-  /// to the level-1 trees of the live records sharing one of its keys — an
-  /// AddLeaf into the first, a Merge with each further one — or starts a new
-  /// producer-0 tree. Only the level-1 trees change: the component's current
-  /// refinement stays in place until ReopenLocked. Returns whether r joined
-  /// an existing tree (the `arrivals_merged` counter).
-  bool ArriveLocked(RecordId r);
+  /// What one mutation's level-1 arrivals did to a level-1 tree.
+  struct TouchedTree {
+    /// The tree holds records from before the mutation; `old_member` is one.
+    bool old = false;
+    RecordId old_member = 0;
+    /// The tree must restart at level 1: arrivals joined two earlier
+    /// components in it, or it holds survivors a removal re-arrived.
+    bool reopen = false;
+  };
+  using TouchedTrees = std::unordered_map<NodeId, TouchedTree>;
 
-  /// Reopens the level-1 component of every record in `arrived`: each
-  /// member's leaf_of_ points back at its level-1 leaf, so the next
-  /// refinement pass starts the component over from its producer-0 tree.
-  /// The reference semantics re-refine a grown or shrunk component whole — an
-  /// arrival may bridge two refined pieces at a deeper hash level. O(members)
-  /// per component; allocates no forest node.
-  void ReopenLocked(const std::vector<RecordId>& arrived);
+  /// Level-1 arrival of internal record r (a new record, or a survivor a
+  /// removal re-arrives with `reopen` set): hashes it with H_1 (free when
+  /// cached) and joins it to the level-1 trees of the live records sharing
+  /// one of its keys — an AddLeaf into the first, a Merge with each further
+  /// one — or starts a new producer-0 tree; r's path is that one leaf. Only
+  /// the level-1 trees change: the component's refinement stays in place
+  /// until ReopenOrWalkLocked. Records what the arrival did in
+  /// `touched`, keyed by current root, when it is non-null. Returns whether
+  /// r joined an existing tree (the `arrivals_merged` counter).
+  bool ArriveLocked(RecordId r, bool reopen, TouchedTrees* touched);
+
+  /// Hands each level-1 tree in `touched` to the refine loop: a tree that
+  /// holds one earlier component no removal touched is walked with its
+  /// `arrivals` under `controller`; every other one is reopened, pended at
+  /// level 1 so the next pass starts it over from its producer-0 tree.
+  /// Emits the `engine_reopen` and `engine_walk` spans.
+  void ReopenOrWalkLocked(const TouchedTrees& touched,
+                          const std::vector<RecordId>& arrivals,
+                          RunController* controller);
 
   /// The dirty region of a removal is the level-1 trees holding a record of
   /// `removed_ints`. Kills the removed records, erases every bucket key a
   /// dirty record holds (a live record sharing one is itself dirty), and
   /// re-arrives the dirty survivors in ascending id order, which regroups
-  /// them exactly as a fresh engine's arrivals would. Appends the survivors
-  /// to `arrived` for ReopenLocked.
+  /// them exactly as a fresh engine's arrivals would, marking their trees
+  /// in `touched` to be reopened.
   void RemoveLocked(const std::vector<RecordId>& removed_ints,
-                    std::vector<RecordId>* arrived);
+                    TouchedTrees* touched);
+
+  /// One node of a walk. `root`'s tree holds the node's earlier members at
+  /// index `depth` of their paths and stands for levels `level` through its
+  /// producer; `old_member` is one of those members. `arrivals` joined the
+  /// node at `level`: at depth 0 they are leaves of the level-1 tree
+  /// already, deeper they are not yet leaves of `root`.
+  struct WalkStep {
+    NodeId root;
+    size_t depth;
+    int level;
+    RecordId old_member;
+    std::vector<RecordId> arrivals;
+  };
+
+  /// Walks each step's node down its refinement path (the class comment's
+  /// walk), checking `controller` before each level's hashes: once it
+  /// stops, every node not yet walked is pended where it stands. Annotates
+  /// `span` with the walk's outcome counts (docs/observability.md).
+  void WalkLocked(std::vector<WalkStep> steps, RunController* controller,
+                  TraceRecorder::Span* span);
+
+  /// A fresh tree at `level` over `records`, entered at index `depth` of
+  /// each record's path: inserted before the deeper entries with `insert`,
+  /// else the path is cut there first.
+  void NewNodeLocked(const std::vector<RecordId>& records, int level,
+                     size_t depth, bool insert);
+
+  /// Hands `step`'s node, arrivals included, to the refine loop at
+  /// step.level: below the tree's producer a fresh tree stands for the
+  /// node's levels so far; at it, the (joined) tree itself. Every member's
+  /// path ends there.
+  void PendLocked(const WalkStep& step);
+
+  /// How a node's earlier children and the arrivals joining it connect
+  /// under `plan`: slot i < arrivals.size() is arrival i, slot
+  /// arrivals.size() + c is children[c]. `cls` names each slot's class.
+  struct Probe {
+    std::vector<NodeId> children;
+    std::vector<RecordId> child_member;  // one member of each child
+    std::vector<uint32_t> cls;
+  };
+
+  /// Probes the members of `root`'s tree whose paths reach index
+  /// `child_index` — the children are the trees there — for a table key of
+  /// `plan` colliding with one of the arrivals' keys. Computes the
+  /// arrivals' hashes; the members' are cached. A child stops being probed
+  /// once its class holds every arrival.
+  Probe ProbeLocked(NodeId root, size_t child_index, const SchemePlan& plan,
+                    const std::vector<RecordId>& arrivals);
+
+  /// Whether the refine loop would refine a node of `size` records at
+  /// `level` with P rather than the next hash function.
+  bool JumpsLocked(int level, size_t size) const;
 
   /// The Algorithm 1 refinement loop with canonical Largest-First selection
   /// (size desc, smallest external id asc), delegated to the shared
-  /// core/refine_loop.h implementation under the mutation's SLO. Returns the
-  /// termination reason; on kCompleted fills `finals` with the certified
-  /// roots in canonical order.
-  TerminationReason RefineLocked(const EngineBatchOptions& opts,
+  /// core/refine_loop.h implementation under the mutation's armed
+  /// `controller` (may be null). Returns the termination reason; on
+  /// kCompleted fills `finals` with the certified roots in canonical order.
+  TerminationReason RefineLocked(RunController* controller,
                                  std::vector<NodeId>* finals,
                                  FilterStats* stats);
 
@@ -379,9 +470,9 @@ class ResidentEngine {
   /// Numbers and publishes SnapshotLocked's snapshot of certified roots.
   void PublishLocked(const std::vector<NodeId>& finals, FilterStats stats);
 
-  /// Compacts the forest to the live records' level-1 and current trees when
-  /// it holds more than kForestCompactionFactor times the nodes the last
-  /// compaction kept, remapping level1_leaf_ and leaf_of_.
+  /// Compacts the forest to the trees on the live records' paths when it
+  /// holds more than kForestCompactionFactor times the nodes the last
+  /// compaction kept, remapping every path.
   void CompactForestLocked();
 
   /// Merge's work once every shard lock is held.
@@ -416,16 +507,18 @@ class ResidentEngine {
 
   // Per-internal-record state (parallel vectors, grown on append).
   std::vector<char> live_;
-  /// The record's leaf in the tree of its current cluster, at whatever level
-  /// refinement has reached.
-  std::vector<NodeId> leaf_of_;
-  /// The record's leaf in its component's level-1 tree: the engine's only
-  /// record of level-1 membership. A level-1 tree's root keeps producer 0
-  /// and refinement never modifies the tree (it builds fresh ones, and
-  /// compaction carries every live record's level-1 tree over), so it lists
-  /// exactly the component's live members until a removal abandons it.
-  /// kInvalidNode for dead records.
-  std::vector<NodeId> level1_leaf_;
+  /// The record's refinement path: its leaf in each distinct tree from its
+  /// component's level-1 tree (front()) down to its current cluster's tree
+  /// (back()), recorded by the refine loop (RefineLoopDeps::paths) and the
+  /// walk. Entry j's tree holds the record's node at every level from one
+  /// past the producer of entry j-1's tree through its own producer (a P
+  /// tree only at P), and all members of a tree share its entry index. The
+  /// level-1 tree is the engine's only record of level-1 membership: its
+  /// root keeps producer 0 and refinement never modifies it (arrivals
+  /// extend it, compaction carries it over), so it lists exactly the
+  /// component's live members until a removal abandons it. Empty for dead
+  /// records.
+  std::vector<std::vector<NodeId>> path_;
   std::vector<int> last_fn_;
   std::vector<ExternalId> ext_of_;
 

@@ -427,6 +427,8 @@ EngineCounters ShardedEngine::counters() const {
     total.removed += c.removed;
     total.updated += c.updated;
     total.arrivals_merged += c.arrivals_merged;
+    total.arrivals_walked += c.arrivals_walked;
+    total.nodes_pended += c.nodes_pended;
     total.refinements_completed += c.refinements_completed;
     total.refinements_interrupted += c.refinements_interrupted;
     total.internal_records += c.internal_records;

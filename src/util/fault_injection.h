@@ -26,7 +26,7 @@ class RunController;
 /// kRecoveryReplay — so crash and error injection can land between any two
 /// bytes reaching the disk.
 enum class FaultSite {
-  kHashApply = 0,    // TransitiveHasher::Apply key phase, once per block
+  kHashApply = 0,    // hash key phase (per block) and engine walk (per level)
   kPairwiseTile,     // PairwiseComputer sweep, once per row stripe
   kMerge,            // TransitiveHasher's serial forest phase, once per block
   kWalAppend,        // MutationLog::Append, once per write() attempt

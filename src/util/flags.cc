@@ -97,6 +97,16 @@ int Flags::GetInt32(const std::string& name, int default_value) {
   return static_cast<int>(value);
 }
 
+int Flags::GetInt32AtLeast(const std::string& name, int default_value,
+                           int min) {
+  const int value = GetInt32(name, default_value);
+  if (value < min) {
+    Fail("--" + name + "=" + std::to_string(value) + " must be >= " +
+         std::to_string(min));
+  }
+  return value;
+}
+
 size_t Flags::GetSize(const std::string& name, size_t default_value) {
   const int64_t value = GetInt(name, static_cast<int64_t>(default_value));
   if (value < 0) {
@@ -140,6 +150,34 @@ std::vector<int64_t> Flags::GetIntList(
       Fail("--" + name + ": '" + part + "' " + error);
     }
     result.push_back(value);
+  }
+  return result;
+}
+
+std::vector<int> Flags::GetInt32List(const std::string& name,
+                                     const std::vector<int>& default_value) {
+  if (Find(name) == nullptr) return default_value;
+  std::vector<int> result;
+  for (int64_t value : GetIntList(name, {})) {
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      Fail("--" + name + ": '" + std::to_string(value) +
+           "' does not fit in an int");
+    }
+    result.push_back(static_cast<int>(value));
+  }
+  return result;
+}
+
+std::vector<size_t> Flags::GetSizeList(
+    const std::string& name, const std::vector<size_t>& default_value) {
+  if (Find(name) == nullptr) return default_value;
+  std::vector<size_t> result;
+  for (int64_t value : GetIntList(name, {})) {
+    if (value < 0) {
+      Fail("--" + name + ": '" + std::to_string(value) + "' must be >= 0");
+    }
+    result.push_back(static_cast<size_t>(value));
   }
   return result;
 }

@@ -28,6 +28,9 @@ class Flags {
   /// GetInt for a value the caller keeps in an `int`: one outside int's
   /// range exits too, rather than narrowing to some other number.
   int GetInt32(const std::string& name, int default_value);
+  /// GetInt32 for a value that must be at least `min` (say, a count the
+  /// program divides by): a smaller value exits too.
+  int GetInt32AtLeast(const std::string& name, int default_value, int min);
   /// GetInt for a count or size: a negative value exits too, rather than
   /// wrapping to a size near 2^64.
   size_t GetSize(const std::string& name, size_t default_value);
@@ -39,6 +42,13 @@ class Flags {
   /// Comma-separated integer list (e.g. `--ks=2,5,10,20`).
   std::vector<int64_t> GetIntList(const std::string& name,
                                   const std::vector<int64_t>& default_value);
+  /// GetIntList for values the caller keeps in `int`s: one outside int's
+  /// range exits, as in GetInt32.
+  std::vector<int> GetInt32List(const std::string& name,
+                                const std::vector<int>& default_value);
+  /// GetIntList for counts or sizes: a negative value exits, as in GetSize.
+  std::vector<size_t> GetSizeList(const std::string& name,
+                                  const std::vector<size_t>& default_value);
   /// Comma-separated double list (e.g. `--thresholds=0.3,0.4,0.5`).
   std::vector<double> GetDoubleList(const std::string& name,
                                     const std::vector<double>& default_value);

@@ -26,12 +26,23 @@ constexpr size_t kLiveRounds = 4;   // rounds a record stays live
 constexpr int kRounds = 80;
 constexpr int kTopK = 4;
 
-/// Each live record owns at most two live trees' worth of nodes: a root and
-/// a leaf in its level-1 tree and in its current cluster tree. A compaction
-/// keeps no more than that, and the next one runs once the forest exceeds
-/// the factor times what the last one kept.
-size_t ForestBound(size_t max_live) {
-  return ResidentEngine::kForestCompactionFactor * 4 * max_live;
+/// The length of the engine's function sequence for `generated`.
+size_t SequenceLength(const GeneratedDataset& generated) {
+  const ResidentEngine::Options options = test::EngineOptions(1, kTopK);
+  StatusOr<FunctionSequence> sequence = FunctionSequence::Build(
+      generated.rule, generated.dataset.record(0), options.config.sequence);
+  EXPECT_TRUE(sequence.ok());
+  return sequence->size();
+}
+
+/// Each live record owns a root and a leaf in at most one tree per distinct
+/// node on its refinement path: its level-1 tree, one tree per deeper hash
+/// level and a P tree, so at most the sequence length + 1 trees. A
+/// compaction keeps no more than that, and the next one runs once the
+/// forest exceeds the factor times what the last one kept.
+size_t ForestBound(size_t max_live, size_t sequence_length) {
+  return ResidentEngine::kForestCompactionFactor * 2 *
+         (sequence_length + 1) * max_live;
 }
 
 /// The most hash values one live record can hold: the prefix per unit the
@@ -103,6 +114,7 @@ void RemoveAll(Engine* engine, const test::LiveMap& live) {
 TEST(EngineSoakTest, ResidentEngineMemoryFollowsTheLiveSet) {
   const GeneratedDataset generated = Pool();
   const size_t per_record = MaxHashValuesPerRecord(generated);
+  const size_t sequence_length = SequenceLength(generated);
   ResidentEngine engine(generated.rule, test::EngineOptions(2, kTopK));
   size_t max_live = 0;
   const test::LiveMap live =
@@ -111,7 +123,8 @@ TEST(EngineSoakTest, ResidentEngineMemoryFollowsTheLiveSet) {
               const EngineCounters counters = engine.counters();
               ASSERT_EQ(counters.live_records, now.size());
               max_live = std::max(max_live, now.size());
-              EXPECT_LE(counters.forest_nodes, ForestBound(max_live))
+              EXPECT_LE(counters.forest_nodes,
+                        ForestBound(max_live, sequence_length))
                   << "round " << round;
               EXPECT_LE(counters.cached_hash_values,
                         now.size() * per_record)
@@ -127,6 +140,7 @@ TEST(EngineSoakTest, ResidentEngineMemoryFollowsTheLiveSet) {
 TEST(EngineSoakTest, ShardedEngineMemoryFollowsTheLiveSetAcrossFlushes) {
   const GeneratedDataset generated = Pool();
   const size_t per_record = MaxHashValuesPerRecord(generated);
+  const size_t sequence_length = SequenceLength(generated);
   ShardedEngine::Options options;
   options.engine = test::EngineOptions(2, kTopK);
   options.shards = 2;
@@ -143,7 +157,8 @@ TEST(EngineSoakTest, ShardedEngineMemoryFollowsTheLiveSetAcrossFlushes) {
         size_t live_records = 0;
         for (size_t s = 0; s < shards.size(); ++s) {
           max_live[s] = std::max(max_live[s], shards[s].live_records);
-          EXPECT_LE(shards[s].forest_nodes, ForestBound(max_live[s]))
+          EXPECT_LE(shards[s].forest_nodes,
+                    ForestBound(max_live[s], sequence_length))
               << "round " << round << " shard " << s;
           EXPECT_LE(shards[s].cached_hash_values,
                     shards[s].live_records * per_record)

@@ -172,6 +172,102 @@ TEST(EngineTelemetryTest, EngineStepSpansNestInTheirBatch) {
   EXPECT_EQ(count["engine_publish"], 3);  // every pass completed
 }
 
+TEST(EngineTelemetryTest, WalkCountersMetricsAndSpansAgree) {
+  // A scripted history: a first ingest of every entity but the last
+  // records of the two largest (fresh components: reopened, nothing
+  // pended), an ingest of those two records (each joins its entity's
+  // refined component and walks), then a removal (its survivors are pended
+  // at level 1). The counters, the metric counters and the `engine_walk`
+  // span agree on every step.
+  for (int threads : {1, 8}) {
+    GeneratedDataset generated = Workload(5);  // entities of 9, 7, 5, ...
+    MetricsRegistry registry;
+    TraceRecorder trace;
+    ResidentEngine::Options options = test::EngineOptions(threads, 4);
+    options.config.instrumentation.metrics = &registry;
+    options.config.instrumentation.trace = &trace;
+    ResidentEngine engine(generated.rule, options);
+    const std::vector<RecordId> held = {8, 15};
+    std::vector<Record> first;
+    for (RecordId r = 0; r < generated.dataset.num_records(); ++r) {
+      if (std::find(held.begin(), held.end(), r) == held.end()) {
+        first.push_back(generated.dataset.record(r));
+      }
+    }
+    ASSERT_TRUE(engine.Ingest(std::move(first)).ok());
+    EXPECT_EQ(engine.counters().arrivals_walked, 0u);
+    EXPECT_EQ(engine.counters().nodes_pended, 0u);
+
+    auto walked = engine.Ingest(
+        {generated.dataset.record(held[0]), generated.dataset.record(held[1])});
+    ASSERT_TRUE(walked.ok());
+    EXPECT_EQ(engine.counters().arrivals_walked, 2u);
+    const uint64_t pended = engine.counters().nodes_pended;
+
+    // Record 16 is the first of the 5-record entity, ingested with id 14.
+    ASSERT_TRUE(engine.Remove(std::vector<ExternalId>{14}).ok());
+    const EngineCounters counters = engine.counters();
+    EXPECT_EQ(counters.arrivals_walked, 2u);
+    EXPECT_EQ(counters.nodes_pended, pended + 1);
+
+    const MetricsSnapshot metrics = registry.Snapshot();
+    EXPECT_EQ(metrics.counters.at("engine_arrivals_walked"),
+              counters.arrivals_walked);
+    EXPECT_EQ(metrics.counters.at("engine_nodes_pended"),
+              counters.nodes_pended);
+
+    // One walk, inside the second ingest's batch, annotated with its
+    // arrivals.
+    const std::vector<TraceRecorder::SpanRecord> spans = trace.Spans();
+    std::vector<TraceRecorder::SpanRecord> batches, walks;
+    for (const TraceRecorder::SpanRecord& span : spans) {
+      if (span.name == "engine_batch") batches.push_back(span);
+      if (span.name == "engine_walk") walks.push_back(span);
+    }
+    ASSERT_EQ(batches.size(), 3u);
+    ASSERT_EQ(walks.size(), 1u) << "threads " << threads;
+    const TraceRecorder::SpanRecord& walk = walks.front();
+    const TraceRecorder::SpanRecord& batch = batches[1];
+    constexpr double kSlack = 1e-9;  // rounding of the relative stamps
+    EXPECT_EQ(walk.lane, batch.lane);
+    EXPECT_GE(walk.start_seconds, batch.start_seconds - kSlack);
+    EXPECT_LE(walk.start_seconds + walk.duration_seconds,
+              batch.start_seconds + batch.duration_seconds + kSlack);
+    double arrivals = -1;
+    for (const auto& [key, value] : walk.args) {
+      if (key == "arrivals") arrivals = value;
+    }
+    EXPECT_EQ(arrivals, 2.0);
+  }
+}
+
+TEST(EngineTelemetryTest, ShardedCountersSumTheWalkCounters) {
+  // ShardedEngine::counters() sums each shard's walk counters, and the
+  // engine report carries them summed and per shard.
+  GeneratedDataset generated = Workload(9);
+  ShardedEngine::Options options;
+  options.engine = test::EngineOptions(/*threads=*/2, 4);
+  options.shards = 2;
+  ShardedEngine engine(generated.rule, options);
+  test::RunRandomScript(&engine, generated.dataset, /*seed=*/9);
+  ASSERT_TRUE(engine.Flush().ok());
+  uint64_t walked = 0, pended = 0;
+  for (const EngineCounters& shard : engine.shard_counters()) {
+    walked += shard.arrivals_walked;
+    pended += shard.nodes_pended;
+  }
+  const EngineCounters total = engine.counters();
+  EXPECT_EQ(total.arrivals_walked, walked);
+  EXPECT_EQ(total.nodes_pended, pended);
+  EXPECT_GT(walked, 0u);
+  EXPECT_GT(pended, 0u);
+  const std::string report = WriteEngineReportJson(engine);
+  EXPECT_NE(report.find("\"arrivals_walked\":" + std::to_string(walked)),
+            std::string::npos);
+  EXPECT_NE(report.find("\"nodes_pended\":" + std::to_string(pended)),
+            std::string::npos);
+}
+
 TEST(EngineTelemetryTest, ResidentHistogramCountsAreExact) {
   for (int threads : {1, 2, 8}) {
     GeneratedDataset generated = Workload(5);
@@ -356,6 +452,8 @@ TEST(EngineTelemetryTest, EngineReportKeyOrderIsStable) {
       "\"removed\":",
       "\"updated\":",
       "\"arrivals_merged\":",
+      "\"arrivals_walked\":",
+      "\"nodes_pended\":",
       "\"refinements_completed\":",
       "\"refinements_interrupted\":",
       "\"generation\":",

@@ -74,6 +74,20 @@ TEST(FlagsTest, Int32InRange) {
   EXPECT_EQ(flags.GetInt32("absent", 7), 7);
 }
 
+TEST(FlagsTest, BoundedIntAndCheckedLists) {
+  ArgvBuilder args({"--batches=1", "--ks=-3,0,2147483647", "--scales=0,1,8"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EQ(flags.GetInt32AtLeast("batches", 6, 1), 1);
+  EXPECT_EQ(flags.GetInt32AtLeast("absent", 6, 1), 6);
+  EXPECT_EQ(flags.GetInt32List("ks", {}),
+            (std::vector<int>{-3, 0, 2147483647}));
+  EXPECT_EQ(flags.GetSizeList("scales", {}),
+            (std::vector<size_t>{0, 1, 8}));
+  EXPECT_EQ(flags.GetInt32List("bks", {5, 10}), (std::vector<int>{5, 10}));
+  EXPECT_EQ(flags.GetSizeList("sizes", {4}), (std::vector<size_t>{4}));
+  flags.CheckNoUnusedFlags();
+}
+
 // A command-line mistake is a usage error: `<program>: <message>` on stderr
 // and exit status 1, never an abort.
 
@@ -131,6 +145,37 @@ TEST(FlagsDeathTest, NegativeSizeExits) {
   EXPECT_EQ(flags.GetSize("batch", 32), 32u);
   EXPECT_EXIT(flags.GetSize("records", 10), testing::ExitedWithCode(1),
               "--records=-1 must be >= 0");
+}
+
+TEST(FlagsDeathTest, BelowLowerBoundExits) {
+  // A count the program divides by: 0 would be a division by zero.
+  ArgvBuilder args({"--batches=0", "--checkpoints=-4"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EXIT(flags.GetInt32AtLeast("batches", 6, 1),
+              testing::ExitedWithCode(1),
+              "test_binary: --batches=0 must be >= 1");
+  EXPECT_EXIT(flags.GetInt32AtLeast("checkpoints", 8, 1),
+              testing::ExitedWithCode(1), "--checkpoints=-4 must be >= 1");
+}
+
+TEST(FlagsDeathTest, Int32ListOutOfRangeExits) {
+  // 2^32 + 1 would narrow to k = 1 through a plain cast.
+  ArgvBuilder args({"--ks=2,4294967297", "--xs=-2147483649"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EXIT(flags.GetInt32List("ks", {}), testing::ExitedWithCode(1),
+              "test_binary: --ks: '4294967297' does not fit in an int");
+  EXPECT_EXIT(flags.GetInt32List("xs", {}), testing::ExitedWithCode(1),
+              "--xs: '-2147483649' does not fit in an int");
+}
+
+TEST(FlagsDeathTest, NegativeSizeListExits) {
+  // -1 would ask for 2^64 - 1 copies through a plain cast.
+  ArgvBuilder args({"--scales=1,-1", "--sizes=2,x"});
+  Flags flags(args.argc(), args.argv());
+  EXPECT_EXIT(flags.GetSizeList("scales", {}), testing::ExitedWithCode(1),
+              "test_binary: --scales: '-1' must be >= 0");
+  EXPECT_EXIT(flags.GetSizeList("sizes", {}), testing::ExitedWithCode(1),
+              "--sizes: 'x' is not an integer");
 }
 
 }  // namespace

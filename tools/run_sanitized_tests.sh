@@ -26,19 +26,20 @@
 # mutations; the cross-shard merge, ResidentEngine::Merge, takes every
 # shard's lock and reads its state while writers queue on those locks):
 #
-#   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence|shard_equivalence'
+#   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence|shard_equivalence|engine_walk'
 #
 # A change to forest compaction (ParentPointerForest::Compact and the resident
-# engine's remap of its record-to-leaf maps) or to the merge's borrow of its
+# engine's remap of its refinement paths), to the arrival walk (which grows,
+# splits and pends the trees on those paths), or to the merge's borrow of its
 # shards' hash slots (HashCache::SwapSlot, HashEngine::SwapRecordHashes) needs
 # the thread run over the engine suites — the merge writes shard caches under
 # the shard locks while writers queue on them — and the address and
 # undefined runs over the memory suites, where a stale NodeId or a slot that
 # was never returned shows as a use-after-free or an out-of-bounds read:
 #
-#   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence|shard_equivalence|engine_soak'
-#   tools/run_sanitized_tests.sh address -R 'parent_pointer_forest|hash_cache|shard_equivalence|engine_soak'
-#   tools/run_sanitized_tests.sh undefined -R 'parent_pointer_forest|hash_cache|shard_equivalence|engine_soak'
+#   tools/run_sanitized_tests.sh thread -R 'resident_engine|engine_equivalence|shard_equivalence|engine_soak|engine_walk'
+#   tools/run_sanitized_tests.sh address -R 'parent_pointer_forest|hash_cache|shard_equivalence|engine_soak|engine_walk'
+#   tools/run_sanitized_tests.sh undefined -R 'parent_pointer_forest|hash_cache|shard_equivalence|engine_soak|engine_walk'
 #
 # docs/sharding.md requires the TSan run for any change to the sharded
 # executor (engine/sharded_executor.cc) or the cross-shard merge
@@ -122,10 +123,10 @@ fi
 
 # Memory matrix (address/undefined only): rerun the suites that compact
 # forests and borrow hash slots — forest compaction, the slot swap, the
-# cross-shard merge and the churn soak — so a stale NodeId or an unreturned
-# slot shows even when the main pass is filtered with -R.
+# cross-shard merge, the churn soak and the arrival walk — so a stale NodeId
+# or an unreturned slot shows even when the main pass is filtered with -R.
 if [[ "${sanitizer}" != "thread" ]]; then
-  memory_suites='parent_pointer_forest|hash_cache|shard_equivalence|engine_soak'
+  memory_suites='parent_pointer_forest|hash_cache|shard_equivalence|engine_soak|engine_walk'
   echo "=== memory suites under ${sanitizer} (second pass) ==="
   ctest --test-dir "${build_dir}" --output-on-failure -R "${memory_suites}"
 fi
