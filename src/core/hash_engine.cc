@@ -71,6 +71,15 @@ void HashEngine::EnsureHashesParallel(std::span<const RecordId> records,
   }
 }
 
+void HashEngine::ReserveHashes(std::span<const RecordId> records,
+                               const SchemePlan& plan) {
+  ADALSH_CHECK_EQ(plan.hashes_per_unit.size(), caches_.size());
+  for (size_t u = 0; u < caches_.size(); ++u) {
+    if (plan.hashes_per_unit[u] == 0) continue;
+    for (RecordId r : records) caches_[u].Reserve(r, plan.hashes_per_unit[u]);
+  }
+}
+
 void HashEngine::SwapRecordHashes(RecordId r, HashEngine* other,
                                   RecordId other_r) {
   ADALSH_CHECK_EQ(other->caches_.size(), caches_.size());

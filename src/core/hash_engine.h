@@ -47,6 +47,14 @@ class HashEngine {
   void EnsureHashesParallel(std::span<const RecordId> records,
                             const SchemePlan& plan, ThreadPool* pool);
 
+  /// Grows every record's slots to hold the prefixes `plan` needs, computing
+  /// nothing (HashCache::Reserve): called from the thread that owns a
+  /// long-lived engine before EnsureHashesParallel, it keeps the slots in
+  /// that thread's allocator arena instead of scattering them over the
+  /// workers' arenas.
+  void ReserveHashes(std::span<const RecordId> records,
+                     const SchemePlan& plan);
+
   /// Serially materializes every unit's family parameters up to the prefix
   /// `plan` needs. After this, EnsureHashes calls covered by `plan` may run
   /// concurrently for distinct records (EnsureHashesParallel does both steps;

@@ -210,16 +210,10 @@ TerminationReason RunRefineLoop(const RefineLoopDeps& deps, int k,
       file(root);
       continue;
     }
-    const bool whole = !jump && new_roots.size() == 1;
     for (NodeId new_root : new_roots) {
       if (deps.paths != nullptr) {
         forest.ForEachLeafNode(new_root, [&](RecordId r, NodeId leaf) {
-          std::vector<NodeId>& path = (*deps.paths)[r];
-          if (whole && path.size() > 1) {
-            path.back() = leaf;
-          } else {
-            path.push_back(leaf);
-          }
+          (*deps.paths)[r].push_back(leaf);
         });
       }
       file(new_root);

@@ -62,13 +62,11 @@ struct RefineLoopDeps {
   /// total. Null means the record id itself (the batch filter).
   const std::vector<uint64_t>* order_key = nullptr;
 
-  /// Optional per-record refinement paths (resident engine bookkeeping): a
-  /// record's leaf in each distinct tree from its level-1 tree (front()) to
-  /// its current tree (back()). A completed round appends each output
-  /// tree's leaves to their records' paths, except that a hash round that
-  /// returned its whole input as one cluster replaces the input's entry
-  /// unless that entry is the path's first: one tree then stands for every
-  /// level at which the node kept its members. May be null.
+  /// Optional per-record refinement paths (resident engine bookkeeping):
+  /// entry j is a record's leaf in the tree function j produced for its
+  /// node, from its level-1 tree (front()) to its current tree (back()), a
+  /// P tree only last. A completed round appends each output tree's leaves
+  /// to their records' paths. May be null.
   std::vector<std::vector<NodeId>>* paths = nullptr;
 
   /// Incremental mode (Section 4.2): called with (rank, records) as soon as

@@ -389,6 +389,10 @@ StatusOr<EngineMutationResult> DurableEngine::Ingest(
   std::lock_guard<std::mutex> lock(mu_);
   Status writable = CheckWritableLocked();
   if (!writable.ok()) return writable;
+  // A budget the engines refuse must not reach the log (every mutation
+  // below checks it the same way).
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   if (records.empty()) {
     // Nothing to make durable; still a (no-op) engine mutation.
     return sharded_->Ingest({}, opts);
@@ -428,6 +432,8 @@ StatusOr<EngineMutationResult> DurableEngine::Remove(
   std::lock_guard<std::mutex> lock(mu_);
   Status writable = CheckWritableLocked();
   if (!writable.ok()) return writable;
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   // Pre-validate so doomed mutations never reach the log (replay would just
   // skip them, but a clean log makes frames_replayed meaningful).
   std::unordered_set<ExternalId> seen;
@@ -464,6 +470,8 @@ StatusOr<EngineMutationResult> DurableEngine::Update(
   std::lock_guard<std::mutex> lock(mu_);
   Status writable = CheckWritableLocked();
   if (!writable.ok()) return writable;
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   if (!sharded_->IsLive(id)) {
     return Status::NotFound("Update: no live record with id " +
                             std::to_string(id));
@@ -495,6 +503,8 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
   std::lock_guard<std::mutex> lock(mu_);
   Status writable = CheckWritableLocked();
   if (!writable.ok()) return writable;
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   WalFrame frame;
   frame.type = WalFrameType::kFlush;
   frame.seq = next_seq_++;

@@ -1,6 +1,7 @@
 #include "engine/resident_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -127,12 +128,17 @@ ResidentEngine::ResidentEngine(MatchRule rule, Options options)
   snapshot_ = std::make_shared<EngineSnapshot>();
 }
 
-EngineBatchOptions ResidentEngine::EffectiveOptions(
-    const EngineBatchOptions& opts) const {
+StatusOr<EngineBatchOptions> ResidentEngine::EffectiveOptions(
+    const char* op, const EngineBatchOptions& opts) const {
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   EngineBatchOptions eff = opts;
   if (eff.controller == nullptr && eff.budget.unlimited()) {
     eff.controller = options_.config.controller;
     eff.budget = options_.config.budget;
+  }
+  if (eff.controller != nullptr && eff.controller->cancel_requested()) {
+    return CancelledStatus(op);
   }
   return eff;
 }
@@ -142,17 +148,15 @@ StatusOr<EngineMutationResult> ResidentEngine::Ingest(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  EngineBatchOptions eff = EffectiveOptions(opts);
-  if (eff.controller != nullptr && eff.controller->cancel_requested()) {
-    return CancelledStatus("Ingest");
-  }
+  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Ingest", opts);
+  if (!eff.ok()) return eff.status();
   Status valid = ValidateIngestLocked(records);
   if (!valid.ok()) return valid;
   std::vector<ExternalId> ids;
   ids.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) ids.push_back(next_ext_id_++);
   return ApplyBatch("ingest", lock_wait, std::move(records), std::move(ids),
-                    {}, eff);
+                    {}, *eff);
 }
 
 StatusOr<EngineMutationResult> ResidentEngine::IngestWithIds(
@@ -161,10 +165,8 @@ StatusOr<EngineMutationResult> ResidentEngine::IngestWithIds(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  EngineBatchOptions eff = EffectiveOptions(opts);
-  if (eff.controller != nullptr && eff.controller->cancel_requested()) {
-    return CancelledStatus("IngestWithIds");
-  }
+  StatusOr<EngineBatchOptions> eff = EffectiveOptions("IngestWithIds", opts);
+  if (!eff.ok()) return eff.status();
   if (ids.size() != records.size()) {
     return Status::InvalidArgument(
         "IngestWithIds: " + std::to_string(ids.size()) + " ids for " +
@@ -187,7 +189,7 @@ StatusOr<EngineMutationResult> ResidentEngine::IngestWithIds(
   if (!valid.ok()) return valid;
   if (!ids.empty()) next_ext_id_ = std::max(next_ext_id_, ids.back() + 1);
   return ApplyBatch("ingest", lock_wait, std::move(records), std::move(ids),
-                    {}, eff);
+                    {}, *eff);
 }
 
 Status ResidentEngine::ValidateIngestLocked(
@@ -215,10 +217,8 @@ StatusOr<EngineMutationResult> ResidentEngine::Remove(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  EngineBatchOptions eff = EffectiveOptions(opts);
-  if (eff.controller != nullptr && eff.controller->cancel_requested()) {
-    return CancelledStatus("Remove");
-  }
+  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Remove", opts);
+  if (!eff.ok()) return eff.status();
   std::vector<RecordId> ints;
   ints.reserve(ids.size());
   std::unordered_set<ExternalId> seen;
@@ -234,7 +234,7 @@ StatusOr<EngineMutationResult> ResidentEngine::Remove(
     }
     ints.push_back(it->second);
   }
-  return ApplyBatch("remove", lock_wait, {}, {}, ints, eff);
+  return ApplyBatch("remove", lock_wait, {}, {}, ints, *eff);
 }
 
 StatusOr<EngineMutationResult> ResidentEngine::Update(
@@ -242,10 +242,8 @@ StatusOr<EngineMutationResult> ResidentEngine::Update(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  EngineBatchOptions eff = EffectiveOptions(opts);
-  if (eff.controller != nullptr && eff.controller->cancel_requested()) {
-    return CancelledStatus("Update");
-  }
+  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Update", opts);
+  if (!eff.ok()) return eff.status();
   auto it = int_of_.find(id);
   if (it == int_of_.end()) {
     return Status::NotFound("Update: no live record with id " +
@@ -257,7 +255,7 @@ StatusOr<EngineMutationResult> ResidentEngine::Update(
   adds.push_back(std::move(record));
   ++counters_.updated;
   return ApplyBatch("update", lock_wait, std::move(adds), {id}, {it->second},
-                    eff);
+                    *eff);
 }
 
 StatusOr<EngineMutationResult> ResidentEngine::Flush(
@@ -265,11 +263,9 @@ StatusOr<EngineMutationResult> ResidentEngine::Flush(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  EngineBatchOptions eff = EffectiveOptions(opts);
-  if (eff.controller != nullptr && eff.controller->cancel_requested()) {
-    return CancelledStatus("Flush");
-  }
-  return ApplyBatch("flush", lock_wait, {}, {}, {}, eff);
+  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Flush", opts);
+  if (!eff.ok()) return eff.status();
+  return ApplyBatch("flush", lock_wait, {}, {}, {}, *eff);
 }
 
 EngineMutationResult ResidentEngine::ApplyBatch(
@@ -305,13 +301,15 @@ EngineMutationResult ResidentEngine::ApplyBatch(
     }
     if (!initialized_) InitializeLocked();
     GrowStateLocked();
+    arrivals.resize(adds.size());
+    std::iota(arrivals.begin(), arrivals.end(), first_new);
+    HashLocked(arrivals, sequence_->plan(0));
     for (size_t i = 0; i < adds.size(); ++i) {
-      const RecordId r = first_new + static_cast<RecordId>(i);
+      const RecordId r = arrivals[i];
       live_[r] = 1;
       ext_of_[r] = add_ext_ids[i];
       int_of_[add_ext_ids[i]] = r;
       counters_.arrivals_merged += ArriveLocked(r, false, &touched) ? 1 : 0;
-      arrivals.push_back(r);
     }
     counters_.ingested += adds.size();
   }
@@ -423,10 +421,15 @@ void ResidentEngine::GrowStateLocked() {
   pairwise_->NotifyDatasetGrown();
 }
 
+void ResidentEngine::HashLocked(std::span<const RecordId> records,
+                                const SchemePlan& plan) {
+  engine_->ReserveHashes(records, plan);
+  engine_->EnsureHashesParallel(records, plan, pool_.get());
+}
+
 bool ResidentEngine::ArriveLocked(RecordId r, bool reopen,
                                   TouchedTrees* touched) {
   const SchemePlan& plan0 = sequence_->plan(0);
-  engine_->EnsureHashes(r, plan0);
   last_fn_[r] = 0;  // arrival evidence is level-1 only
   std::vector<uint64_t> keys(plan0.tables.size());
   engine_->TableKeys(r, plan0, keys.data());
@@ -497,7 +500,7 @@ void ResidentEngine::ReopenOrWalkLocked(const TouchedTrees& touched,
     const TouchedTree& tree = touched.at(root);
     if (tree.old && !tree.reopen) {
       walk_of.emplace(root, walks.size());
-      walks.push_back({root, 0, 0, tree.old_member, {}});
+      walks.push_back({root, 0, tree.old_member, {}});
       continue;
     }
     reopened.push_back(root);
@@ -571,22 +574,18 @@ void ResidentEngine::RemoveLocked(const std::vector<RecordId>& removed_ints,
   }
 }
 
-bool ResidentEngine::JumpsLocked(int level, size_t size) const {
-  return cost_model_->ShouldJumpToPairwise(sequence_->budget(level),
-                                           sequence_->budget(level + 1), size);
-}
-
-ResidentEngine::Probe ResidentEngine::ProbeLocked(
-    NodeId root, size_t child_index, const SchemePlan& plan,
-    const std::vector<RecordId>& arrivals) {
+ResidentEngine::Probe ResidentEngine::ProbeLocked(const WalkStep& step) {
+  const std::vector<RecordId>& arrivals = step.arrivals;
+  const size_t child_index = step.depth + 1;
+  const SchemePlan& plan = sequence_->plan(static_cast<int>(child_index));
   const size_t tables = plan.tables.size();
   std::vector<uint64_t> keys(tables);
   // Per table, the arrivals' keys sorted with their slots; arrivals sharing
   // a key collide with each other.
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> index(tables);
   SlotClasses classes(arrivals.size());
+  HashLocked(arrivals, plan);
   for (uint32_t i = 0; i < arrivals.size(); ++i) {
-    engine_->EnsureHashes(arrivals[i], plan);
     engine_->TableKeys(arrivals[i], plan, keys.data());
     for (size_t t = 0; t < tables; ++t) index[t].push_back({keys[t], i});
   }
@@ -600,7 +599,7 @@ ResidentEngine::Probe ResidentEngine::ProbeLocked(
   }
   Probe probe;
   std::unordered_map<NodeId, uint32_t> slot_of;
-  forest_.ForEachLeaf(root, [&](RecordId m) {
+  forest_.ForEachLeaf(step.root, [&](RecordId m) {
     const std::vector<NodeId>& path = path_[m];
     if (path.size() <= child_index) return;  // an arrival
     const NodeId child = forest_.FindRoot(path[child_index]);
@@ -627,7 +626,7 @@ ResidentEngine::Probe ResidentEngine::ProbeLocked(
 }
 
 void ResidentEngine::NewNodeLocked(const std::vector<RecordId>& records,
-                                   int level, size_t depth, bool insert) {
+                                   int level) {
   NodeId root = kInvalidNode;
   for (RecordId r : records) {
     NodeId leaf;
@@ -637,23 +636,9 @@ void ResidentEngine::NewNodeLocked(const std::vector<RecordId>& records,
       leaf = forest_.AddLeaf(root, r);
     }
     std::vector<NodeId>& path = path_[r];
-    if (!insert) path.resize(depth);
-    path.insert(path.begin() + static_cast<std::ptrdiff_t>(depth), leaf);
+    path.resize(static_cast<size_t>(level));
+    path.push_back(leaf);
   }
-}
-
-void ResidentEngine::PendLocked(const WalkStep& step) {
-  ++counters_.nodes_pended;
-  if (step.level == forest_.Producer(step.root)) {
-    forest_.ForEachLeaf(step.root,
-                        [&](RecordId m) { path_[m].resize(step.depth + 1); });
-    return;
-  }
-  // The tree stands for deeper levels too: a fresh one stands for the node
-  // at `level`, arrivals included.
-  std::vector<RecordId> members = forest_.Leaves(step.root);
-  members.insert(members.end(), step.arrivals.begin(), step.arrivals.end());
-  NewNodeLocked(members, step.level, step.depth, /*insert=*/false);
 }
 
 void ResidentEngine::WalkLocked(std::vector<WalkStep> steps,
@@ -679,63 +664,13 @@ void ResidentEngine::WalkLocked(std::vector<WalkStep> steps,
     return stopped;
   };
   while (!steps.empty()) {
-    WalkStep step = std::move(steps.back());
+    const WalkStep step = std::move(steps.back());
     steps.pop_back();
+    // Path entry j is function j's tree, so a step's depth is its level.
+    const int level = static_cast<int>(step.depth);
+    ADALSH_DCHECK_EQ(forest_.Producer(step.root), level);
 
-    // Levels the tree shares with deeper ones: the node's pass there
-    // returned it whole, so its one child is the tree itself.
-    bool pended = false;
-    while (step.level < forest_.Producer(step.root)) {
-      const size_t arrivals = step.arrivals.size();
-      if (JumpsLocked(step.level, forest_.LeafCount(step.root) + arrivals)) {
-        ++flipped;
-      } else if (stop()) {
-        ++stopped_at;
-      } else {
-        const Probe probe = ProbeLocked(step.root, step.depth,
-                                        sequence_->plan(step.level + 1),
-                                        step.arrivals);
-        const uint32_t own = probe.cls[arrivals];
-        std::vector<RecordId> stay;
-        std::vector<std::vector<RecordId>> missed(arrivals);
-        for (size_t i = 0; i < arrivals; ++i) {
-          if (probe.cls[i] == own) {
-            stay.push_back(step.arrivals[i]);
-          } else {
-            missed[probe.cls[i]].push_back(step.arrivals[i]);
-          }
-        }
-        if (stay.size() < arrivals) {
-          // The pass at level + 1 now splits the node: a fresh tree stands
-          // for it through `level`, the arrivals that missed the tree form
-          // new nodes beside it, and the tree moves one path index down.
-          std::vector<RecordId> members = forest_.Leaves(step.root);
-          members.insert(members.end(), step.arrivals.begin(),
-                         step.arrivals.end());
-          NewNodeLocked(members, step.level, step.depth, /*insert=*/true);
-          for (const std::vector<RecordId>& group : missed) {
-            if (group.empty()) continue;
-            NewNodeLocked(group, step.level + 1, step.depth + 1,
-                          /*insert=*/false);
-            ++fresh;
-          }
-          ++step.depth;
-        }
-        ++step.level;
-        ++(stay.empty() ? kept : grown);
-        step.arrivals = std::move(stay);
-        if (step.arrivals.empty()) break;
-        continue;
-      }
-      PendLocked(step);
-      pended = true;
-      break;
-    }
-    if (pended || step.arrivals.empty()) continue;
-
-    // The node's own level: the arrivals join its tree.
-    const int level = step.level;
-    const size_t arrivals = step.arrivals.size();
+    // The arrivals join the node's tree.
     if (step.depth > 0) {
       for (RecordId a : step.arrivals) {
         path_[a].push_back(forest_.AddLeaf(step.root, a));
@@ -746,15 +681,21 @@ void ResidentEngine::WalkLocked(std::vector<WalkStep> steps,
     const bool jumped =
         forest_.Producer(forest_.FindRoot(old_path[step.depth + 1])) ==
         kProducerPairwise;
-    const bool jumps = JumpsLocked(level, forest_.LeafCount(step.root));
+    // Whether the refine loop would now refine the node with P.
+    const bool jumps = cost_model_->ShouldJumpToPairwise(
+        sequence_->budget(level), sequence_->budget(level + 1),
+        forest_.LeafCount(step.root));
     if (jumped || jumps || stop()) {
       ++(jumped != jumps ? flipped : jumped ? pairwise : stopped_at);
-      PendLocked(step);
+      // Pended: every member's path ends at the node's tree.
+      ++counters_.nodes_pended;
+      forest_.ForEachLeaf(step.root,
+                          [&](RecordId m) { path_[m].resize(step.depth + 1); });
       continue;
     }
-    const Probe probe = ProbeLocked(step.root, step.depth + 1,
-                                    sequence_->plan(level + 1), step.arrivals);
+    const Probe probe = ProbeLocked(step);
     // Each class is one child of the grown node.
+    const size_t arrivals = step.arrivals.size();
     std::vector<std::vector<size_t>> class_children(probe.cls.size());
     std::vector<std::vector<RecordId>> class_arrivals(probe.cls.size());
     for (size_t c = 0; c < probe.children.size(); ++c) {
@@ -774,14 +715,14 @@ void ResidentEngine::WalkLocked(std::vector<WalkStep> steps,
           continue;
         }
         const size_t c = children.front();
-        steps.push_back({probe.children[c], step.depth + 1, level + 1,
+        steps.push_back({probe.children[c], step.depth + 1,
                          probe.child_member[c], std::move(joined)});
         ++grown;
         continue;
       }
       if (children.empty()) {
         if (joined.empty()) continue;
-        NewNodeLocked(joined, level + 1, step.depth + 1, /*insert=*/false);
+        NewNodeLocked(joined, level + 1);
         ++fresh;
         continue;
       }
@@ -793,7 +734,7 @@ void ResidentEngine::WalkLocked(std::vector<WalkStep> steps,
                             [&](RecordId m) { members.push_back(m); });
       }
       members.insert(members.end(), joined.begin(), joined.end());
-      NewNodeLocked(members, level + 1, step.depth + 1, /*insert=*/false);
+      NewNodeLocked(members, level + 1);
       ++counters_.nodes_pended;
       ++bridged;
     }

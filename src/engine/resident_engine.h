@@ -70,7 +70,9 @@ struct EngineSnapshot {
 
 /// Per-mutation execution limits: the request's SLO. The controller (when
 /// set) overrides the budget and allows cross-thread Cancel(), mirroring
-/// AdaptiveLshConfig::controller.
+/// AdaptiveLshConfig::controller. Every engine mutation refuses a budget
+/// that RunBudget::Validate refuses with InvalidArgument, before any state
+/// changes.
 struct EngineBatchOptions {
   RunBudget budget;
   RunController* controller = nullptr;
@@ -154,17 +156,17 @@ struct EngineCounters {
 ///     components of "collides in some table of H_{i+1}", so arrivals only
 ///     add edges at themselves: an ingest walks each component that gained
 ///     only arrivals down its refinement path (every record keeps its leaf
-///     in each distinct tree on it). At each node the walk probes the old
-///     children's members for a table key colliding with the arrivals' next
-///     keys; a child no arrival hits keeps its whole subtree (refinement
-///     depends only on its members and level), a child hit alone takes the
-///     arrivals and the walk descends into it, and arrivals that hit no
-///     child form a new node. Bridged children, a P-refined
-///     node, a jump-to-P decision the new size flips, and components joined
-///     at level 1 are pended at their level for the refine loop. A removal
-///     re-arrives the survivors of every level-1 component that held a
-///     removed record and pends them at level 1, discarding any merge
-///     evidence that may have flowed through the removed "bridge".
+///     in the tree each level built for its node). At each node the walk
+///     probes the old children's members for a table key colliding with the
+///     arrivals' next keys; a child no arrival hits keeps its whole subtree
+///     (refinement depends only on its members and level), a child hit
+///     alone takes the arrivals and the walk descends into it, and arrivals
+///     that hit no child form a new node. Bridged children, a P-refined
+///     node, a jump-to-P decision the new size flips, and components
+///     joined at level 1 are pended at their level for the refine loop. A
+///     removal re-arrives the survivors of every level-1 component that
+///     held a removed record and pends them at level 1, discarding any
+///     merge evidence that may have flowed through the removed "bridge".
 ///   * Snapshots: generation advances only when a refinement pass runs to
 ///     completion. An SLO-interrupted mutation keeps its records (they are
 ///     ingested, at whatever verification level they reached) but leaves the
@@ -177,9 +179,9 @@ struct EngineCounters {
 ///     values are freed, and after a publish the forest is compacted to its
 ///     live trees (the trees on live records' refinement paths) once it
 ///     holds more than kForestCompactionFactor times the nodes its last
-///     compaction kept. A pass that returns its whole input shares one tree
-///     across both levels, so a record owns one tree per distinct node on
-///     its path.
+///     compaction kept. Every pass adds a tree per node it refines, even
+///     one it returns whole, so a record owns one tree per level it
+///     reached.
 ///   * Shards: the sharded engine's cross-shard merge is this class too
 ///     (Merge): a fresh engine whose arrivals, refinement pass and snapshot
 ///     builder are the ones every mutation uses, fed the shards'
@@ -197,7 +199,7 @@ class ResidentEngine {
   /// many times the nodes its last compaction kept, so it stays within this
   /// factor of its live trees and each compaction's copy is paid for by the
   /// (factor - 1) times as many nodes the passes since built.
-  static constexpr size_t kForestCompactionFactor = 4;
+  static constexpr size_t kForestCompactionFactor = 2;
 
   struct Options {
     /// Sequence/threads/seed/instrumentation; `budget` and `controller` act
@@ -359,6 +361,12 @@ class ResidentEngine {
   /// Appends per-record bookkeeping slots and grows the core caches.
   void GrowStateLocked();
 
+  /// Ensures `records` cover `plan` in one hash pass over the pool, their
+  /// slots reserved on this thread first so that the long-lived hash
+  /// storage stays in its allocator arena rather than scattering over the
+  /// workers' arenas (which raises peak RSS).
+  void HashLocked(std::span<const RecordId> records, const SchemePlan& plan);
+
   /// What one mutation's level-1 arrivals did to a level-1 tree.
   struct TouchedTree {
     /// The tree holds records from before the mutation; `old_member` is one.
@@ -371,14 +379,15 @@ class ResidentEngine {
   using TouchedTrees = std::unordered_map<NodeId, TouchedTree>;
 
   /// Level-1 arrival of internal record r (a new record, or a survivor a
-  /// removal re-arrives with `reopen` set): hashes it with H_1 (free when
-  /// cached) and joins it to the level-1 trees of the live records sharing
-  /// one of its keys — an AddLeaf into the first, a Merge with each further
-  /// one — or starts a new producer-0 tree; r's path is that one leaf. Only
-  /// the level-1 trees change: the component's refinement stays in place
-  /// until ReopenOrWalkLocked. Records what the arrival did in
-  /// `touched`, keyed by current root, when it is non-null. Returns whether
-  /// r joined an existing tree (the `arrivals_merged` counter).
+  /// removal re-arrives with `reopen` set), whose H_1 hashes are cached (a
+  /// batch's new records are hashed in one pass first): joins it to the
+  /// level-1 trees of the live records sharing one of its keys — an AddLeaf
+  /// into the first, a Merge with each further one — or starts a new
+  /// producer-0 tree; r's path is that one leaf. Only the level-1 trees
+  /// change: the component's refinement stays in place until
+  /// ReopenOrWalkLocked. Records what the arrival did in `touched`, keyed by
+  /// current root, when it is non-null. Returns whether r joined an
+  /// existing tree (the `arrivals_merged` counter).
   bool ArriveLocked(RecordId r, bool reopen, TouchedTrees* touched);
 
   /// Hands each level-1 tree in `touched` to the refine loop: a tree that
@@ -399,40 +408,32 @@ class ResidentEngine {
   void RemoveLocked(const std::vector<RecordId>& removed_ints,
                     TouchedTrees* touched);
 
-  /// One node of a walk. `root`'s tree holds the node's earlier members at
-  /// index `depth` of their paths and stands for levels `level` through its
-  /// producer; `old_member` is one of those members. `arrivals` joined the
-  /// node at `level`: at depth 0 they are leaves of the level-1 tree
-  /// already, deeper they are not yet leaves of `root`.
+  /// One node of a walk at level `depth`: `root`'s tree is the one
+  /// function `depth` produced for it and holds the node's earlier members
+  /// at index `depth` of their paths; `old_member` is one of them.
+  /// `arrivals` joined the node: at depth 0 they are leaves of the level-1
+  /// tree already, deeper they are not yet leaves of `root`.
   struct WalkStep {
     NodeId root;
     size_t depth;
-    int level;
     RecordId old_member;
     std::vector<RecordId> arrivals;
   };
 
   /// Walks each step's node down its refinement path (the class comment's
   /// walk), checking `controller` before each level's hashes: once it
-  /// stops, every node not yet walked is pended where it stands. Annotates
-  /// `span` with the walk's outcome counts (docs/observability.md).
+  /// stops, every node not yet walked is pended where it stands, its
+  /// members' paths cut back to its tree. Annotates `span` with the walk's
+  /// outcome counts (docs/observability.md).
   void WalkLocked(std::vector<WalkStep> steps, RunController* controller,
                   TraceRecorder::Span* span);
 
-  /// A fresh tree at `level` over `records`, entered at index `depth` of
-  /// each record's path: inserted before the deeper entries with `insert`,
-  /// else the path is cut there first.
-  void NewNodeLocked(const std::vector<RecordId>& records, int level,
-                     size_t depth, bool insert);
-
-  /// Hands `step`'s node, arrivals included, to the refine loop at
-  /// step.level: below the tree's producer a fresh tree stands for the
-  /// node's levels so far; at it, the (joined) tree itself. Every member's
-  /// path ends there.
-  void PendLocked(const WalkStep& step);
+  /// A fresh tree at `level` over `records`, entered at index `level` of
+  /// each record's path, which is cut there first.
+  void NewNodeLocked(const std::vector<RecordId>& records, int level);
 
   /// How a node's earlier children and the arrivals joining it connect
-  /// under `plan`: slot i < arrivals.size() is arrival i, slot
+  /// under the next function: slot i < arrivals.size() is arrival i, slot
   /// arrivals.size() + c is children[c]. `cls` names each slot's class.
   struct Probe {
     std::vector<NodeId> children;
@@ -440,17 +441,12 @@ class ResidentEngine {
     std::vector<uint32_t> cls;
   };
 
-  /// Probes the members of `root`'s tree whose paths reach index
-  /// `child_index` — the children are the trees there — for a table key of
-  /// `plan` colliding with one of the arrivals' keys. Computes the
-  /// arrivals' hashes; the members' are cached. A child stops being probed
-  /// once its class holds every arrival.
-  Probe ProbeLocked(NodeId root, size_t child_index, const SchemePlan& plan,
-                    const std::vector<RecordId>& arrivals);
-
-  /// Whether the refine loop would refine a node of `size` records at
-  /// `level` with P rather than the next hash function.
-  bool JumpsLocked(int level, size_t size) const;
+  /// Probes the members of `step`'s tree whose paths go one level deeper —
+  /// the node's children are their trees there — for a table key of the
+  /// next function colliding with one of the arrivals' keys. Computes the
+  /// arrivals' hashes in one pass over the pool; the members' are cached. A
+  /// child stops being probed once its class holds every arrival.
+  Probe ProbeLocked(const WalkStep& step);
 
   /// The Algorithm 1 refinement loop with canonical Largest-First selection
   /// (size desc, smallest external id asc), delegated to the shared
@@ -480,9 +476,12 @@ class ResidentEngine {
       const MatchRule& rule, Options options,
       std::span<const std::unique_ptr<ResidentEngine>> shards);
 
-  /// Effective SLO of one mutation: explicit options win, else the ambient
-  /// config budget/controller.
-  EngineBatchOptions EffectiveOptions(const EngineBatchOptions& opts) const;
+  /// Effective SLO of mutation `op`: explicit options win, else the ambient
+  /// config budget/controller. InvalidArgument when the explicit budget
+  /// fails RunBudget::Validate, FailedPrecondition (naming `op`) when the
+  /// effective controller holds a sticky Cancel().
+  StatusOr<EngineBatchOptions> EffectiveOptions(
+      const char* op, const EngineBatchOptions& opts) const;
 
   MatchRule rule_;
   Options options_;
@@ -507,17 +506,15 @@ class ResidentEngine {
 
   // Per-internal-record state (parallel vectors, grown on append).
   std::vector<char> live_;
-  /// The record's refinement path: its leaf in each distinct tree from its
-  /// component's level-1 tree (front()) down to its current cluster's tree
-  /// (back()), recorded by the refine loop (RefineLoopDeps::paths) and the
-  /// walk. Entry j's tree holds the record's node at every level from one
-  /// past the producer of entry j-1's tree through its own producer (a P
-  /// tree only at P), and all members of a tree share its entry index. The
-  /// level-1 tree is the engine's only record of level-1 membership: its
-  /// root keeps producer 0 and refinement never modifies it (arrivals
-  /// extend it, compaction carries it over), so it lists exactly the
-  /// component's live members until a removal abandons it. Empty for dead
-  /// records.
+  /// The record's refinement path: entry j is its leaf in the tree function
+  /// j produced for its node, from its component's level-1 tree (front(),
+  /// producer 0) down to its current cluster's tree (back(); a P tree only
+  /// there), recorded by the refine loop (RefineLoopDeps::paths) and the
+  /// walk, so all members of a tree share its entry index. The level-1 tree
+  /// is the engine's only record of level-1 membership: its root keeps
+  /// producer 0 and refinement never modifies it (arrivals extend it,
+  /// compaction carries it over), so it lists exactly the component's live
+  /// members until a removal abandons it. Empty for dead records.
   std::vector<std::vector<NodeId>> path_;
   std::vector<int> last_fn_;
   std::vector<ExternalId> ext_of_;

@@ -161,6 +161,8 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
     std::vector<Record> records,
     std::optional<std::vector<ExternalId>> given_ids,
     const EngineBatchOptions& opts) {
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   if (records.empty()) {
     EngineMutationResult result;
     result.generation = Publish();
@@ -268,6 +270,8 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
 
 StatusOr<EngineMutationResult> ShardedEngine::Remove(
     std::span<const ExternalId> ids, const EngineBatchOptions& opts) {
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   const Instrumentation& instr = options_.engine.config.instrumentation;
   const ShardSpan shards = Shards();
   if (shards.empty() && !ids.empty()) {
@@ -313,6 +317,8 @@ StatusOr<EngineMutationResult> ShardedEngine::Remove(
 
 StatusOr<EngineMutationResult> ShardedEngine::Update(
     ExternalId id, Record record, const EngineBatchOptions& opts) {
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   const Instrumentation& instr = options_.engine.config.instrumentation;
   const ShardSpan shards = Shards();
   if (shards.empty()) {
@@ -335,6 +341,8 @@ StatusOr<EngineMutationResult> ShardedEngine::Update(
 
 StatusOr<EngineMutationResult> ShardedEngine::Flush(
     const EngineBatchOptions& opts) {
+  Status budget = opts.budget.Validate();
+  if (!budget.ok()) return budget;
   const Instrumentation& instr = options_.engine.config.instrumentation;
   Timer flush_timer;
   std::lock_guard<std::mutex> flush_lock(flush_mu_);

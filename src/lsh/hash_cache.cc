@@ -68,6 +68,15 @@ void HashCache::Ensure(const Record& record, RecordId r, size_t count) {
   computed_[r] = count;
 }
 
+void HashCache::Reserve(RecordId r, size_t count) {
+  ADALSH_CHECK_LT(r, computed_.size());
+  if (binary_) {
+    bits_[r].reserve((family_->PackEnd(count) + 63) / 64);
+  } else {
+    values_[r].reserve(count);
+  }
+}
+
 void HashCache::Clear(RecordId r) {
   ADALSH_CHECK_LT(r, computed_.size());
   if (binary_) {

@@ -56,6 +56,13 @@ class HashCache {
   /// the dataset record with id r.
   void Ensure(const Record& record, RecordId r, size_t count);
 
+  /// Grows record r's storage to hold values [0, count) without computing
+  /// any, so a later Ensure up to `count` does not reallocate. Memory comes
+  /// from the allocator arena of the calling thread: a caller about to
+  /// Ensure long-lived slots on pool workers reserves them first from its
+  /// own thread. Same concurrency contract as Ensure.
+  void Reserve(RecordId r, size_t count);
+
   /// Materializes the family's parameters for function indices [0, count).
   /// Must be called (from one thread) before Ensure runs concurrently for
   /// prefixes up to `count` — see HashFamily::Prepare.

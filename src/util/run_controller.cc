@@ -20,8 +20,9 @@ const char* TerminationReasonName(TerminationReason reason) {
 }
 
 Status RunBudget::Validate() const {
-  if (!std::isfinite(deadline_ms)) {
-    return Status::InvalidArgument("deadline_ms must be finite");
+  if (!std::isfinite(deadline_ms) || deadline_ms > kMaxDeadlineMs) {
+    return Status::InvalidArgument(
+        "deadline_ms must be finite and at most 1e12 (about 31 years)");
   }
   return Status::Ok();
 }

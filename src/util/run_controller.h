@@ -25,11 +25,18 @@ enum class TerminationReason {
 /// the run_controller metrics.
 const char* TerminationReasonName(TerminationReason reason);
 
+/// The longest deadline RunBudget accepts, in milliseconds (about 31.7
+/// years). RunController::Arm adds the deadline to a steady_clock time
+/// point, a 64-bit nanosecond count (about 292 years); a much longer one
+/// would overflow it and read as already expired.
+inline constexpr double kMaxDeadlineMs = 1e12;
+
 /// Resource limits of one filtering run. Default-constructed = unlimited
 /// (the pre-existing run-to-completion behavior, bit-for-bit).
 struct RunBudget {
   /// Wall-clock deadline in milliseconds, measured from RunController::Arm()
-  /// (each filtering method arms at Run()/TopK() entry). <= 0 disables.
+  /// (each filtering method arms at Run()/TopK() entry). <= 0 disables; at
+  /// most kMaxDeadlineMs.
   double deadline_ms = 0.0;
 
   /// Maximum rule evaluations by the exact pairwise function P. 0 disables.
@@ -42,8 +49,8 @@ struct RunBudget {
     return deadline_ms <= 0.0 && max_pairwise == 0 && max_hashes == 0;
   }
 
-  /// InvalidArgument on a non-finite deadline. A negative deadline is valid
-  /// and, like 0, disables the deadline.
+  /// InvalidArgument on a non-finite deadline or one over kMaxDeadlineMs. A
+  /// negative deadline is valid and, like 0, disables the deadline.
   Status Validate() const;
 };
 

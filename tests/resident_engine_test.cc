@@ -122,6 +122,56 @@ TEST(ResidentEngineTest, ValidatesMutationsBeforeApplyingThem) {
             generated.dataset.num_records());
 }
 
+TEST(ResidentEngineTest, RefusesADeadlineTheClockCannotHold) {
+  // At 1e300 ms a per-call deadline overflowed the clock and every pass
+  // stopped at once with reason=deadline. Each engine refuses it before
+  // any state changes, the S>=2 flush (whose merge takes no SLO) included.
+  GeneratedDataset generated = test::MakePlantedDataset({4, 3}, 2);
+  const size_t n = generated.dataset.num_records();
+  EngineBatchOptions slo;
+  slo.budget.deadline_ms = 1e300;
+  ResidentEngine engine(generated.rule, test::EngineOptions(1, 2));
+  EXPECT_EQ(engine.Ingest(AllRecords(generated.dataset), slo).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.counters().batches, 0u);
+  ASSERT_TRUE(engine.Ingest(AllRecords(generated.dataset)).ok());
+  EXPECT_EQ(engine.IngestWithIds(CopyRecords(generated.dataset, 0, 1),
+                                 std::vector<ExternalId>{100}, slo)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Remove(std::vector<ExternalId>{0}, slo).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Update(0, generated.dataset.record(0), slo).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Flush(slo).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.counters().batches, 1u);
+  EXPECT_EQ(engine.counters().live_records, n);
+  EXPECT_EQ(engine.Snapshot()->generation, 1u);
+
+  for (int shards : {1, 2}) {
+    ShardedEngine::Options options;
+    options.engine = test::EngineOptions(1, 2);
+    options.shards = shards;
+    ShardedEngine sharded(generated.rule, options);
+    EXPECT_EQ(
+        sharded.Ingest(AllRecords(generated.dataset), slo).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_TRUE(sharded.LiveRecords().empty());
+    ASSERT_TRUE(sharded.Ingest(AllRecords(generated.dataset)).ok());
+    const uint64_t generation = sharded.Snapshot()->generation;
+    EXPECT_EQ(sharded.Remove(std::vector<ExternalId>{0}, slo).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        sharded.Update(0, generated.dataset.record(0), slo).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(sharded.Flush(slo).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(sharded.LiveRecords().size(), n);
+    EXPECT_EQ(sharded.Snapshot()->generation, generation);
+  }
+}
+
 TEST(ResidentEngineTest, AmbientStickyCancelRejectsMutations) {
   GeneratedDataset generated = test::MakePlantedDataset({3, 2}, 3);
   RunController controller;

@@ -54,6 +54,26 @@ TEST(RunBudgetTest, NonFiniteDeadlineIsInvalid) {
   EXPECT_TRUE(budget.Validate().ok());
 }
 
+TEST(RunBudgetTest, DeadlineTheClockCannotHoldIsInvalid) {
+  // Arm adds the deadline to a steady_clock time point, 64-bit nanoseconds:
+  // 1e300 ms overflowed it and stopped every run at its first check.
+  RunBudget budget;
+  budget.deadline_ms = 1e300;
+  EXPECT_EQ(budget.Validate().code(), StatusCode::kInvalidArgument);
+  budget.deadline_ms = 2 * kMaxDeadlineMs;
+  EXPECT_FALSE(budget.Validate().ok());
+  AdaptiveLshConfig config;
+  config.budget.deadline_ms = 1e300;
+  EXPECT_FALSE(config.Validate().ok());
+
+  // The longest valid deadline still lies about 31 years ahead once armed.
+  budget.deadline_ms = kMaxDeadlineMs;
+  ASSERT_TRUE(budget.Validate().ok());
+  RunController controller(budget);
+  EXPECT_FALSE(controller.ShouldStop());
+  EXPECT_GT(controller.RemainingMillis(), 0.99 * kMaxDeadlineMs);
+}
+
 TEST(RunControllerTest, UnlimitedControllerNeverStops) {
   RunController controller;
   controller.ReportHashes(1u << 30);

@@ -130,6 +130,32 @@ TEST(WalRecoveryTest, FreshDirectoryOpensEmptyAndServes) {
   EXPECT_GT(engine.value()->durability_stats().wal_frames_appended, 0u);
 }
 
+// A per-call budget the engines refuse (a deadline the clock cannot hold) is
+// refused before its mutation is logged, so replay never meets a frame the
+// live engine did not apply.
+TEST(WalRecoveryTest, RefusedBudgetNeverReachesTheLog) {
+  TempDir dir;
+  auto opened = DurableEngine::Open(MatchRule::Leaf(0, 0.5),
+                                    DurableOptions(1, 1, 3, dir.path()));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DurableEngine& engine = *opened.value();
+  GeneratedDataset generated = test::MakePlantedDataset({3}, 3);
+  EngineBatchOptions slo;
+  slo.budget.deadline_ms = 1e300;
+  EXPECT_EQ(engine.Ingest(Slice(generated.dataset, 0, 3), slo).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.durability_stats().wal_frames_appended, 0u);
+  ASSERT_TRUE(engine.Ingest(Slice(generated.dataset, 0, 3)).ok());
+  const uint64_t frames = engine.durability_stats().wal_frames_appended;
+  EXPECT_EQ(engine.Remove(std::vector<ExternalId>{0}, slo).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Update(0, generated.dataset.record(0), slo).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Flush(slo).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.durability_stats().wal_frames_appended, frames);
+  EXPECT_EQ(engine.counters().live_records, 3u);
+}
+
 // The acceptance sweep: a randomized mutation history against the durable
 // engine, an abrupt close (no flush, no checkpoint), and a reopen at the next
 // shard count (1->2, 2->4, 4->1) must yield a canonical snapshot

@@ -51,7 +51,9 @@
 // Each is >= 0, where 0 (the default) means no limit; a negative value is
 // refused, in serve mode too. --cancel-after-ms demonstrates cooperative
 // cancellation: a helper thread calls RunController::Cancel() after the
-// given wall-clock time.
+// given wall-clock time. A millisecond flag (these two and serve's
+// --metrics-interval-ms) over 1e12 (about 31 years) or not a number is
+// refused: the clock's nanosecond count cannot hold it.
 //
 // Columns (one token per CSV column):
 //   label    record display label        entity   ground-truth key
@@ -220,13 +222,29 @@ std::string CheckCostModelFlag(const std::vector<double>& cost_model) {
   return "";
 }
 
-/// Checks the anytime limits: each must be >= 0, where 0 means no limit.
-/// RunBudget reads a deadline <= 0 as none, and a negative count cast to
-/// uint64_t reads as 2^64-1, so a negative value would silently lift the
-/// limit it asks for. Returns "" when all three are valid.
+/// Checks a millisecond flag the program hands to a steady_clock deadline or
+/// wait: it must lie in [0, kMaxDeadlineMs]. A longer one would overflow the
+/// clock's 64-bit nanosecond count and read as already expired (a deadline
+/// that fires at once, a wait that never sleeps). Returns "" when valid.
+std::string CheckMillisFlag(const std::string& flag, double ms) {
+  if (ms >= 0.0 && ms <= kMaxDeadlineMs) return "";
+  std::ostringstream message;
+  message << "--" << flag << " must be between 0 and 1e12 ms (got " << ms
+          << ")";
+  return message.str();
+}
+
+/// Checks the anytime limits: each must be >= 0, where 0 means no limit,
+/// and the deadline a millisecond value CheckMillisFlag accepts. RunBudget
+/// reads a deadline <= 0 as none, and a negative count cast to uint64_t
+/// reads as 2^64-1, so a negative value would silently lift the limit it
+/// asks for. Returns "" when all three are valid.
 std::string CheckBudgetFlags(double deadline_ms, int64_t max_pairwise,
                              int64_t max_hashes) {
-  if (deadline_ms < 0.0) return "--deadline-ms must be >= 0 (0 = none)";
+  if (std::string error = CheckMillisFlag("deadline-ms", deadline_ms);
+      !error.empty()) {
+    return error;
+  }
   if (max_pairwise < 0) return "--max-pairwise must be >= 0 (0 = none)";
   if (max_hashes < 0) return "--max-hashes must be >= 0 (0 = none)";
   return "";
@@ -340,8 +358,10 @@ int RunServe(int argc, char** argv) {
   if (threads < 0) return Fail("--threads must be >= 0");
   if (shards < 1) return Fail("--shards must be >= 1");
   if (trace_max_spans < 0) return Fail("--trace-max-spans must be >= 0");
-  if (metrics_interval_ms < 0.0) {
-    return Fail("--metrics-interval-ms must be >= 0");
+  if (std::string error =
+          CheckMillisFlag("metrics-interval-ms", metrics_interval_ms);
+      !error.empty()) {
+    return Fail(error);
   }
   if (metrics_interval_ms > 0.0 && metrics_out.empty()) {
     return Fail("--metrics-interval-ms requires --metrics-out");
@@ -818,7 +838,10 @@ int main(int argc, char** argv) {
   budget.max_hashes = static_cast<uint64_t>(max_hashes);
   Status budget_valid = budget.Validate();
   if (!budget_valid.ok()) return Fail(budget_valid.ToString());
-  if (cancel_after_ms < 0.0) return Fail("--cancel-after-ms must be >= 0");
+  if (std::string error = CheckMillisFlag("cancel-after-ms", cancel_after_ms);
+      !error.empty()) {
+    return Fail(error);
+  }
 
   if (input.empty() || columns.empty() || rule_text.empty()) {
     return Fail(

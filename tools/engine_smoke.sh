@@ -9,13 +9,14 @@
 # at 1 and 8 worker threads. The session pins the cost model and seed, so
 # the transcript is reproducible at any thread count. A refused --shards=0,
 # refused --cost-model values (not finite, or not > 0), refused negative
-# --deadline-ms / --max-pairwise / --max-hashes limits, a second session
-# checking that the (wall-clock-bearing, so not byte-diffable) `stats`
-# report carries the engine-report schema and that each of its commands
-# answers exactly one line, a third checking the protocol's integer edge
-# cases, integer flags that do not fit in an int (refused before the data dir
-# is touched), and a session checking that CSV parse errors cite the
-# session's input line follow.
+# --deadline-ms / --max-pairwise / --max-hashes limits, refused
+# --deadline-ms / --metrics-interval-ms values the clock cannot hold, a
+# second session checking that the (wall-clock-bearing, so not
+# byte-diffable) `stats` report carries the engine-report schema and that
+# each of its commands answers exactly one line, a third checking the
+# protocol's integer edge cases, integer flags that do not fit in an int
+# (refused before the data dir is touched), and a session checking that CSV
+# parse errors cite the session's input line follow.
 #
 # Wired into ctest as `engine_smoke` (mirrors tools/trace_smoke.sh).
 #
@@ -121,11 +122,18 @@ for bad in nan,1e-6 -1,1e-6 0,0 1e-8,inf; do
 done
 
 # A negative anytime limit is refused the same way (0 means no limit): it
-# would otherwise lift the limit it asks for.
-for bad in --deadline-ms=-5 --max-pairwise=-1 --max-hashes=-1; do
+# would otherwise lift the limit it asks for. So is a millisecond value the
+# clock cannot hold (over 1e12, or not a number): a 1e300 ms deadline
+# overflowed the clock and stopped every mutation at once, and an infinite
+# export interval spun the exporter so that quit never returned (hence the
+# timeout).
+for bad in --deadline-ms=-5 --max-pairwise=-1 --max-hashes=-1 \
+           --deadline-ms=1e300 --deadline-ms=nan --metrics-interval-ms=inf \
+           --metrics-interval-ms=1e300; do
   rm -rf "$scratch/bad_limit_dir"
   rc=0
-  printf 'quit\n' | "${serve[@]}" "$bad" \
+  printf 'quit\n' | timeout 60 "${serve[@]}" "$bad" \
+      --metrics-out="$scratch/bad_limit.jsonl" \
       --data-dir="$scratch/bad_limit_dir" > /dev/null \
       2> "$scratch/limit.err" || rc=$?
   if [[ $rc -ne 1 ]] || ! grep -q -- "${bad%%=*}" "$scratch/limit.err"; then

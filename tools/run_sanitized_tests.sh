@@ -5,6 +5,10 @@
 #   tools/run_sanitized_tests.sh address    # AddressSanitizer  -> build-address/
 #   tools/run_sanitized_tests.sh undefined  # UBSanitizer       -> build-undefined/
 #
+# Every sanitizer build also defines ADALSH_ENABLE_DCHECKS (CMakeLists.txt),
+# so ADALSH_DCHECK runs there and the death tests gated on it
+# (CosineDistanceDeathTest) are compiled in; Release compiles both out.
+#
 # Extra arguments are forwarded to ctest, e.g. restrict to the concurrency
 # suites while iterating:
 #

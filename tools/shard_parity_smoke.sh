@@ -9,8 +9,9 @@
 # (AdaptiveLsh::Run, the one batch path) at threads 1 and 8. Also checks
 # that batch mode refuses --shards, rule thresholds and weights that are not
 # finite, integer flags that do not fit in an int, --cost-model values that
-# are not finite and > 0, and negative --deadline-ms / --max-pairwise /
-# --max-hashes limits, each with exit 1 and a message naming the problem
+# are not finite and > 0, negative --deadline-ms / --max-pairwise /
+# --max-hashes limits, and --deadline-ms / --cancel-after-ms values the
+# clock cannot hold, each with exit 1 and a message naming the problem
 # before the input is loaded.
 #
 # Wired into ctest as `shard_parity` (mirrors tools/simd_parity_smoke.sh).
@@ -173,8 +174,12 @@ for bad in nan,1e-6 -1,1e-6 0,0 1e-8,inf; do
   expect_refused '--cost-model' --cost-model="$bad"
 done
 
-# A negative anytime limit is refused; 0 keeps meaning "no limit".
-for bad in --deadline-ms=-5 --max-pairwise=-1 --max-hashes=-1; do
+# A negative anytime limit is refused; 0 keeps meaning "no limit". So is a
+# millisecond value the clock cannot hold: at 1e300 ms the deadline
+# overflowed and the canceller's wait read as expired, cancelling the run
+# before its first round.
+for bad in --deadline-ms=-5 --max-pairwise=-1 --max-hashes=-1 \
+           --deadline-ms=1e300 --cancel-after-ms=1e300 --cancel-after-ms=nan; do
   expect_refused "${bad%%=*}" "$bad"
 done
 
