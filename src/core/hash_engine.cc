@@ -57,6 +57,7 @@ void HashEngine::EnsureHashesParallel(std::span<const RecordId> records,
   const uint64_t hashes_before = observed ? total_hashes_computed() : 0;
   TraceRecorder::Span span(instr_.trace, "hash_pass", "hash");
   PreparePlan(plan);
+  ReserveHashes(records, plan);
   ParallelFor(pool, records.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) EnsureHashes(records[i], plan);
   });

@@ -41,17 +41,17 @@ class HashEngine {
   /// Batch form: ensures every record in `records` covers `plan`,
   /// partitioning the records across `pool`'s workers (serial when `pool` is
   /// null). Safe because each record owns independent cache slots; family
-  /// parameters are Prepare()d before forking. The total hash count is
-  /// identical to calling EnsureHashes serially — per-record prefix
-  /// extensions are order-independent.
+  /// parameters are Prepare()d and the slots reserved (ReserveHashes) on the
+  /// calling thread before forking. The total hash count is identical to
+  /// calling EnsureHashes serially — per-record prefix extensions are
+  /// order-independent.
   void EnsureHashesParallel(std::span<const RecordId> records,
                             const SchemePlan& plan, ThreadPool* pool);
 
   /// Grows every record's slots to hold the prefixes `plan` needs, computing
-  /// nothing (HashCache::Reserve): called from the thread that owns a
-  /// long-lived engine before EnsureHashesParallel, it keeps the slots in
-  /// that thread's allocator arena instead of scattering them over the
-  /// workers' arenas.
+  /// nothing (HashCache::Reserve). Every parallel hash pass calls it before
+  /// it forks, so long-lived slots stay in the calling thread's allocator
+  /// arena instead of scattering over the workers' arenas.
   void ReserveHashes(std::span<const RecordId> records,
                      const SchemePlan& plan);
 

@@ -1,6 +1,7 @@
 #include "core/transitive_hash_function.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "obs/metrics_registry.h"
@@ -105,6 +106,12 @@ std::vector<NodeId> TransitiveHasher::Apply(
       }
     }
     const size_t count = std::min(kKeyBlock, m - base);
+    // The block's slots grow here, in this thread's allocator arena (the
+    // incremental-reuse ablation clears them on the workers instead).
+    if (reuse_hashes_) {
+      engine_->ReserveHashes(
+          std::span<const RecordId>(records).subspan(base, count), plan);
+    }
     ParallelFor(pool_, count, [&](size_t begin, size_t end) {
       for (size_t i = base + begin; i < base + end; ++i) {
         if (!reuse_hashes_) engine_->ClearHashes(records[i]);

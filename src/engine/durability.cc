@@ -7,11 +7,11 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "io/checkpoint.h"
 #include "obs/metrics_registry.h"
+#include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 
@@ -35,6 +35,23 @@ bool IsRetiredShardLog(const std::string& name) {
   }
   return std::all_of(name.begin() + kPrefixLen, name.end() - kSuffixLen,
                      [](char c) { return c >= '0' && c <= '9'; });
+}
+
+/// The sharded mutation kind a mutation frame logs, for the admission step.
+ShardedEngine::MutationKind KindOf(WalFrameType type) {
+  switch (type) {
+    case WalFrameType::kIngest:
+      return ShardedEngine::MutationKind::kIngest;
+    case WalFrameType::kRemove:
+      return ShardedEngine::MutationKind::kRemove;
+    case WalFrameType::kUpdate:
+      return ShardedEngine::MutationKind::kUpdate;
+    case WalFrameType::kFlush:
+    case WalFrameType::kCostModel:
+      break;
+  }
+  ADALSH_CHECK(type == WalFrameType::kFlush) << "not a mutation frame";
+  return ShardedEngine::MutationKind::kFlush;
 }
 
 }  // namespace
@@ -166,7 +183,6 @@ Status DurableEngine::RecoverLocked() {
       next_ext_id_ = std::max(next_ext_id_, id + 1);
     }
     if (!checkpoint->records.empty()) {
-      prototype_ = checkpoint->records.front();
       StatusOr<EngineMutationResult> seeded = sharded_->IngestWithIds(
           std::move(checkpoint->records), checkpoint->ids);
       if (!seeded.ok()) {
@@ -206,45 +222,18 @@ Status DurableEngine::RecoverLocked() {
       return Status::FailedPrecondition("recovery replay: " +
                                         injected->ToString());
     }
-
-    Status applied = Status::Ok();
-    switch (frame.type) {
-      case WalFrameType::kIngest: {
-        for (ExternalId id : frame.ids) {
-          next_ext_id_ = std::max(next_ext_id_, id + 1);
-        }
-        if (!prototype_.has_value() && !frame.records.empty()) {
-          prototype_ = frame.records.front();
-        }
-        applied = sharded_
-                      ->IngestWithIds(std::move(frame.records),
-                                      std::move(frame.ids))
-                      .status();
-        break;
-      }
-      case WalFrameType::kRemove:
-        applied = sharded_->Remove(frame.ids).status();
-        break;
-      case WalFrameType::kUpdate:
-        applied = sharded_->Update(frame.ids[0], std::move(frame.records[0]))
-                      .status();
-        break;
-      case WalFrameType::kFlush:
-        applied = sharded_->Flush().status();
-        break;
-      case WalFrameType::kCostModel:
-        break;  // consumed in step 4, before the engine existed
-    }
+    last_applied_seq = frame.seq;
+    // kCostModel was consumed in step 4, before the engine existed.
+    if (frame.type == WalFrameType::kCostModel) continue;
+    Status applied = ApplyFrameLocked(std::move(frame), {}).status();
     if (!applied.ok()) {
-      // A logged mutation that re-applies non-ok (e.g. its pre-validation
-      // raced in the original run) is skipped: the live set still converges
-      // because the apply conditions are the same function of state.
+      // Every logged mutation was admitted before it was logged, so only a
+      // log an older build wrote re-applies non-ok; the frame is skipped.
       ++recovery_.replay_apply_failures;
-      warnings.push_back("replay of seq " + std::to_string(frame.seq) +
+      warnings.push_back("replay of seq " + std::to_string(last_applied_seq) +
                          " applied non-ok: " + applied.ToString());
     }
-    if (frame.type != WalFrameType::kCostModel) ++recovery_.frames_replayed;
-    last_applied_seq = frame.seq;
+    ++recovery_.frames_replayed;
   }
   next_seq_ = last_applied_seq + 1;
 
@@ -384,137 +373,46 @@ Status DurableEngine::Checkpoint() {
   return CheckpointLocked();
 }
 
-StatusOr<EngineMutationResult> DurableEngine::Ingest(
-    std::vector<Record> records, const EngineBatchOptions& opts) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Status writable = CheckWritableLocked();
-  if (!writable.ok()) return writable;
-  // A budget the engines refuse must not reach the log (every mutation
-  // below checks it the same way).
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
-  if (records.empty()) {
-    // Nothing to make durable; still a (no-op) engine mutation.
-    return sharded_->Ingest({}, opts);
+StatusOr<EngineMutationResult> DurableEngine::ApplyFrameLocked(
+    WalFrame frame, const EngineBatchOptions& opts) {
+  switch (frame.type) {
+    case WalFrameType::kIngest:
+      if (!frame.ids.empty()) {
+        next_ext_id_ = std::max(next_ext_id_, frame.ids.back() + 1);
+      }
+      return sharded_->IngestWithIds(std::move(frame.records),
+                                     std::move(frame.ids), opts);
+    case WalFrameType::kRemove:
+      return sharded_->Remove(frame.ids, opts);
+    case WalFrameType::kUpdate:
+      return sharded_->Update(frame.ids[0], std::move(frame.records[0]), opts);
+    case WalFrameType::kFlush:
+      return sharded_->Flush(opts);
+    case WalFrameType::kCostModel:
+      break;
   }
-  const Record& prototype =
-      prototype_.has_value() ? *prototype_ : records.front();
-  for (size_t i = 0; i < records.size(); ++i) {
-    Status schema = ResidentEngine::CheckRecordSchema(prototype, records[i], i);
-    if (!schema.ok()) return schema;
-  }
-
-  WalFrame frame;
-  frame.type = WalFrameType::kIngest;
-  frame.seq = next_seq_++;
-  frame.generation = Snapshot()->generation;
-  frame.ids.resize(records.size());
-  std::iota(frame.ids.begin(), frame.ids.end(), next_ext_id_);
-  frame.records = std::move(records);
-  Status appended = AppendFrameLocked(frame);
-  if (!appended.ok()) return appended;
-
-  next_ext_id_ = frame.ids.back() + 1;
-  if (!prototype_.has_value()) prototype_ = frame.records.front();
-  StatusOr<EngineMutationResult> result = sharded_->IngestWithIds(
-      std::move(frame.records), std::move(frame.ids), opts);
-  if (result.ok()) {
-    MaybeLogCostModelLocked();
-    ++mutations_since_checkpoint_;
-    MaybeCheckpointLocked();
-  }
-  ReportMetricsLocked();
-  return result;
+  return Status::InvalidArgument("a cost-model frame is not a mutation");
 }
 
-StatusOr<EngineMutationResult> DurableEngine::Remove(
-    std::span<const ExternalId> ids, const EngineBatchOptions& opts) {
-  std::lock_guard<std::mutex> lock(mu_);
+StatusOr<EngineMutationResult> DurableEngine::CommitLocked(
+    WalFrame frame, const EngineBatchOptions& opts) {
   Status writable = CheckWritableLocked();
   if (!writable.ok()) return writable;
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
-  // Pre-validate so doomed mutations never reach the log (replay would just
-  // skip them, but a clean log makes frames_replayed meaningful).
-  std::unordered_set<ExternalId> seen;
-  for (ExternalId id : ids) {
-    if (!seen.insert(id).second) {
-      return Status::InvalidArgument("Remove: id " + std::to_string(id) +
-                                     " appears twice in the batch");
-    }
-    if (!sharded_->IsLive(id)) {
-      return Status::NotFound("Remove: no live record with id " +
-                              std::to_string(id));
-    }
-  }
-  if (!ids.empty()) {
-    WalFrame frame;
-    frame.type = WalFrameType::kRemove;
+  Status admitted =
+      sharded_->Admit(KindOf(frame.type), frame.ids, frame.records, opts);
+  if (!admitted.ok()) return admitted;
+  // An empty ingest or removal leaves nothing to make durable.
+  const bool logged = frame.type == WalFrameType::kFlush || !frame.ids.empty();
+  if (logged) {
     frame.seq = next_seq_++;
     frame.generation = Snapshot()->generation;
-    frame.ids.assign(ids.begin(), ids.end());
     Status appended = AppendFrameLocked(frame);
     if (!appended.ok()) return appended;
   }
-  StatusOr<EngineMutationResult> result = sharded_->Remove(ids, opts);
-  if (result.ok() && !ids.empty()) {
-    ++mutations_since_checkpoint_;
-    MaybeCheckpointLocked();
-  }
-  ReportMetricsLocked();
-  return result;
-}
-
-StatusOr<EngineMutationResult> DurableEngine::Update(
-    ExternalId id, Record record, const EngineBatchOptions& opts) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Status writable = CheckWritableLocked();
-  if (!writable.ok()) return writable;
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
-  if (!sharded_->IsLive(id)) {
-    return Status::NotFound("Update: no live record with id " +
-                            std::to_string(id));
-  }
-  if (prototype_.has_value()) {
-    Status schema = ResidentEngine::CheckRecordSchema(*prototype_, record, 0);
-    if (!schema.ok()) return schema;
-  }
-  WalFrame frame;
-  frame.type = WalFrameType::kUpdate;
-  frame.seq = next_seq_++;
-  frame.generation = Snapshot()->generation;
-  frame.ids.push_back(id);
-  frame.records.push_back(std::move(record));
-  Status appended = AppendFrameLocked(frame);
-  if (!appended.ok()) return appended;
-  StatusOr<EngineMutationResult> result =
-      sharded_->Update(id, std::move(frame.records[0]), opts);
-  if (result.ok()) {
-    ++mutations_since_checkpoint_;
-    MaybeCheckpointLocked();
-  }
-  ReportMetricsLocked();
-  return result;
-}
-
-StatusOr<EngineMutationResult> DurableEngine::Flush(
-    const EngineBatchOptions& opts) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Status writable = CheckWritableLocked();
-  if (!writable.ok()) return writable;
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
-  WalFrame frame;
-  frame.type = WalFrameType::kFlush;
-  frame.seq = next_seq_++;
-  frame.generation = Snapshot()->generation;
-  Status appended = AppendFrameLocked(frame);
-  if (!appended.ok()) return appended;
-
   // Flush is the sync=batch barrier: everything appended since the last
   // barrier becomes durable before the certification point it feeds.
-  if (options_.sync == WalSyncPolicy::kBatch) {
+  if (frame.type == WalFrameType::kFlush &&
+      options_.sync == WalSyncPolicy::kBatch) {
     MetricsRegistry* metrics = options_.engine.config.instrumentation.metrics;
     Timer sync_timer;
     Status synced = log_->Sync();
@@ -530,13 +428,53 @@ StatusOr<EngineMutationResult> DurableEngine::Flush(
     }
   }
 
-  StatusOr<EngineMutationResult> result = sharded_->Flush(opts);
-  if (result.ok()) {
+  StatusOr<EngineMutationResult> result =
+      ApplyFrameLocked(std::move(frame), opts);
+  if (result.ok() && logged) {
+    MaybeLogCostModelLocked();
     ++mutations_since_checkpoint_;
     MaybeCheckpointLocked();
   }
   ReportMetricsLocked();
   return result;
+}
+
+StatusOr<EngineMutationResult> DurableEngine::Ingest(
+    std::vector<Record> records, const EngineBatchOptions& opts) {
+  WalFrame frame;
+  frame.type = WalFrameType::kIngest;
+  frame.records = std::move(records);
+  std::lock_guard<std::mutex> lock(mu_);
+  frame.ids.resize(frame.records.size());
+  std::iota(frame.ids.begin(), frame.ids.end(), next_ext_id_);
+  return CommitLocked(std::move(frame), opts);
+}
+
+StatusOr<EngineMutationResult> DurableEngine::Remove(
+    std::span<const ExternalId> ids, const EngineBatchOptions& opts) {
+  WalFrame frame;
+  frame.type = WalFrameType::kRemove;
+  frame.ids.assign(ids.begin(), ids.end());
+  std::lock_guard<std::mutex> lock(mu_);
+  return CommitLocked(std::move(frame), opts);
+}
+
+StatusOr<EngineMutationResult> DurableEngine::Update(
+    ExternalId id, Record record, const EngineBatchOptions& opts) {
+  WalFrame frame;
+  frame.type = WalFrameType::kUpdate;
+  frame.ids.push_back(id);
+  frame.records.push_back(std::move(record));
+  std::lock_guard<std::mutex> lock(mu_);
+  return CommitLocked(std::move(frame), opts);
+}
+
+StatusOr<EngineMutationResult> DurableEngine::Flush(
+    const EngineBatchOptions& opts) {
+  WalFrame frame;
+  frame.type = WalFrameType::kFlush;
+  std::lock_guard<std::mutex> lock(mu_);
+  return CommitLocked(std::move(frame), opts);
 }
 
 std::shared_ptr<const EngineSnapshot> DurableEngine::Snapshot() const {

@@ -42,11 +42,12 @@ struct DurabilityStats {
   std::vector<std::string> recovery_warnings;
 };
 
-/// Durable wrapper around the sharded engine (docs/durability.md):
-/// every mutation is appended to a write-ahead log *before* it is applied,
-/// checkpoints periodically fold the live set into an atomically-replaced
-/// snapshot file that truncates the log, and Open() recovers by loading the
-/// newest valid checkpoint and replaying the log tail.
+/// Durable wrapper around the sharded engine (docs/durability.md): every
+/// mutation the sharded engine admits is appended to a write-ahead log
+/// *before* it is applied, checkpoints periodically fold the live set into
+/// an atomically-replaced snapshot file that truncates the log, and Open()
+/// recovers by loading the newest valid checkpoint and replaying the log
+/// tail through the live path's apply.
 ///
 /// Data directory layout, the same at every shard count:
 ///   <dir>/wal-0.log              the append-only frame log, one frame per
@@ -109,8 +110,8 @@ class DurableEngine {
   DurableEngine(const DurableEngine&) = delete;
   DurableEngine& operator=(const DurableEngine&) = delete;
 
-  // Mutations: the wrapped engine's contract, preceded by a WAL append.
-  // All return FailedPrecondition without touching anything once degraded.
+  // Mutations: the wrapped engine's contract, a WAL append between its
+  // admission and its apply. All return FailedPrecondition once degraded.
   StatusOr<EngineMutationResult> Ingest(std::vector<Record> records,
                                         const EngineBatchOptions& opts = {});
   StatusOr<EngineMutationResult> Remove(std::span<const ExternalId> ids,
@@ -151,6 +152,16 @@ class DurableEngine {
   /// Replays checkpoint + log tail into the fresh engine. Fills recovery_.
   Status RecoverLocked();
 
+  /// Admits the mutation `frame` holds, logs it (unless it is an empty
+  /// ingest or removal) and applies it.
+  StatusOr<EngineMutationResult> CommitLocked(WalFrame frame,
+                                              const EngineBatchOptions& opts);
+
+  /// Applies the sharded mutation a frame logs, live after its append and
+  /// at replay, so a replay applies exactly what the live engine applied.
+  StatusOr<EngineMutationResult> ApplyFrameLocked(
+      WalFrame frame, const EngineBatchOptions& opts);
+
   /// Appends `frame` to the log, honoring the sync policy. On permanent
   /// failure flips degraded_ and reports.
   Status AppendFrameLocked(const WalFrame& frame);
@@ -181,7 +192,6 @@ class DurableEngine {
   std::unique_ptr<MutationLog> log_;  // <dir>/wal-0.log, from RecoverLocked
   uint64_t next_seq_ = 1;
   ExternalId next_ext_id_ = 0;
-  std::optional<Record> prototype_;  // schema reference for pre-validation
   bool cost_model_logged_ = false;
   uint64_t mutations_since_checkpoint_ = 0;
   bool degraded_ = false;

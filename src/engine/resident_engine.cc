@@ -129,13 +129,14 @@ ResidentEngine::ResidentEngine(MatchRule rule, Options options)
 }
 
 StatusOr<EngineBatchOptions> ResidentEngine::EffectiveOptions(
-    const char* op, const EngineBatchOptions& opts) const {
+    const AdaptiveLshConfig& config, const char* op,
+    const EngineBatchOptions& opts) {
   Status budget = opts.budget.Validate();
   if (!budget.ok()) return budget;
   EngineBatchOptions eff = opts;
   if (eff.controller == nullptr && eff.budget.unlimited()) {
-    eff.controller = options_.config.controller;
-    eff.budget = options_.config.budget;
+    eff.controller = config.controller;
+    eff.budget = config.budget;
   }
   if (eff.controller != nullptr && eff.controller->cancel_requested()) {
     return CancelledStatus(op);
@@ -148,7 +149,8 @@ StatusOr<EngineMutationResult> ResidentEngine::Ingest(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Ingest", opts);
+  StatusOr<EngineBatchOptions> eff =
+      EffectiveOptions(options_.config, "Ingest", opts);
   if (!eff.ok()) return eff.status();
   Status valid = ValidateIngestLocked(records);
   if (!valid.ok()) return valid;
@@ -165,7 +167,8 @@ StatusOr<EngineMutationResult> ResidentEngine::IngestWithIds(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  StatusOr<EngineBatchOptions> eff = EffectiveOptions("IngestWithIds", opts);
+  StatusOr<EngineBatchOptions> eff =
+      EffectiveOptions(options_.config, "IngestWithIds", opts);
   if (!eff.ok()) return eff.status();
   if (ids.size() != records.size()) {
     return Status::InvalidArgument(
@@ -217,7 +220,8 @@ StatusOr<EngineMutationResult> ResidentEngine::Remove(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Remove", opts);
+  StatusOr<EngineBatchOptions> eff =
+      EffectiveOptions(options_.config, "Remove", opts);
   if (!eff.ok()) return eff.status();
   std::vector<RecordId> ints;
   ints.reserve(ids.size());
@@ -242,7 +246,8 @@ StatusOr<EngineMutationResult> ResidentEngine::Update(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Update", opts);
+  StatusOr<EngineBatchOptions> eff =
+      EffectiveOptions(options_.config, "Update", opts);
   if (!eff.ok()) return eff.status();
   auto it = int_of_.find(id);
   if (it == int_of_.end()) {
@@ -263,7 +268,8 @@ StatusOr<EngineMutationResult> ResidentEngine::Flush(
   Timer wait_timer;
   std::lock_guard<std::mutex> lock(mu_);
   const double lock_wait = wait_timer.ElapsedSeconds();
-  StatusOr<EngineBatchOptions> eff = EffectiveOptions("Flush", opts);
+  StatusOr<EngineBatchOptions> eff =
+      EffectiveOptions(options_.config, "Flush", opts);
   if (!eff.ok()) return eff.status();
   return ApplyBatch("flush", lock_wait, {}, {}, {}, *eff);
 }
@@ -303,7 +309,7 @@ EngineMutationResult ResidentEngine::ApplyBatch(
     GrowStateLocked();
     arrivals.resize(adds.size());
     std::iota(arrivals.begin(), arrivals.end(), first_new);
-    HashLocked(arrivals, sequence_->plan(0));
+    engine_->EnsureHashesParallel(arrivals, sequence_->plan(0), pool_.get());
     for (size_t i = 0; i < adds.size(); ++i) {
       const RecordId r = arrivals[i];
       live_[r] = 1;
@@ -419,12 +425,6 @@ void ResidentEngine::GrowStateLocked() {
   engine_->GrowTo(n);
   hasher_->GrowTo(n);
   pairwise_->NotifyDatasetGrown();
-}
-
-void ResidentEngine::HashLocked(std::span<const RecordId> records,
-                                const SchemePlan& plan) {
-  engine_->ReserveHashes(records, plan);
-  engine_->EnsureHashesParallel(records, plan, pool_.get());
 }
 
 bool ResidentEngine::ArriveLocked(RecordId r, bool reopen,
@@ -584,7 +584,7 @@ ResidentEngine::Probe ResidentEngine::ProbeLocked(const WalkStep& step) {
   // a key collide with each other.
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> index(tables);
   SlotClasses classes(arrivals.size());
-  HashLocked(arrivals, plan);
+  engine_->EnsureHashesParallel(arrivals, plan, pool_.get());
   for (uint32_t i = 0; i < arrivals.size(); ++i) {
     engine_->TableKeys(arrivals[i], plan, keys.data());
     for (size_t t = 0; t < tables; ++t) index[t].push_back({keys[t], i});

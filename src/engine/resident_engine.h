@@ -284,10 +284,19 @@ class ResidentEngine {
   bool IsLive(ExternalId id) const;
 
   /// The structural schema check Ingest applies to every record against the
-  /// engine's first record, exposed so wrappers (the sharded engine) can
-  /// pre-validate a whole batch before partitioning it across engines.
+  /// engine's first record, exposed so the sharded engine's admission can
+  /// check a whole batch before partitioning it across engines.
   static Status CheckRecordSchema(const Record& prototype,
                                   const Record& record, size_t index);
+
+  /// Effective SLO of mutation `op`: explicit options win, else `config`'s
+  /// ambient budget/controller. InvalidArgument when the explicit budget
+  /// fails RunBudget::Validate, FailedPrecondition (naming `op`) when the
+  /// effective controller holds a sticky Cancel(). Shared by every mutation
+  /// of both engines.
+  static StatusOr<EngineBatchOptions> EffectiveOptions(
+      const AdaptiveLshConfig& config, const char* op,
+      const EngineBatchOptions& opts);
 
   /// The config check both engine constructors apply (they abort on a
   /// failure): AdaptiveLshConfig::Validate, plus InvalidArgument for a
@@ -360,12 +369,6 @@ class ResidentEngine {
 
   /// Appends per-record bookkeeping slots and grows the core caches.
   void GrowStateLocked();
-
-  /// Ensures `records` cover `plan` in one hash pass over the pool, their
-  /// slots reserved on this thread first so that the long-lived hash
-  /// storage stays in its allocator arena rather than scattering over the
-  /// workers' arenas (which raises peak RSS).
-  void HashLocked(std::span<const RecordId> records, const SchemePlan& plan);
 
   /// What one mutation's level-1 arrivals did to a level-1 tree.
   struct TouchedTree {
@@ -475,13 +478,6 @@ class ResidentEngine {
   static EngineSnapshot MergeLocked(
       const MatchRule& rule, Options options,
       std::span<const std::unique_ptr<ResidentEngine>> shards);
-
-  /// Effective SLO of mutation `op`: explicit options win, else the ambient
-  /// config budget/controller. InvalidArgument when the explicit budget
-  /// fails RunBudget::Validate, FailedPrecondition (naming `op`) when the
-  /// effective controller holds a sticky Cancel().
-  StatusOr<EngineBatchOptions> EffectiveOptions(
-      const char* op, const EngineBatchOptions& opts) const;
 
   MatchRule rule_;
   Options options_;

@@ -91,23 +91,89 @@ uint64_t ShardedEngine::Publish() {
   return snapshot_->generation;
 }
 
-Status ShardedEngine::EnsureShardsLocked(
-    const std::vector<Record>& prototype_batch) {
-  if (!shards_.empty()) return Status::Ok();
-  ADALSH_CHECK(!prototype_batch.empty());
-  // Sequence construction is the only fallible per-shard initialization
-  // step; probing it once up front keeps a bad first batch all-or-nothing
+Status ShardedEngine::Admit(MutationKind kind,
+                            std::span<const ExternalId> ids,
+                            std::span<const Record> records,
+                            const EngineBatchOptions& opts) const {
+  static constexpr const char* kOps[] = {"Ingest", "Remove", "Update",
+                                         "Flush"};
+  Status slo = ResidentEngine::EffectiveOptions(
+                   options_.engine.config, kOps[static_cast<int>(kind)], opts)
+                   .status();
+  if (!slo.ok()) return slo;
+  switch (kind) {
+    case MutationKind::kIngest: {
+      Status schema = CheckSchema(records);
+      if (!schema.ok()) return schema;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (i > 0 && ids[i] <= ids[i - 1]) {
+          return Status::InvalidArgument(
+              "IngestWithIds: ids must be strictly increasing within the "
+              "batch");
+        }
+        if (IsLive(ids[i])) {
+          return Status::InvalidArgument(
+              "IngestWithIds: id " + std::to_string(ids[i]) +
+              " is already bound to a live record");
+        }
+      }
+      break;
+    }
+    case MutationKind::kRemove: {
+      std::unordered_set<ExternalId> seen;
+      for (ExternalId id : ids) {
+        if (!seen.insert(id).second) {
+          return Status::InvalidArgument("Remove: id " + std::to_string(id) +
+                                         " appears twice in the batch");
+        }
+      }
+      for (ExternalId id : ids) {
+        if (!IsLive(id)) {
+          return Status::NotFound("Remove: no live record with id " +
+                                  std::to_string(id));
+        }
+      }
+      break;
+    }
+    case MutationKind::kUpdate:
+      ADALSH_CHECK(ids.size() == 1 && records.size() == 1);
+      if (!IsLive(ids.front())) {
+        return Status::NotFound("Update: no live record with id " +
+                                std::to_string(ids.front()));
+      }
+      return CheckSchema(records);
+    case MutationKind::kFlush:
+      break;
+  }
+  return Status::Ok();
+}
+
+Status ShardedEngine::CheckSchema(std::span<const Record> records) const {
+  if (records.empty()) return Status::Ok();
+  std::lock_guard<std::mutex> lock(id_mu_);
+  const Record& prototype =
+      prototype_.has_value() ? *prototype_ : records.front();
+  for (size_t i = 0; i < records.size(); ++i) {
+    Status schema = ResidentEngine::CheckRecordSchema(prototype, records[i], i);
+    if (!schema.ok()) return schema;
+  }
+  if (prototype_.has_value()) return Status::Ok();
+  // Probing the sequence up front keeps a bad first batch all-or-nothing
   // (shard engines would otherwise each reject their sub-batch after other
   // shards already ingested theirs).
-  StatusOr<FunctionSequence> probe = FunctionSequence::Build(
-      rule_, prototype_batch.front(), options_.engine.config.sequence);
-  if (!probe.ok()) return probe.status();
+  return FunctionSequence::Build(rule_, records.front(),
+                                 options_.engine.config.sequence)
+      .status();
+}
+
+void ShardedEngine::BuildShardsLocked(const std::vector<Record>& first_batch) {
+  ADALSH_CHECK(shards_.empty() && !first_batch.empty());
   if (!shared_cost_model_.has_value()) {
     // One model for every shard: shards calibrating separately would
     // disagree on the jump-to-P point, and with it on the produced clusters
     // across shard counts (docs/sharding.md).
     Dataset sample("shard-calibration");
-    for (const Record& record : prototype_batch) {
+    for (const Record& record : first_batch) {
       sample.AddRecord(Record(record), /*entity=*/0);
     }
     shared_cost_model_.emplace(CostModel::Calibrate(
@@ -132,79 +198,57 @@ Status ShardedEngine::EnsureShardsLocked(
     shards_.push_back(
         std::make_unique<ResidentEngine>(rule_, std::move(shard_options)));
   }
-  return Status::Ok();
+  prototype_ = first_batch.front();
 }
 
 StatusOr<EngineMutationResult> ShardedEngine::Ingest(
     std::vector<Record> records, const EngineBatchOptions& opts) {
-  return RouteIngest(std::move(records), std::nullopt, opts);
+  return RouteIngest(std::move(records), {}, opts);
 }
 
 StatusOr<EngineMutationResult> ShardedEngine::IngestWithIds(
     std::vector<Record> records, std::vector<ExternalId> ids,
     const EngineBatchOptions& opts) {
+  // Checked here, not in Admit, which reads an empty id list as fresh ids.
   if (records.size() != ids.size()) {
     return Status::InvalidArgument(
         "IngestWithIds: " + std::to_string(ids.size()) + " ids for " +
         std::to_string(records.size()) + " records");
   }
-  for (size_t i = 1; i < ids.size(); ++i) {
-    if (ids[i] <= ids[i - 1]) {
-      return Status::InvalidArgument(
-          "IngestWithIds: ids must be strictly increasing within the batch");
-    }
-  }
   return RouteIngest(std::move(records), std::move(ids), opts);
 }
 
 StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
-    std::vector<Record> records,
-    std::optional<std::vector<ExternalId>> given_ids,
+    std::vector<Record> records, std::vector<ExternalId> ids,
     const EngineBatchOptions& opts) {
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
+  Status admitted = Admit(MutationKind::kIngest, ids, records, opts);
+  if (!admitted.ok()) return admitted;
   if (records.empty()) {
     EngineMutationResult result;
     result.generation = Publish();
     return result;
   }
-  std::vector<ExternalId> ids;
   {
     std::lock_guard<std::mutex> lock(id_mu_);
-    const Record& prototype =
-        prototype_.has_value() ? *prototype_ : records.front();
-    for (size_t i = 0; i < records.size(); ++i) {
+    if (shards_.empty()) {
+      BuildShardsLocked(records);
+    } else {
+      // A concurrent first batch may have fixed the schema since Admit read
+      // it; the batch's records all match its first one.
       Status schema =
-          ResidentEngine::CheckRecordSchema(prototype, records[i], i);
+          ResidentEngine::CheckRecordSchema(*prototype_, records.front(), 0);
       if (!schema.ok()) return schema;
     }
-    Status init = EnsureShardsLocked(records);
-    if (!init.ok()) return init;
-    if (!prototype_.has_value()) prototype_ = records.front();
-    if (!given_ids.has_value()) {
+    if (ids.empty()) {
       ids.reserve(records.size());
       for (size_t i = 0; i < records.size(); ++i) {
         ids.push_back(next_ext_id_++);
       }
+    } else {
+      next_ext_id_ = std::max(next_ext_id_, ids.back() + 1);
     }
   }
   const ShardSpan shards = Shards();
-  if (given_ids.has_value()) {
-    // Every id is checked on its shard before any shard ingests: a shard
-    // rejecting its sub-batch after another shard applied its own would
-    // break all-or-nothing. Best-effort under concurrent writers on the
-    // same ids, like Remove.
-    for (ExternalId id : *given_ids) {
-      if (shards[ShardOfExternalId(id, options_.shards)]->IsLive(id)) {
-        return Status::InvalidArgument("IngestWithIds: id " +
-                                       std::to_string(id) +
-                                       " is already bound to a live record");
-      }
-    }
-    ids = std::move(*given_ids);
-    std::lock_guard<std::mutex> lock(id_mu_);
-    next_ext_id_ = std::max(next_ext_id_, ids.back() + 1);
-  }
 
   const Instrumentation& instr = options_.engine.config.instrumentation;
   EngineMutationResult result;
@@ -270,32 +314,13 @@ StatusOr<EngineMutationResult> ShardedEngine::RouteIngest(
 
 StatusOr<EngineMutationResult> ShardedEngine::Remove(
     std::span<const ExternalId> ids, const EngineBatchOptions& opts) {
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
+  Status admitted = Admit(MutationKind::kRemove, ids, {}, opts);
+  if (!admitted.ok()) return admitted;
   const Instrumentation& instr = options_.engine.config.instrumentation;
   const ShardSpan shards = Shards();
-  if (shards.empty() && !ids.empty()) {
-    return Status::NotFound("Remove: no live record with id " +
-                            std::to_string(ids.front()));
-  }
   std::vector<std::vector<ExternalId>> shard_ids(shards.size());
-  std::unordered_set<ExternalId> seen;
   for (ExternalId id : ids) {
-    if (!seen.insert(id).second) {
-      return Status::InvalidArgument("Remove: id " + std::to_string(id) +
-                                     " appears twice in the batch");
-    }
     shard_ids[ShardOfExternalId(id, options_.shards)].push_back(id);
-  }
-  // Pre-validate across every involved shard before mutating any of them.
-  // Best-effort under races on the same ids (see header).
-  for (size_t s = 0; s < shards.size(); ++s) {
-    for (ExternalId id : shard_ids[s]) {
-      if (!shards[s]->IsLive(id)) {
-        return Status::NotFound("Remove: no live record with id " +
-                                std::to_string(id));
-      }
-    }
   }
   EngineMutationResult result;
   for (size_t s = 0; s < shards.size(); ++s) {
@@ -317,14 +342,10 @@ StatusOr<EngineMutationResult> ShardedEngine::Remove(
 
 StatusOr<EngineMutationResult> ShardedEngine::Update(
     ExternalId id, Record record, const EngineBatchOptions& opts) {
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
+  Status admitted = Admit(MutationKind::kUpdate, {&id, 1}, {&record, 1}, opts);
+  if (!admitted.ok()) return admitted;
   const Instrumentation& instr = options_.engine.config.instrumentation;
   const ShardSpan shards = Shards();
-  if (shards.empty()) {
-    return Status::NotFound("Update: no live record with id " +
-                            std::to_string(id));
-  }
   const int s = ShardOfExternalId(id, options_.shards);
   TraceRecorder::Span span(instr.trace, "shard_run", "engine");
   span.AddArg("shard", static_cast<double>(s));
@@ -341,8 +362,8 @@ StatusOr<EngineMutationResult> ShardedEngine::Update(
 
 StatusOr<EngineMutationResult> ShardedEngine::Flush(
     const EngineBatchOptions& opts) {
-  Status budget = opts.budget.Validate();
-  if (!budget.ok()) return budget;
+  Status admitted = Admit(MutationKind::kFlush, {}, {}, opts);
+  if (!admitted.ok()) return admitted;
   const Instrumentation& instr = options_.engine.config.instrumentation;
   Timer flush_timer;
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
@@ -355,7 +376,7 @@ StatusOr<EngineMutationResult> ShardedEngine::Flush(
     FoldShardResult(flushed.value(), &result);
   } else if (shards.size() >= 2) {
     // The merge reads only live records and borrows their hash slots, and
-    // always runs to completion, so no shard pass has to finish first.
+    // no budget bounds it, so no shard pass has to finish first.
     ResidentEngine::Options merge_options = options_.engine;
     merge_options.cost_model = shared_cost_model_;
     ResidentEngine::MergedShards merged =

@@ -77,6 +77,25 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
+  /// The mutations Admit checks, one per entry point.
+  enum class MutationKind { kIngest, kRemove, kUpdate, kFlush };
+
+  /// The admission step: the checks a mutation must pass before it changes
+  /// anything. Every mutation entry point runs it first, and the durable
+  /// engine runs it before it logs a mutation, so its log holds only
+  /// mutations this engine applies (docs/durability.md). `ids` and `records`
+  /// are what the mutation carries (an ingest's ids are empty when fresh
+  /// ones are assigned after admission). Every kind: the effective SLO by
+  /// ResidentEngine::EffectiveOptions's rule under the ambient config.
+  /// Ingest: each record's schema against the engine's first record (before
+  /// the first ingest: against the batch's first, for which the function
+  /// sequence must build), ids strictly increasing and not live. Remove: ids
+  /// distinct and live. Update: the id live, the record's schema. Liveness
+  /// is point-in-time, best-effort under concurrent writers on the same ids.
+  Status Admit(MutationKind kind, std::span<const ExternalId> ids,
+               std::span<const Record> records,
+               const EngineBatchOptions& opts) const;
+
   /// Assigns globally-unique ascending external ids, partitions the batch by
   /// ShardOfExternalId, and ingests each shard's sub-batch into its engine —
   /// concurrently on one thread per involved shard. The returned result
@@ -95,17 +114,17 @@ class ShardedEngine {
   /// ids — InvalidArgument otherwise, before any shard changes; best-effort
   /// under concurrent writers on the same ids, like Remove): routes each
   /// record by ShardOfExternalId and advances the internal id counter past
-  /// the largest assigned id. The durable engine replays logged ingests
+  /// the largest assigned id. The durable engine applies logged ingests
   /// through this, so a recovered record lands on the shard its id routes
   /// to at the reopening shard count (docs/durability.md).
   StatusOr<EngineMutationResult> IngestWithIds(
       std::vector<Record> records, std::vector<ExternalId> ids,
       const EngineBatchOptions& opts = {});
 
-  /// Removes by external id, routed per shard. The batch is pre-validated
+  /// Removes by external id, routed per shard. The batch is admitted
   /// against every involved shard (NotFound/InvalidArgument before any state
   /// changes); with concurrent removers racing on the *same* ids the
-  /// validation is best-effort and a later shard's apply may still fail,
+  /// admission is best-effort and a later shard's apply may still fail,
   /// leaving earlier shards' removals in place (the per-shard results are
   /// each atomic).
   StatusOr<EngineMutationResult> Remove(std::span<const ExternalId> ids,
@@ -120,9 +139,9 @@ class ShardedEngine {
   /// `opts` (completing any SLO-interrupted refinement) and publishes the
   /// shard's snapshot. At S>=2 it runs the canonical cross-shard merge under
   /// all shard locks and publishes the merged snapshot as the next
-  /// generation; the merge takes no SLO (`opts` is unused) and always runs to
-  /// completion, so the result's `refinement` is kCompleted and its `stats`
-  /// are the merge pass's.
+  /// generation; no budget bounds the merge, which always runs to completion,
+  /// so the result's `refinement` is kCompleted and its `stats` are the
+  /// merge pass's. A sticky cancel refuses it like every other mutation.
   StatusOr<EngineMutationResult> Flush(const EngineBatchOptions& opts = {});
 
   /// The published global snapshot (generation 0 before the first
@@ -165,10 +184,15 @@ class ShardedEngine {
   int top_k() const { return options_.engine.top_k; }
 
  private:
-  /// Lazily constructs the shard engines on the first non-empty ingest
-  /// (calibrating the shared cost model if none was pinned). Caller holds
-  /// id_mu_.
-  Status EnsureShardsLocked(const std::vector<Record>& prototype_batch);
+  /// Admit's schema check of an ingest's or update's `records`; before the
+  /// first ingest also the function sequence build for the first record,
+  /// the only fallible step of the shards' construction.
+  Status CheckSchema(std::span<const Record> records) const;
+
+  /// Constructs the shard engines for the first non-empty ingest, which
+  /// Admit checked (calibrating the shared cost model if none was pinned).
+  /// Caller holds id_mu_.
+  void BuildShardsLocked(const std::vector<Record>& first_batch);
 
   using ShardSpan = std::span<const std::unique_ptr<ResidentEngine>>;
 
@@ -184,16 +208,14 @@ class ShardedEngine {
   /// generation.
   uint64_t Publish();
 
-  /// Shared body of Ingest/IngestWithIds: checks the schema, builds the
-  /// shards on the first non-empty batch, assigns fresh ids when
-  /// `given_ids` is nullopt or checks that none of the given ones is live
-  /// on its shard, and only then partitions the batch by shard, runs the
-  /// involved shard passes (concurrently unless an external controller
-  /// forces serial execution) and aggregates their results.
-  StatusOr<EngineMutationResult> RouteIngest(
-      std::vector<Record> records,
-      std::optional<std::vector<ExternalId>> given_ids,
-      const EngineBatchOptions& opts);
+  /// Shared body of Ingest/IngestWithIds: admits the batch, builds the
+  /// shards on the first non-empty one, assigns fresh ids when `ids` is
+  /// empty, and only then partitions the batch by shard, runs the involved
+  /// shard passes (concurrently unless an external controller forces serial
+  /// execution) and aggregates their results.
+  StatusOr<EngineMutationResult> RouteIngest(std::vector<Record> records,
+                                             std::vector<ExternalId> ids,
+                                             const EngineBatchOptions& opts);
 
   MatchRule rule_;
   Options options_;

@@ -23,6 +23,7 @@
 #include "engine_harness.h"
 #include "obs/events.h"
 #include "test_util.h"
+#include "util/run_controller.h"
 
 namespace adalsh {
 namespace {
@@ -563,6 +564,34 @@ TEST(ShardEquivalenceTest, FlushPublishesTheMergeUnderAnAmbientBudget) {
     EXPECT_EQ(again.value().refinement, TerminationReason::kCompleted);
     EXPECT_EQ(again.value().generation, run.flushed.generation + 1);
     EXPECT_EQ(test::CanonicalSnapshot(*engine.Snapshot()), reference);
+  }
+}
+
+TEST(ShardEquivalenceTest, StickyCancelRefusesFlushAtEveryShardCount) {
+  // No budget bounds the merge, but a sticky-cancelled controller refuses
+  // Flush like every other mutation, per call or ambient, at every shard
+  // count: the published generation stays where it was.
+  GeneratedDataset generated = test::MakePlantedDataset({6, 4, 2}, /*seed=*/5);
+  for (int shards : {1, 2, 4}) {
+    for (bool ambient : {false, true}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) +
+                   (ambient ? " ambient" : " per call"));
+      RunController controller;
+      ShardedEngine::Options options = ShardedOptions(shards, 2, /*top_k=*/3);
+      if (ambient) options.engine.config.controller = &controller;
+      ShardedEngine engine(generated.rule, options);
+      const test::IngestedAndFlushed run =
+          test::IngestAndFlush(&engine, generated.dataset);
+      const uint64_t generation = engine.Snapshot()->generation;
+      EXPECT_EQ(generation, run.flushed.generation);
+      controller.Cancel();
+      EngineBatchOptions slo;
+      if (!ambient) slo.controller = &controller;
+      EXPECT_EQ(engine.Flush(slo).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(engine.Snapshot()->generation, generation);
+      EXPECT_EQ(engine.counters().generation, generation);
+    }
   }
 }
 

@@ -25,6 +25,7 @@
 #include "io/checkpoint.h"
 #include "io/wal.h"
 #include "util/fault_injection.h"
+#include "util/run_controller.h"
 #include "engine_harness.h"
 #include "test_util.h"
 
@@ -154,6 +155,101 @@ TEST(WalRecoveryTest, RefusedBudgetNeverReachesTheLog) {
   EXPECT_EQ(engine.Flush(slo).status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.durability_stats().wal_frames_appended, frames);
   EXPECT_EQ(engine.counters().live_records, 3u);
+}
+
+// A sticky-cancelled controller, per call or ambient, refuses every
+// mutation before it is logged, at every shard count: a reopen without the
+// controller replays exactly what the live engine applied.
+TEST(WalRecoveryTest, StickyCancelRefusesMutationsBeforeTheLog) {
+  GeneratedDataset generated = test::MakePlantedDataset({4, 3, 2}, 13);
+  for (int shards : {1, 2}) {
+    for (bool ambient : {false, true}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) +
+                   (ambient ? " ambient" : " per call"));
+      TempDir dir;
+      const DurableEngine::Options options =
+          DurableOptions(shards, 1, 3, dir.path());
+      uint64_t ingested = 0;
+      std::string snapshot;
+      {
+        RunController controller;
+        DurableEngine::Options live_options = options;
+        if (ambient) live_options.engine.config.controller = &controller;
+        auto opened = DurableEngine::Open(generated.rule, live_options);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        DurableEngine& engine = *opened.value();
+        ASSERT_TRUE(engine.Ingest(Slice(generated.dataset, 0, 6)).ok());
+        ASSERT_TRUE(engine.Remove(std::vector<ExternalId>{1}).ok());
+        ASSERT_TRUE(engine.Update(2, generated.dataset.record(6)).ok());
+        ASSERT_TRUE(engine.Flush().ok());
+        const uint64_t frames = engine.durability_stats().wal_frames_appended;
+
+        controller.Cancel();
+        EngineBatchOptions slo;
+        if (!ambient) slo.controller = &controller;
+        EXPECT_EQ(
+            engine.Ingest(Slice(generated.dataset, 7, 2), slo).status().code(),
+            StatusCode::kFailedPrecondition);
+        EXPECT_EQ(
+            engine.Remove(std::vector<ExternalId>{0}, slo).status().code(),
+            StatusCode::kFailedPrecondition);
+        EXPECT_EQ(
+            engine.Update(3, generated.dataset.record(8), slo).status().code(),
+            StatusCode::kFailedPrecondition);
+        EXPECT_EQ(engine.Flush(slo).status().code(),
+                  StatusCode::kFailedPrecondition);
+        EXPECT_EQ(engine.durability_stats().wal_frames_appended, frames);
+        ingested = engine.counters().ingested;
+        snapshot = test::CanonicalSnapshot(*engine.Snapshot());
+      }
+      auto reopened = DurableEngine::Open(generated.rule, options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      const DurabilityStats stats = reopened.value()->durability_stats();
+      EXPECT_EQ(stats.replay_apply_failures, 0u) << StatsDebug(stats);
+      ASSERT_TRUE(reopened.value()->Flush().ok());
+      EXPECT_EQ(reopened.value()->counters().ingested, ingested);
+      EXPECT_EQ(test::CanonicalSnapshot(*reopened.value()->Snapshot()),
+                snapshot);
+    }
+  }
+}
+
+// A first batch the rule cannot hash (Leaf(1, ...) over one-field records)
+// is refused before it is logged and fixes no schema: the next batch, with
+// the field the rule reads, is accepted, and a reopen replays that one
+// frame cleanly.
+TEST(WalRecoveryTest, UnhashableFirstBatchNeverReachesTheLog) {
+  const MatchRule rule = MatchRule::Leaf(1, 0.5);
+  GeneratedDataset generated = test::MakePlantedDataset({4, 3}, 17);
+  std::vector<Record> two_fields;
+  for (RecordId r = 0; r < generated.dataset.num_records(); ++r) {
+    const Field& field = generated.dataset.record(r).field(0);
+    two_fields.push_back(Record({field, field}));
+  }
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    TempDir dir;
+    {
+      auto opened =
+          DurableEngine::Open(rule, DurableOptions(shards, 1, 3, dir.path()));
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      DurableEngine& engine = *opened.value();
+      EXPECT_EQ(engine.Ingest(Slice(generated.dataset, 0, 3)).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(engine.durability_stats().wal_frames_appended, 0u);
+      auto accepted = engine.Ingest(two_fields);
+      ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+      EXPECT_EQ(engine.durability_stats().wal_frames_appended, 1u);
+    }
+    auto reopened =
+        DurableEngine::Open(rule, DurableOptions(shards, 1, 3, dir.path()));
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    const DurabilityStats stats = reopened.value()->durability_stats();
+    EXPECT_EQ(stats.frames_replayed, 1u) << StatsDebug(stats);
+    EXPECT_EQ(stats.replay_apply_failures, 0u) << StatsDebug(stats);
+    ASSERT_TRUE(reopened.value()->Flush().ok());
+    EXPECT_EQ(reopened.value()->counters().live_records, two_fields.size());
+  }
 }
 
 // The acceptance sweep: a randomized mutation history against the durable

@@ -11,9 +11,10 @@
 # written, fsync never ran), checkpoint_write before the temp write and
 # before the rename (old checkpoint must stay visible), recovery_replay (a
 # crash during recovery must leave the log replayable), plus a non-crash
-# torn-tail case cut with truncate(1) and a --shards=2 kill before a
-# commit's single frame is written, whose directory then also reopens at
-# --shards=1 with the same clusters.
+# torn-tail case cut with truncate(1), a --shards=2 kill before a commit's
+# single frame is written, whose directory then also reopens at --shards=1
+# with the same clusters, and a first commit the engine refuses, which must
+# leave no frame for the reopen to replay.
 #
 # Wired into ctest as `crash_smoke` (mirrors tools/engine_smoke.sh).
 #
@@ -217,5 +218,30 @@ if ! diff -u <(strip_gen "$scratch/ref_shard_prefix1.query") \
   fail "shard_commit: the --shards=1 reopen deviates from shard_prefix1"
 fi
 echo "crash_smoke: shard_commit reopened at --shards=1 OK"
+
+# --- A refused commit leaves no frame --------------------------------------
+
+# leaf(1;0.5) reads a field the one-column records lack, so the engine
+# refuses the first commit (no function sequence builds for it) and serve
+# answers err. The engine admits a mutation before it is logged, so the
+# reopen replays nothing and warns about nothing.
+dir="$scratch/case_refused"
+mkdir -p "$dir"
+refused=("$cli" serve --columns=text "--rule=leaf(1;0.5)" --k=3 --threads=1
+         --seed=3 --cost-model=1e-8,1e-6 --sync=always "--data-dir=$dir")
+printf '%s\n' "add alpha beta gamma" "commit" "quit" | "${refused[@]}" \
+  > "$scratch/case_refused.mut" 2> "$scratch/case_refused.muterr" \
+  || fail "refused case: mutation session exited non-zero"
+grep -q '^err ' "$scratch/case_refused.mut" \
+  || fail "refused case: the first commit was not refused"
+printf '%s\n' "quit" | "${refused[@]}" > "$scratch/case_refused.query" \
+  2> "$scratch/case_refused.qerr" \
+  || fail "refused case: reopen exited non-zero"
+grep -q ' frames_replayed=0 ' "$scratch/case_refused.qerr" \
+  || fail "refused case: the reopen replayed a frame"
+if grep -q 'wal: replay of seq' "$scratch/case_refused.qerr"; then
+  fail "refused case: the reopen met a logged mutation it could not apply"
+fi
+echo "crash_smoke: refused OK (a refused commit logged no frame)"
 
 echo "crash_smoke OK: $scratch"
